@@ -13,13 +13,20 @@ import io
 import json
 import sys
 
-from .discovery import LayeredGraphOracle, competitive_ratio, offline_verification, run_network_discovery
+from .discovery import (
+    EXACT_VERIFICATION_VERTEX_CAP,
+    LayeredGraphOracle,
+    competitive_ratio,
+    offline_verification,
+    run_network_discovery,
+)
 from .errors import CovertSetCoverError
 from .generators import GRAPH_MODELS, SET_MODELS, gen_graph, gen_set_system
-from .graphs import graph_from_json_dict, graph_to_json_dict
+from .graphs import graph_to_json_dict
 from .harness import (
     ExperimentConfig,
     bench_planted_family,
+    resolve_graph,
     run_experiment,
     sampling_concentration_test,
 )
@@ -135,10 +142,9 @@ def _cmd_setcover(args) -> dict:
 
 
 def _cmd_discover(args) -> dict:
-    with open(args.graph) as fh:
-        graph = graph_from_json_dict(json.load(fh))
+    graph = resolve_graph({"kind": "file", "path": args.graph})
     opt = None
-    if graph.n <= 12:
+    if graph.n <= EXACT_VERIFICATION_VERTEX_CAP:
         _, opt = offline_verification(graph, mode="exact")
     trials = []
     for seed in range(args.seed, args.seed + args.trials):
@@ -154,8 +160,7 @@ def _cmd_discover(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    with open(args.graph) as fh:
-        graph = graph_from_json_dict(json.load(fh))
+    graph = resolve_graph({"kind": "file", "path": args.graph})
     vertices, size = offline_verification(graph, mode=args.mode)
     return {"mode": args.mode, "query_set": vertices, "size": size}
 

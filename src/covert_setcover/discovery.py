@@ -4,21 +4,21 @@ Discovery is the covert cover problem in disguise: the unresolved vertex
 pairs are the elements, each vertex v is the set of pairs its layered
 query certifies, and probing a pair (u, v) with two layered queries yields
 the dual set H(u, v) = { x : d(u, x) != d(v, x) } of vertices whose query
-would certify it. The sampled rounds mirror the abstract algorithm with
-N = n^2; every certificate obtained along the way is recorded immediately,
-but the unresolved count is refreshed only at round boundaries.
+would certify it. The sampled rounds are those of the abstract algorithm
+(:func:`.pseudo_greedy.sampled_greedy`) with N = n^2; every certificate
+obtained along the way is recorded immediately, but the unresolved count
+is refreshed only at round boundaries.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import random
 from dataclasses import dataclass, field
-from typing import IO
 
-from .oracle import QueryLedger
-from .pseudo_greedy import draw_round_sample
+from .oracle import MeteredOracle, QueryLedger
+# draw_round_sample is kept in this namespace as the sampler of discovery
+# rounds; perfbench/tracing.py wraps it under this name.
+from .pseudo_greedy import draw_round_sample, sampled_greedy  # noqa: F401
+from .results import RoundState
 from .setsystem import brute_force_min_cover, build_set_system, greedy_cover
 from .graphs import (
     Graph,
@@ -32,41 +32,22 @@ from .graphs import (
 EXACT_VERIFICATION_VERTEX_CAP = 12
 
 
-class LayeredGraphOracle:
+class LayeredGraphOracle(MeteredOracle):
     """Metered layered-query access to a hidden connected graph.
 
     Only the vertex count is free; every layered query costs one ledger
-    increment. ``log_stream`` receives one JSON line per query:
-    {"kind": "layered", "arg": v, "answer": [...levels...], "phase": label}.
+    increment and is logged with kind "layered" and the BFS levels as its
+    answer. A vertex outside the graph is rejected before it is charged.
     """
-
-    def __init__(self, hidden: Graph, log_stream: IO[str] | None = None):
-        self._hidden = hidden
-        self.ledger = QueryLedger()
-        self._phase = "init"
-        self._log = log_stream
 
     @property
     def n_vertices(self) -> int:
         return self._hidden.n
 
-    def mark_phase(self, label: str) -> None:
-        self._phase = label
-
     def layered_query(self, v: int) -> LayeredAnswer:
-        self.ledger.record("layered", self._phase)
         answer = layered_answer(self._hidden, v)
-        if self._log is not None:
-            self._log.write(
-                json.dumps(
-                    {"kind": "layered", "arg": v, "answer": list(answer.dist), "phase": self._phase}
-                )
-                + "\n"
-            )
+        self._charge("layered", "layered", v, answer.dist)
         return answer
-
-    def ledger_snapshot(self) -> QueryLedger:
-        return self.ledger.snapshot()
 
 
 def hitting_set_H(
@@ -93,32 +74,6 @@ def hitting_set_H(
     return hset, side
 
 
-@dataclass(frozen=True)
-class DiscoveryRound:
-    """Trace of one discovery round; pairs play the element role."""
-
-    i: int
-    n_i: int
-    s_i: float
-    sample: tuple[Pair, ...]
-    shortlist: tuple[int, ...]
-    chosen: tuple[int, ...]
-    ledger_delta: dict[str, int]
-    base_case: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "n_i": self.n_i,
-            "s_i": self.s_i,
-            "sample_size": len(self.sample),
-            "shortlist": list(self.shortlist),
-            "chosen": list(self.chosen),
-            "ledger_delta": dict(self.ledger_delta),
-            "base_case": self.base_case,
-        }
-
-
 @dataclass
 class DiscoveryResult:
     """Complete pair statuses, the chosen query set Q, and the query bill."""
@@ -126,7 +81,7 @@ class DiscoveryResult:
     statuses: dict[Pair, bool]
     query_set: list[int]
     ledger: QueryLedger
-    rounds: list[DiscoveryRound] = field(default_factory=list)
+    rounds: list[RoundState] = field(default_factory=list)
     base_case_entered: bool = False
 
     @property
@@ -155,102 +110,41 @@ def run_network_discovery(
 ) -> DiscoveryResult:
     """Discover every edge and non-edge of a hidden connected graph.
 
-    Sampled rounds Bernoulli-pick unresolved pairs, probe each picked pair
-    with :func:`hitting_set_H` (two layered queries, side certificates
-    recorded immediately), then walk the vertices in index order accepting
-    any vertex that covers >= alpha*log2(N) still-unclaimed sampled pairs;
-    each accepted vertex is layered-queried once as its coverage update.
-    When the scale drops to alpha*log2(N), every remaining pair is probed
-    and the residue reduced to an explicit set cover over the vertices.
-    N = n^2, so the thresholds use 2*log2(n). Always terminates with every
-    pair certified; the query set Q is the online analogue of the cover.
+    Runs the sampled greedy rounds of :func:`.pseudo_greedy.sampled_greedy`
+    with unresolved pairs as elements and vertices as sets: a probe of a pair
+    is :func:`hitting_set_H` (two layered queries, side certificates recorded
+    immediately) and accepting a vertex layered-queries it once as its
+    coverage update. The base case probes every remaining pair and reduces
+    the residue to an explicit set cover over the vertices. N = n^2, so the
+    thresholds use 2*log2(n). Always terminates with every pair certified;
+    the query set Q is the online analogue of the cover.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    rng = random.Random(rng_seed)
     n = oracle.n_vertices
-    n_total = n * n
-    threshold = alpha * math.log2(n_total)
     pairs = all_pairs(n)
-    total_pairs = len(pairs)
-
     statuses: dict[Pair, bool] = {}
-    query_set: list[int] = []
-    rounds: list[DiscoveryRound] = []
-    base_case_entered = False
 
-    i = 0
-    while len(statuses) < total_pairs:
-        unresolved = [p for p in pairs if p not in statuses]
-        n_i = len(unresolved)
-        s_i = min(total_pairs / 2**i, n_i)
-        before = oracle.ledger_snapshot()
-        if s_i <= threshold:
-            base_case_entered = True
-            oracle.mark_phase("base-case")
-            h_sets: dict[Pair, frozenset[int]] = {}
-            for p in unresolved:
-                hset, side = hitting_set_H(oracle, *p)
-                h_sets[p] = hset
-                statuses.update(side)
-            pair_ix = {p: j for j, p in enumerate(unresolved, start=1)}
-            vertex_sets = [
-                sorted(pair_ix[p] for p in unresolved if x in h_sets[p])
-                for x in range(1, n + 1)
-            ]
-            residual = build_set_system(vertex_sets, universe_size=n_i)
-            picks = list(greedy_cover(residual, theta=1.0).set_indices)
-            query_set.extend(v for v in picks if v not in query_set)
-            rounds.append(
-                DiscoveryRound(
-                    i=i,
-                    n_i=n_i,
-                    s_i=s_i,
-                    sample=(),
-                    shortlist=(),
-                    chosen=tuple(picks),
-                    ledger_delta=oracle.ledger.delta_since(before),
-                    base_case=True,
-                )
-            )
-            break
-        oracle.mark_phase(f"round-{i}")
-        sample = draw_round_sample(unresolved, s_i, alpha, n_total, rng)
-        hits: dict[int, set[Pair]] = {}
-        for p in sample:
-            hset, side = hitting_set_H(oracle, *p)
-            statuses.update(side)
-            for x in hset:
-                hits.setdefault(x, set()).add(p)
-        shortlist = sorted(x for x, h in hits.items() if len(h) >= threshold)
-        accepted: list[int] = []
-        claimed: set[Pair] = set()
-        for x in shortlist:
-            if len(hits[x] - claimed) >= threshold:
-                accepted.append(x)
-                answer = oracle.layered_query(x)
-                statuses.update(certified_pairs(answer))
-                claimed |= hits[x]
-        query_set.extend(accepted)
-        rounds.append(
-            DiscoveryRound(
-                i=i,
-                n_i=n_i,
-                s_i=s_i,
-                sample=tuple(sample),
-                shortlist=tuple(shortlist),
-                chosen=tuple(accepted),
-                ledger_delta=oracle.ledger.delta_since(before),
-            )
-        )
-        i += 1
+    def probe(pair: Pair) -> frozenset[int]:
+        hset, side = hitting_set_H(oracle, *pair)
+        statuses.update(side)
+        return hset
 
+    def accept(x: int) -> dict[Pair, bool]:
+        certified = certified_pairs(oracle.layered_query(x))
+        statuses.update(certified)
+        return certified
+
+    # x is in H(u, v) exactly when a query at x certifies {u, v}, so no
+    # vertex is chosen twice: Q is the engine's pick list as it stands.
+    query_set, rounds, _ = sampled_greedy(
+        oracle, lambda: [p for p in pairs if p not in statuses], probe, accept,
+        n_elements=len(pairs), n_sets=n, n_total=n * n, alpha=alpha, rng_seed=rng_seed,
+    )
     return DiscoveryResult(
         statuses=statuses,
         query_set=query_set,
         ledger=oracle.ledger_snapshot(),
         rounds=rounds,
-        base_case_entered=base_case_entered,
+        base_case_entered=any(r.base_case for r in rounds),
     )
 
 

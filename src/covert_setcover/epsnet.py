@@ -36,13 +36,6 @@ class WeightedFamily:
     def unit(cls, m: int) -> "WeightedFamily":
         return cls(weights=[1] * m)
 
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
-    def weight(self, s: int) -> int:
-        return self.weights[s - 1]
-
     def double(self, indices: Sequence[int]) -> None:
         for s in indices:
             self.weights[s - 1] *= 2
@@ -103,12 +96,11 @@ def run_weighted_epsilon_net(
     rng_seed: int = 0,
     size_const: float = DEFAULT_NET_SIZE_CONST,
     cap_const: float = DEFAULT_ITER_CAP_CONST,
-    reset_weights_per_guess: bool = True,
 ) -> CoverResult:
     """Run the reweighting baseline against a query oracle.
 
     Guesses k = 1, 2, 4, ... up to the first power of two >= m'. Each guess
-    starts from unit weights (configurable) and runs at most
+    starts from unit weights and runs at most
     cap_const * k * log2(m'/k + 2) iterations: sample a net, fetch the
     candidate's contents (one set query per distinct candidate set, charged
     on every iteration because each coverage test is a fresh verification),
@@ -124,71 +116,42 @@ def run_weighted_epsilon_net(
 
     traces: list[GuessTrace] = []
     k = 1
-    family = WeightedFamily.unit(m_prime)
     while True:
-        if reset_weights_per_guess:
-            family = WeightedFamily.unit(m_prime)
+        family = WeightedFamily.unit(m_prime)
         size = net_size(k, m_prime, alpha_net, size_const)
         cap = iteration_cap(k, m_prime, cap_const)
         oracle.mark_phase(f"guess-{k}")
         before = oracle.ledger_snapshot()
+        iterations, cover, witness = cap, None, None
         for iteration in range(1, cap + 1):
             candidate = sample_weighted_net(family, size, rng)
             contents = {s: oracle.set_query(s) for s in candidate}
             missed = find_uncovered(candidate, contents, n_prime)
             if missed is None:
-                traces.append(
-                    GuessTrace(
-                        k=k,
-                        net_size=size,
-                        iterations=iteration,
-                        iteration_cap=cap,
-                        succeeded=True,
-                        ledger_delta=oracle.ledger.delta_since(before),
-                    )
-                )
                 covered = frozenset().union(*contents.values())
-                return CoverResult(
-                    cover=Cover(set_indices=candidate, covered=covered),
-                    rounds=traces,
-                    ledger=oracle.ledger_snapshot(),
-                )
+                iterations, cover = iteration, Cover(set_indices=candidate, covered=covered)
+                break
             try:
                 reweight_on_miss(family, missed, oracle)
             except UncoverableInstanceError:
-                traces.append(
-                    GuessTrace(
-                        k=k,
-                        net_size=size,
-                        iterations=iteration,
-                        iteration_cap=cap,
-                        succeeded=False,
-                        ledger_delta=oracle.ledger.delta_since(before),
-                    )
-                )
-                return CoverResult(
-                    cover=Cover(set_indices=(), covered=frozenset()),
-                    rounds=traces,
-                    ledger=oracle.ledger_snapshot(),
-                    failed=True,
-                    uncovered_element=missed,
-                )
+                iterations, witness = iteration, missed
+                break
         traces.append(
             GuessTrace(
                 k=k,
                 net_size=size,
-                iterations=cap,
+                iterations=iterations,
                 iteration_cap=cap,
-                succeeded=False,
+                succeeded=cover is not None,
                 ledger_delta=oracle.ledger.delta_since(before),
             )
         )
-        if k >= guess_limit:
+        if cover is not None or witness is not None or k >= guess_limit:
             return CoverResult(
-                cover=Cover(set_indices=(), covered=frozenset()),
+                cover=cover if cover is not None else Cover(set_indices=(), covered=frozenset()),
                 rounds=traces,
                 ledger=oracle.ledger_snapshot(),
-                failed=True,
-                uncovered_element=None,
+                failed=cover is None,
+                uncovered_element=witness,
             )
         k *= 2

@@ -35,9 +35,6 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v - 1]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u - 1]
-
     def edges(self) -> list[Pair]:
         return [
             (u, v)

@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .discovery import (
+    EXACT_VERIFICATION_VERTEX_CAP,
     LayeredGraphOracle,
     competitive_ratio,
     offline_verification,
@@ -159,17 +160,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
             record["iterations_at_success"] = (
                 successes[0].iterations if successes else None
             )
-        elif config.algorithm == "greedy":
-            cover = greedy_cover(system, theta=config.theta)
-            record.update(
-                cover_size=len(cover),
-                cover=list(cover.set_indices),
-                valid=verify_cover(system, cover),
-                failed=False,
-                queries={"hitting": 0, "set": 0, "layered": 0, "total": 0},
-            )
-        elif config.algorithm == "bruteforce":
-            cover = brute_force_min_cover(system, cap=config.brute_cap)
+        else:
+            if config.algorithm == "greedy":
+                cover = greedy_cover(system, theta=config.theta)
+            else:
+                cover = brute_force_min_cover(system, cap=config.brute_cap)
             record.update(
                 cover_size=len(cover),
                 cover=list(cover.set_indices),
@@ -183,12 +178,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             record["size_ratio"] = record["cover_size"] / opt_size if opt_size else None
         trials.append(record)
 
-    return {
-        "config": config.to_json_dict(),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "trials": trials,
-        "aggregates": aggregate_cover_trials(trials),
-    }
+    return _report(config, trials)
 
 
 def _cover_record(system: SetSystem, result) -> dict:
@@ -211,7 +201,7 @@ def _cover_record(system: SetSystem, result) -> dict:
 def _run_discovery_experiment(config: ExperimentConfig) -> dict:
     graph = resolve_graph(config.source)
     opt_size = None
-    if config.compute_opt and graph.n <= 12:
+    if config.compute_opt and graph.n <= EXACT_VERIFICATION_VERTEX_CAP:
         _, opt_size = offline_verification(graph, mode="exact")
     truth = {p: True for p in graph.edges()}
     trials = []
@@ -239,6 +229,10 @@ def _run_discovery_experiment(config: ExperimentConfig) -> dict:
             record["opt_size"] = opt_size
             record["competitive_ratio"] = competitive_ratio(result, opt_size)
         trials.append(record)
+    return _report(config, trials)
+
+
+def _report(config: ExperimentConfig, trials: list[dict]) -> dict:
     return {
         "config": config.to_json_dict(),
         "timestamp": datetime.now(timezone.utc).isoformat(),

@@ -1,20 +1,18 @@
-"""Query-metered access to a hidden set system.
+"""Query-metered access to a hidden instance.
 
 The oracle is the only path by which a covert algorithm may learn the
-instance: the number of elements and sets is free knowledge, everything
-else costs exactly one ledger increment per call. Repeated identical
-queries are charged again; callers that want caching must build their own.
+instance: its size is free knowledge, everything else costs exactly one
+ledger increment per call. Repeated identical queries are charged again;
+callers that want caching must build their own. :class:`MeteredOracle` holds
+the metering; :class:`CovertOracle` answers set-system queries and
+``discovery.LayeredGraphOracle`` answers layered graph queries.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO
-
-from .setsystem import SetSystem
-
-KINDS = ("hitting", "set", "layered")
+from typing import IO, Sequence
 
 
 @dataclass
@@ -70,22 +68,48 @@ class QueryLedger:
         }
 
 
-class CovertOracle:
-    """Answers hitting-set and set-content queries about a hidden instance.
+class MeteredOracle:
+    """Ledger, phase label and query log shared by every query oracle.
 
-    Algorithms should treat the hidden system as unreachable except through
-    :meth:`hitting_query` and :meth:`set_query`; tests audit that covert
-    runs only ever use set indices that appeared in some logged answer.
-
-    ``log_stream``, when given, receives one JSON line per query:
-    {"kind": "hit"|"set", "arg": id, "answer": [...], "phase": label}.
+    A subclass validates a query's argument and computes its answer first,
+    then calls :meth:`_charge`, so a rejected query costs nothing and leaves
+    no log line. ``log_stream``, when given, receives one JSON line per
+    charged query: {"kind": ..., "arg": id, "answer": [...], "phase": label}.
     """
 
-    def __init__(self, hidden: SetSystem, log_stream: IO[str] | None = None):
+    def __init__(self, hidden, log_stream: IO[str] | None = None):
         self._hidden = hidden
         self.ledger = QueryLedger()
         self._phase = "init"
         self._log = log_stream
+
+    def mark_phase(self, label: str) -> None:
+        """Attribute subsequent query counts to ``label``."""
+        self._phase = label
+
+    def ledger_snapshot(self) -> QueryLedger:
+        return self.ledger.snapshot()
+
+    def _charge(self, kind: str, log_kind: str, arg: int, answer: Sequence[int]) -> None:
+        """Count one query of ``kind`` and log it as ``log_kind``."""
+        self.ledger.record(kind, self._phase)
+        if self._log is not None:
+            self._log.write(
+                json.dumps(
+                    {"kind": log_kind, "arg": arg, "answer": list(answer), "phase": self._phase}
+                )
+                + "\n"
+            )
+
+
+class CovertOracle(MeteredOracle):
+    """Answers hitting-set and set-content queries about a hidden set system.
+
+    Algorithms should treat the hidden system as unreachable except through
+    :meth:`hitting_query` and :meth:`set_query`; tests audit that covert
+    runs only ever use set indices that appeared in some logged answer.
+    Queries are logged with kind "hit" or "set".
+    """
 
     @property
     def n_elements(self) -> int:
@@ -97,38 +121,20 @@ class CovertOracle:
         """Family size; free knowledge, not charged."""
         return self._hidden.n_sets
 
-    def mark_phase(self, label: str) -> None:
-        """Attribute subsequent query counts to ``label``."""
-        self._phase = label
-
     def hitting_query(self, e: int) -> tuple[int, ...]:
         """All set indices containing element ``e``. Charges one hitting query."""
         if not 1 <= e <= self._hidden.universe_size:
             raise ValueError(
                 f"element {e} outside [1, {self._hidden.universe_size}]"
             )
-        self.ledger.record("hitting", self._phase)
         answer = tuple(sorted(self._hidden.sets_containing(e)))
-        self._emit("hit", e, answer)
+        self._charge("hitting", "hit", e, answer)
         return answer
 
     def set_query(self, s: int) -> tuple[int, ...]:
         """All elements of set ``s``. Charges one set query."""
         if not 1 <= s <= self._hidden.n_sets:
             raise ValueError(f"set index {s} outside [1, {self._hidden.n_sets}]")
-        self.ledger.record("set", self._phase)
         answer = tuple(sorted(self._hidden.members(s)))
-        self._emit("set", s, answer)
+        self._charge("set", "set", s, answer)
         return answer
-
-    def ledger_snapshot(self) -> QueryLedger:
-        return self.ledger.snapshot()
-
-    def _emit(self, kind: str, arg: int, answer: tuple[int, ...]) -> None:
-        if self._log is not None:
-            self._log.write(
-                json.dumps(
-                    {"kind": kind, "arg": arg, "answer": list(answer), "phase": self._phase}
-                )
-                + "\n"
-            )

@@ -12,20 +12,29 @@ finished with the explicit greedy algorithm.
 
 N = n' + m' throughout, and log means log2: the scale s_i halves per
 round, so the base case is reached within ceil(log2 n') + 1 rounds.
+
+:func:`sampled_greedy` is the round engine. It sees the instance only
+through three callables, so network discovery (:mod:`.discovery`) runs the
+same rounds with vertex pairs as elements and vertices as sets.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 from .errors import UncoverableInstanceError
-from .oracle import CovertOracle
+from .oracle import CovertOracle, MeteredOracle
 from .results import CoverResult, RoundState
 from .setsystem import Cover, build_set_system, greedy_cover
 
 DEFAULT_ALPHA = 8.0
+
+# probe(e): the sets containing element e, one charged query.
+Probe = Callable[[Hashable], Iterable[int]]
+# accept(s): fetch set s, one charged query, and return the elements it covers.
+Accept = Callable[[int], Iterable[Hashable]]
 
 
 def sample_probability(s_i: float, alpha: float, n_total: int) -> float:
@@ -47,18 +56,18 @@ def draw_round_sample(uncovered, s_i: float, alpha: float, n_total: int, rng: ra
 
 
 def shortlist_sets(
-    sample: Sequence[int], oracle: CovertOracle, alpha: float, n_total: int
-) -> tuple[list[int], dict[int, set[int]]]:
-    """Hitting-query every sampled element and keep the heavily hit sets.
+    sample: Sequence[Hashable], probe: Probe, alpha: float, n_total: int
+) -> tuple[list[int], dict[int, set]]:
+    """Probe every sampled element and keep the heavily hit sets.
 
     Returns the shortlist in canonical order together with the tally
     (set index -> sampled elements it contains), which the sequential
     filter reuses so no element is ever charged twice in a round.
     """
     threshold = alpha * math.log2(n_total)
-    hits: dict[int, set[int]] = {}
+    hits: dict[int, set] = {}
     for e in sample:
-        for s in oracle.hitting_query(e):
+        for s in probe(e):
             hits.setdefault(s, set()).add(e)
     shortlist = sorted(s for s, h in hits.items() if len(h) >= threshold)
     return shortlist, hits
@@ -66,45 +75,45 @@ def shortlist_sets(
 
 def sequential_filter(
     shortlist: Sequence[int],
-    sample_hits: Mapping[int, set[int]],
-    oracle: CovertOracle,
+    sample_hits: Mapping[int, set],
+    accept: Accept,
     alpha: float,
     n_total: int,
-) -> tuple[list[int], set[int]]:
+) -> tuple[list[int], set]:
     """Walk the shortlist in order, accepting sets that still own enough samples.
 
     A set is accepted iff its sampled elements outside those claimed by
     earlier acceptances still number >= alpha*log2(N). Acceptance fetches the
-    set's full contents (one set query); those answers double as the round's
-    coverage update, so the returned element set costs nothing extra.
+    set (one charged query); the returned union of what the accepted sets
+    cover costs nothing extra.
     """
     threshold = alpha * math.log2(n_total)
     accepted: list[int] = []
-    claimed: set[int] = set()
-    newly_covered: set[int] = set()
+    claimed: set = set()
+    newly_covered: set = set()
     for s in shortlist:
         if len(sample_hits[s] - claimed) >= threshold:
             accepted.append(s)
-            newly_covered.update(oracle.set_query(s))
+            newly_covered.update(accept(s))
             claimed |= sample_hits[s]
     return accepted, newly_covered
 
 
-def base_case_explicit(oracle: CovertOracle, uncovered: Iterable[int]) -> list[int]:
+def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable], n_sets: int) -> list[int]:
     """Reconstruct the residual instance and finish it with explicit greedy.
 
-    Issues exactly one hitting query per remaining element (all of them,
-    even if an early answer already dooms the instance, so the ledger stays
-    reconstructible from the trace), rebuilds the residual sub-instance with
-    the canonical set order preserved, and runs the classic greedy cover on
-    it. Raises :class:`UncoverableInstanceError` naming the smallest element
-    contained in no set.
+    Issues exactly one probe per remaining element (all of them, even if an
+    early answer already dooms the instance, so the ledger stays
+    reconstructible from the trace), rebuilds the residual sub-instance over
+    sets 1..n_sets with the canonical set order preserved, and runs the
+    classic greedy cover on it. Raises :class:`UncoverableInstanceError`
+    naming the smallest element contained in no set.
     """
     order = sorted(uncovered)
     residual: dict[int, set[int]] = {}
-    orphan: int | None = None
+    orphan = None
     for e in order:
-        containing = oracle.hitting_query(e)
+        containing = probe(e)
         if not containing and orphan is None:
             orphan = e
         for s in containing:
@@ -114,10 +123,81 @@ def base_case_explicit(oracle: CovertOracle, uncovered: Iterable[int]) -> list[i
     relabel = {e: i for i, e in enumerate(order, start=1)}
     sub_sets = [
         sorted(relabel[e] for e in residual.get(s, ()))
-        for s in range(1, oracle.n_sets + 1)
+        for s in range(1, n_sets + 1)
     ]
     sub_system = build_set_system(sub_sets, universe_size=len(order))
     return list(greedy_cover(sub_system, theta=1.0).set_indices)
+
+
+def sampled_greedy(
+    oracle: MeteredOracle,
+    remaining: Callable[[], Collection[Hashable]],
+    probe: Probe,
+    accept: Accept,
+    n_elements: int,
+    n_sets: int,
+    n_total: int,
+    alpha: float,
+    rng_seed: int,
+) -> tuple[list[int], list[RoundState], Hashable | None]:
+    """The sampled greedy rounds, over any instance behind a metered oracle.
+
+    ``remaining()`` gives the uncovered elements at each round boundary;
+    ``probe`` and ``accept`` are the two charged queries. Round i has scale
+    s_i = min(n_elements/2^i, n_i); once s_i <= alpha*log2(n_total) the
+    residue goes to :func:`base_case_explicit` and the run ends. Each round
+    is labelled as a ledger phase and traced as a :class:`RoundState`.
+
+    Returns (chosen set indices in order, the round trace, the element the
+    base case found in no set, or None).
+    """
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    rng = random.Random(rng_seed)
+    base_entry = alpha * math.log2(n_total)
+    chosen: list[int] = []
+    rounds: list[RoundState] = []
+    witness = None
+
+    i = 0
+    while uncovered := remaining():
+        n_i = len(uncovered)
+        s_i = min(n_elements / 2**i, n_i)
+        before = oracle.ledger_snapshot()
+        sample: list = []
+        shortlist: list[int] = []
+        picks: list[int] = []
+        base_case = s_i <= base_entry
+        if base_case:
+            oracle.mark_phase("base-case")
+            try:
+                picks = base_case_explicit(probe, uncovered, n_sets)
+            except UncoverableInstanceError as exc:
+                witness = exc.element
+        else:
+            oracle.mark_phase(f"round-{i}")
+            sample = draw_round_sample(uncovered, s_i, alpha, n_total, rng)
+            if sample:
+                shortlist, hits = shortlist_sets(sample, probe, alpha, n_total)
+                if shortlist:
+                    picks, _ = sequential_filter(shortlist, hits, accept, alpha, n_total)
+        rounds.append(
+            RoundState(
+                i=i,
+                n_i=n_i,
+                s_i=s_i,
+                sample=tuple(sample),
+                shortlist=tuple(shortlist),
+                chosen=tuple(picks),
+                ledger_delta=oracle.ledger.delta_since(before),
+                base_case=base_case,
+            )
+        )
+        chosen.extend(picks)
+        if base_case:
+            break
+        i += 1
+    return chosen, rounds, witness
 
 
 def run_pseudo_greedy(
@@ -134,82 +214,28 @@ def run_pseudo_greedy(
     On an uncoverable instance the base case flags failure and the result
     carries the witness element and the partial cover accepted so far.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    rng = random.Random(rng_seed)
     n_prime, m_prime = oracle.n_elements, oracle.n_sets
-    n_total = n_prime + m_prime
-    base_entry = alpha * math.log2(n_total)
-
     uncovered = set(range(1, n_prime + 1))
-    chosen: list[int] = []
-    rounds: list[RoundState] = []
-    base_case_entered = False
-    failed = False
-    witness: int | None = None
 
-    i = 0
-    while uncovered:
-        n_i = len(uncovered)
-        s_i = min(n_prime / 2**i, n_i)
-        before = oracle.ledger_snapshot()
-        if s_i <= base_entry:
-            base_case_entered = True
-            oracle.mark_phase("base-case")
-            try:
-                picks = base_case_explicit(oracle, uncovered)
-            except UncoverableInstanceError as exc:
-                failed = True
-                witness = exc.element
-                picks = []
-            rounds.append(
-                RoundState(
-                    i=i,
-                    n_i=n_i,
-                    s_i=s_i,
-                    sample=(),
-                    shortlist=(),
-                    chosen=tuple(picks),
-                    ledger_delta=oracle.ledger.delta_since(before),
-                    base_case=True,
-                )
-            )
-            chosen.extend(picks)
-            if not failed:
-                uncovered.clear()
-            break
-        oracle.mark_phase(f"round-{i}")
-        sample = draw_round_sample(uncovered, s_i, alpha, n_total, rng)
-        shortlist: list[int] = []
-        accepted: list[int] = []
-        newly: set[int] = set()
-        if sample:
-            shortlist, hits = shortlist_sets(sample, oracle, alpha, n_total)
-            if shortlist:
-                accepted, newly = sequential_filter(
-                    shortlist, hits, oracle, alpha, n_total
-                )
-        rounds.append(
-            RoundState(
-                i=i,
-                n_i=n_i,
-                s_i=s_i,
-                sample=tuple(sample),
-                shortlist=tuple(shortlist),
-                chosen=tuple(accepted),
-                ledger_delta=oracle.ledger.delta_since(before),
-            )
-        )
-        chosen.extend(accepted)
-        uncovered -= newly
-        i += 1
+    def accept(s: int) -> tuple[int, ...]:
+        # Shrinking mid-round is safe: the round has already drawn its sample.
+        members = oracle.set_query(s)
+        uncovered.difference_update(members)
+        return members
 
-    covered = frozenset(range(1, n_prime + 1)) - uncovered
+    chosen, rounds, witness = sampled_greedy(
+        oracle, lambda: uncovered, oracle.hitting_query, accept,
+        n_elements=n_prime, n_sets=m_prime, n_total=n_prime + m_prime,
+        alpha=alpha, rng_seed=rng_seed,
+    )
+    failed = witness is not None
+    # A finished base case covers its whole residue; a failed one covers none of it.
+    covered = frozenset(range(1, n_prime + 1)) - (uncovered if failed else set())
     return CoverResult(
         cover=Cover(set_indices=tuple(chosen), covered=covered),
         rounds=rounds,
         ledger=oracle.ledger_snapshot(),
-        base_case_entered=base_case_entered,
+        base_case_entered=any(r.base_case for r in rounds),
         failed=failed,
         uncovered_element=witness,
     )

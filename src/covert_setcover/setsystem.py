@@ -165,26 +165,6 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     return Cover.from_indices(system, chosen)
 
 
-def threshold_pass(
-    system: SetSystem, uncovered: Iterable[int], threshold: float
-) -> tuple[list[int], set[int]]:
-    """One canonical-order pass accepting every set still holding >= threshold uncovered elements.
-
-    Acceptance immediately removes the set's elements, so later sets are
-    judged against the shrunken residue. Returns (accepted indices, residue).
-    This is the full-information pass that the sampled shortlist-and-filter
-    rounds of the covert algorithm degenerate to when the sampling
-    probability clips to 1.
-    """
-    remaining = set(uncovered)
-    accepted: list[int] = []
-    for idx in range(1, system.n_sets + 1):
-        if len(system.members(idx) & remaining) >= threshold:
-            accepted.append(idx)
-            remaining -= system.members(idx)
-    return accepted, remaining
-
-
 def brute_force_min_cover(system: SetSystem, cap: int = BRUTE_FORCE_SET_CAP) -> Cover:
     """Exact minimum cover by subset enumeration, smallest size first.
 
@@ -227,22 +207,6 @@ def _lowest_missing(mask: int, universe_size: int) -> int:
         if not (mask >> (e - 1)) & 1:
             return e
     raise AssertionError("no missing element")
-
-
-def coverage_order(system: SetSystem, cover: Cover) -> list[int]:
-    """Elements in the order the cover first reaches them.
-
-    Sets are walked in selection order; within a set the newly covered
-    elements are listed ascending. Used by the apportionment bound, which
-    numbers elements by coverage order.
-    """
-    seen: set[int] = set()
-    order: list[int] = []
-    for s in cover.set_indices:
-        new = sorted(system.members(s) - seen)
-        order.extend(new)
-        seen.update(new)
-    return order
 
 
 def apportioned_weights(system: SetSystem, cover: Cover) -> dict[int, Fraction]:

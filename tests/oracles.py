@@ -31,6 +31,21 @@ def exhaustive_min_cover(sets, n):
     return None
 
 
+def coverage_order(sets, picks):
+    """Elements in the order the picked sets first reach them.
+
+    ``picks`` are 1-based indices into ``sets`` in selection order; within
+    one pick the newly reached elements are listed ascending.
+    """
+    seen = set()
+    order = []
+    for s in picks:
+        new = sorted(set(sets[s - 1]) - seen)
+        order.extend(new)
+        seen.update(new)
+    return order
+
+
 def bfs_levels(n, edges, source):
     """Hop distances from source over an undirected edge list."""
     adj = {v: set() for v in range(1, n + 1)}

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 
@@ -22,6 +23,19 @@ from test_graphs import G6_EDGES, random_connected_graph
 @pytest.fixture
 def g6():
     return Graph.from_edges(6, G6_EDGES)
+
+
+class TestLayeredOracle:
+    def test_rejected_vertex_is_not_charged(self):
+        log = io.StringIO()
+        oracle = LayeredGraphOracle(gen_graph("path", n=4), log_stream=log)
+        with pytest.raises(ValueError):
+            oracle.layered_query(9)
+        assert oracle.ledger.layered_queries == 0
+        assert oracle.ledger.phase_counts == {}
+        assert log.getvalue() == ""
+        oracle.layered_query(2)
+        assert oracle.ledger.layered_queries == 1
 
 
 class TestHittingSet:

@@ -22,13 +22,13 @@ class TestWeights:
         family = WeightedFamily.unit(3)
         family.double([1, 3])
         assert family.weights == [2, 1, 2]
-        assert family.total_weight == 5
+        assert sum(family.weights) == 5
 
     def test_double_twice_is_times_four(self):
         family = WeightedFamily.unit(3)
         family.double([2])
         family.double([2])
-        assert family.weight(2) == 4
+        assert family.weights[1] == 4
 
     def test_reweight_on_miss(self):
         system = build_set_system([[1, 2], [3], [1]], 3)
@@ -51,14 +51,14 @@ class TestWeights:
         oracle = CovertOracle(system)
         family = WeightedFamily.unit(3)
         rng = random.Random(0)
-        last = family.total_weight
+        last = sum(family.weights)
         for _ in range(20):
             x = rng.randint(1, 3)
             before = list(family.weights)
             reweight_on_miss(family, x, oracle)
             assert all(b <= a for b, a in zip(before, family.weights))
-            assert family.total_weight > last
-            last = family.total_weight
+            assert sum(family.weights) > last
+            last = sum(family.weights)
 
 
 class TestNetSampling:
@@ -140,14 +140,6 @@ class TestRun:
             t.iterations - 1 if t.succeeded else t.iterations for t in result.rounds
         )
         assert result.ledger.hitting_queries == misses
-
-    def test_weight_reset_flag(self):
-        system, _ = gen_set_system("planted-cover", n=32, m=12, seed=5, k=6)
-        keep = run_weighted_epsilon_net(
-            CovertOracle(system), rng_seed=5, reset_weights_per_guess=False
-        )
-        assert not keep.failed
-        assert verify_cover(system, keep.cover)
 
     def test_deterministic(self):
         system, _ = gen_set_system("planted-cover", n=32, m=12, seed=8, k=4)

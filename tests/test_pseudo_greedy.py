@@ -52,7 +52,7 @@ class TestShortlist:
         # alpha * log2(N) = 2 with alpha = .5, N = 16: sets need 2 sampled hits.
         system = build_set_system([[1, 2, 3], [3], [4, 5]], 5)
         oracle = CovertOracle(system)
-        shortlist, hits = shortlist_sets([1, 2, 3, 4, 5], oracle, 0.5, 16)
+        shortlist, hits = shortlist_sets([1, 2, 3, 4, 5], oracle.hitting_query, 0.5, 16)
         assert shortlist == [1, 3]
         assert hits[1] == {1, 2, 3}
         assert oracle.ledger.hitting_queries == 5
@@ -60,7 +60,7 @@ class TestShortlist:
     def test_empty_when_no_set_reaches_threshold(self):
         system = build_set_system([[1], [2]], 2)
         oracle = CovertOracle(system)
-        shortlist, _ = shortlist_sets([1, 2], oracle, 8.0, 2**10)
+        shortlist, _ = shortlist_sets([1, 2], oracle.hitting_query, 8.0, 2**10)
         assert shortlist == []
 
     def test_large_set_caught_under_bernoulli_sampling(self):
@@ -82,8 +82,8 @@ class TestSequentialFilter:
     def test_disjoint_sets_both_accepted(self):
         system = build_set_system([[1, 2], [3, 4]], 4)
         oracle = CovertOracle(system)
-        _, hits = shortlist_sets([1, 2, 3, 4], oracle, 0.5, 16)
-        accepted, covered = sequential_filter([1, 2], hits, oracle, 0.5, 16)
+        _, hits = shortlist_sets([1, 2, 3, 4], oracle.hitting_query, 0.5, 16)
+        accepted, covered = sequential_filter([1, 2], hits, oracle.set_query, 0.5, 16)
         assert accepted == [1, 2]
         assert covered == {1, 2, 3, 4}
         assert oracle.ledger.set_queries == 2
@@ -91,8 +91,8 @@ class TestSequentialFilter:
     def test_contained_set_discarded(self):
         system = build_set_system([[1, 2, 3], [2, 3]], 3)
         oracle = CovertOracle(system)
-        _, hits = shortlist_sets([1, 2, 3], oracle, 0.5, 16)
-        accepted, _ = sequential_filter([1, 2], hits, oracle, 0.5, 16)
+        _, hits = shortlist_sets([1, 2, 3], oracle.hitting_query, 0.5, 16)
+        accepted, _ = sequential_filter([1, 2], hits, oracle.set_query, 0.5, 16)
         assert accepted == [1]
 
     def test_exact_residual_counting_with_full_sample(self):
@@ -100,8 +100,8 @@ class TestSequentialFilter:
         # at the set's turn.
         system = build_set_system([[1, 2, 3], [3, 4], [5, 6]], 6)
         oracle = CovertOracle(system)
-        _, hits = shortlist_sets([1, 2, 3, 4, 5, 6], oracle, 1.0, 4)
-        accepted, _ = sequential_filter([1, 2, 3], hits, oracle, 1.0, 4)
+        _, hits = shortlist_sets([1, 2, 3, 4, 5, 6], oracle.hitting_query, 1.0, 4)
+        accepted, _ = sequential_filter([1, 2, 3], hits, oracle.set_query, 1.0, 4)
         # threshold 2: set 2 keeps only {4} after set 1 claims {3}.
         assert accepted == [1, 3]
 
@@ -110,7 +110,7 @@ class TestBaseCase:
     def test_single_covering_set(self):
         system = build_set_system([[1, 2, 3, 4]], 4)
         oracle = CovertOracle(system)
-        assert base_case_explicit(oracle, {1, 2, 3, 4}) == [1]
+        assert base_case_explicit(oracle.hitting_query, {1, 2, 3, 4}, oracle.n_sets) == [1]
         assert oracle.ledger.hitting_queries == 4
 
     def test_equals_explicit_greedy_on_full_instance(self):
@@ -118,14 +118,16 @@ class TestBaseCase:
         for _ in range(20):
             system, _ = random_system(rng, max_n=12, max_m=8)
             oracle = CovertOracle(system)
-            picks = base_case_explicit(oracle, set(range(1, system.universe_size + 1)))
+            picks = base_case_explicit(
+                oracle.hitting_query, set(range(1, system.universe_size + 1)), oracle.n_sets
+            )
             assert tuple(picks) == greedy_cover(system).set_indices
 
     def test_one_query_per_element_even_on_failure(self):
         system = build_set_system([[2], [4]], 4)
         oracle = CovertOracle(system)
         with pytest.raises(UncoverableInstanceError) as err:
-            base_case_explicit(oracle, {1, 2, 3, 4})
+            base_case_explicit(oracle.hitting_query, {1, 2, 3, 4}, oracle.n_sets)
         assert err.value.element == 1
         assert oracle.ledger.hitting_queries == 4
 

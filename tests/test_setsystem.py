@@ -13,16 +13,14 @@ from covert_setcover.setsystem import (
     apportioned_weights,
     brute_force_min_cover,
     build_set_system,
-    coverage_order,
     from_json_dict,
     greedy_cover,
     harmonic,
-    threshold_pass,
     to_json_dict,
     verify_cover,
 )
 
-from oracles import exhaustive_min_cover
+from oracles import coverage_order, exhaustive_min_cover
 
 
 def random_system(rng, max_n=16, max_m=12, coverable=True):
@@ -123,20 +121,6 @@ class TestGreedy:
         assert greedy_cover(system) == greedy_cover(system)
 
 
-class TestThresholdPass:
-    def test_accepts_in_index_order_and_shrinks(self):
-        system = build_set_system([[1, 2, 3], [1, 2, 3], [4, 5]], 5)
-        accepted, remaining = threshold_pass(system, range(1, 6), 2)
-        assert accepted == [1, 3]  # set 2's holdings vanish once set 1 is taken
-        assert remaining == set()
-
-    def test_below_threshold_left_alone(self):
-        system = build_set_system([[1], [2, 3]], 3)
-        accepted, remaining = threshold_pass(system, range(1, 4), 2)
-        assert accepted == [2]
-        assert remaining == {1}
-
-
 class TestBruteForce:
     def test_example_size_two(self):
         system = build_set_system([[1, 2, 3], [3, 4], [4]], 4)
@@ -229,7 +213,7 @@ class TestApportionment:
             cover = greedy_cover(system, theta=theta)
             weights = apportioned_weights(system, cover)
             opt = len(exhaustive_min_cover(sets, system.universe_size))
-            order = coverage_order(system, cover)
+            order = coverage_order(sets, cover.set_indices)
             n = system.universe_size
             for pos, element in enumerate(order, start=1):
                 bound = Fraction(opt) / Fraction(theta) / (n - pos + 1)
