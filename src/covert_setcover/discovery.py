@@ -13,6 +13,7 @@ is refreshed only at round boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import IO
 
 from .oracle import MeteredOracle, QueryLedger
 # draw_round_sample is kept in this namespace as the sampler of discovery
@@ -38,40 +39,49 @@ class LayeredGraphOracle(MeteredOracle):
     Only the vertex count is free; every layered query costs one ledger
     increment and is logged with kind "layered" and the BFS levels as its
     answer. A vertex outside the graph is rejected before it is charged.
+    Each vertex's answer is computed once and memoized, but a repeated
+    query is still charged and logged like the first.
     """
+
+    def __init__(self, hidden: Graph, log_stream: IO[str] | None = None):
+        super().__init__(hidden, log_stream)
+        self._answers: dict[int, LayeredAnswer] = {}
 
     @property
     def n_vertices(self) -> int:
         return self._hidden.n
 
     def layered_query(self, v: int) -> LayeredAnswer:
-        answer = layered_answer(self._hidden, v)
+        if type(v) is not int:
+            # 2.0 == 2, so a float would otherwise find vertex 2's memoized answer.
+            raise ValueError(f"vertex {v!r} is not an integer")
+        answer = self._answers.get(v)
+        if answer is None:
+            # layered_answer rejects an out-of-range vertex before anything is stored.
+            answer = self._answers[v] = layered_answer(self._hidden, v)
         self._charge("layered", "layered", v, answer.dist)
         return answer
 
 
 def hitting_set_H(
     oracle: LayeredGraphOracle, u: int, v: int
-) -> tuple[frozenset[int], dict[Pair, bool]]:
+) -> tuple[frozenset[int], tuple[LayeredAnswer, LayeredAnswer]]:
     """Vertices whose query certifies the pair {u, v}, via two layered queries.
 
     Queries both endpoints (ledger +2) and returns H = the vertices at
-    different distances from u and v, together with every pair status the
-    two answers certify as side information. u and v always belong to H,
-    so the pair itself is certified in passing.
+    different distances from u and v, together with the two answers
+    (ans_u, ans_v), whose certificates the caller may record as side
+    information. u and v always belong to H, so the pair itself is
+    certified by either answer.
     """
     if u == v:
         raise ValueError(f"pair endpoints must differ, got ({u}, {v})")
     ans_u = oracle.layered_query(u)
     ans_v = oracle.layered_query(v)
     hset = frozenset(
-        x
-        for x in range(1, oracle.n_vertices + 1)
-        if ans_u.dist[x - 1] != ans_v.dist[x - 1]
+        x for x, (du, dv) in enumerate(zip(ans_u.dist, ans_v.dist), start=1) if du != dv
     )
-    side = certified_pairs(ans_u)
-    side.update(certified_pairs(ans_v))
-    return hset, side
+    return hset, (ans_u, ans_v)
 
 
 @dataclass
@@ -118,20 +128,32 @@ def run_network_discovery(
     the residue to an explicit set cover over the vertices. N = n^2, so the
     thresholds use 2*log2(n). Always terminates with every pair certified;
     the query set Q is the online analogue of the cover.
+
+    Every query is charged, but a vertex's certificates are recorded only
+    the first time an answer from it arrives: its answer never changes, so
+    recording it again would change no key, value or order of ``statuses``.
     """
     n = oracle.n_vertices
     pairs = all_pairs(n)
     statuses: dict[Pair, bool] = {}
+    learned: set[int] = set()
+
+    def learn(answer: LayeredAnswer) -> dict[Pair, bool]:
+        if answer.source in learned:
+            return {}
+        learned.add(answer.source)
+        certified = certified_pairs(answer)
+        statuses.update(certified)
+        return certified
 
     def probe(pair: Pair) -> frozenset[int]:
-        hset, side = hitting_set_H(oracle, *pair)
-        statuses.update(side)
+        hset, (ans_u, ans_v) = hitting_set_H(oracle, *pair)
+        learn(ans_u)
+        learn(ans_v)
         return hset
 
     def accept(x: int) -> dict[Pair, bool]:
-        certified = certified_pairs(oracle.layered_query(x))
-        statuses.update(certified)
-        return certified
+        return learn(oracle.layered_query(x))
 
     # x is in H(u, v) exactly when a query at x certifies {u, v}, so no
     # vertex is chosen twice: Q is the engine's pick list as it stands.

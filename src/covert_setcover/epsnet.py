@@ -106,8 +106,13 @@ def run_weighted_epsilon_net(
     on every iteration because each coverage test is a fresh verification),
     and either return the covering candidate or double the weights along a
     missed element. Exhausting every guess, or a missed element contained in
-    no set, yields a failed result.
+    no set, yields a failed result. ``alpha_net``, ``size_const`` and
+    ``cap_const`` must be finite and positive.
     """
+    constants = {"alpha_net": alpha_net, "size_const": size_const, "cap_const": cap_const}
+    for name, value in constants.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     rng = random.Random(rng_seed)
     n_prime, m_prime = oracle.n_elements, oracle.n_sets
     guess_limit = 1

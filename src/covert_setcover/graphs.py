@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Pair = tuple[int, int]
@@ -20,9 +21,15 @@ def ordered_pair(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
-def all_pairs(n: int) -> list[Pair]:
-    """Every unordered vertex pair, lexicographically."""
-    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+@lru_cache(maxsize=4)
+def all_pairs(n: int) -> tuple[Pair, ...]:
+    """Every unordered vertex pair, lexicographically.
+
+    Cached per ``n``, so every caller shares the same pair objects: a run's
+    pair statuses, round samples and edge lists then hold references to
+    them instead of fresh tuples.
+    """
+    return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -45,14 +52,17 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build and validate: in-range endpoints, no self-loops, connected."""
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
+        """Build and validate: integer in-range endpoints, no self-loops, connected."""
+        if type(n) is not int or n < 1:
+            raise ValueError(f"vertex count must be an integer >= 1, got {n!r}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for edge in edges:
             u, v = edge
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside [1, {n}]")
+            # type() rather than isinstance(): True is an int instance but not a vertex.
+            if not (type(u) is int and type(v) is int and 1 <= u <= n and 1 <= v <= n):
+                raise ValueError(
+                    f"edge ({u!r}, {v!r}) has an endpoint outside [1, {n}] or not an integer"
+                )
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u - 1].add(v)
@@ -81,7 +91,13 @@ def graph_to_json_dict(graph: Graph) -> dict:
 
 
 def graph_from_json_dict(doc: dict) -> Graph:
-    return Graph.from_edges(doc["n"], doc["edges"])
+    """Parse {"n": ..., "edges": [[u, v], ...]}; a malformed document raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a graph must be a JSON object, got {type(doc).__name__}")
+    edges = doc["edges"]
+    if not (isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)):
+        raise ValueError('graph "edges" must be a list of [u, v] pairs')
+    return Graph.from_edges(doc["n"], edges)
 
 
 @dataclass(frozen=True)
@@ -124,16 +140,17 @@ def certified_pairs(answer: LayeredAnswer) -> dict[Pair, bool]:
     Pairs at different levels are resolved: consecutive levels are an edge
     exactly when the answer lists them, gaps of two or more levels are
     non-edges. Equal-level pairs (including any pair of the source's
-    distance-1 neighbors) stay out of the mapping.
+    distance-1 neighbors) stay out of the mapping. The keys are the shared
+    tuples of :func:`all_pairs`, in the same lexicographic order.
     """
-    n = len(answer.dist)
+    dist = answer.dist
+    edges = answer.shortest_path_edges
     statuses: dict[Pair, bool] = {}
-    for u in range(1, n + 1):
-        du = answer.dist[u - 1]
-        for w in range(u + 1, n + 1):
-            gap = abs(du - answer.dist[w - 1])
-            if gap == 1:
-                statuses[(u, w)] = (u, w) in answer.shortest_path_edges
-            elif gap >= 2:
-                statuses[(u, w)] = False
+    for pair in all_pairs(len(dist)):
+        u, w = pair
+        gap = abs(dist[u - 1] - dist[w - 1])
+        if gap == 1:
+            statuses[pair] = pair in edges
+        elif gap >= 2:
+            statuses[pair] = False
     return statuses

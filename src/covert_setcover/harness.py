@@ -296,6 +296,8 @@ def sampling_concentration_test(
     """
     if s_i % 8:
         raise ValueError(f"s_i must be divisible by 8, got {s_i}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     p = min(1.0, 4.0 * alpha * log2_n_total / s_i)
     threshold = alpha * log2_n_total
     rng = np.random.Generator(np.random.PCG64(seed))

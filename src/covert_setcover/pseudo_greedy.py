@@ -33,7 +33,9 @@ DEFAULT_ALPHA = 8.0
 
 # probe(e): the sets containing element e, one charged query.
 Probe = Callable[[Hashable], Iterable[int]]
-# accept(s): fetch set s, one charged query, and return the elements it covers.
+# accept(s): fetch set s, one charged query, and record what it covers. It returns
+# the elements it covers, or an empty collection if the caller had recorded them
+# already; sequential_filter unions what it returns, and sampled_greedy discards that.
 Accept = Callable[[int], Iterable[Hashable]]
 
 
@@ -147,12 +149,13 @@ def sampled_greedy(
     s_i = min(n_elements/2^i, n_i); once s_i <= alpha*log2(n_total) the
     residue goes to :func:`base_case_explicit` and the run ends. Each round
     is labelled as a ledger phase and traced as a :class:`RoundState`.
+    ``alpha`` must be finite and positive.
 
     Returns (chosen set indices in order, the round trace, the element the
     base case found in no set, or None).
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     rng = random.Random(rng_seed)
     base_entry = alpha * math.log2(n_total)
     chosen: list[int] = []

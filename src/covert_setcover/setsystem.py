@@ -60,20 +60,22 @@ class SetSystem:
 def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSystem:
     """Validate and build a :class:`SetSystem`, including the inverse index.
 
-    Raises ``ValueError`` if the family is empty, ``universe_size < 1``, or
-    any listed element falls outside ``[1, universe_size]``.
+    Raises ``ValueError`` if the family is empty, ``universe_size`` is not an
+    integer >= 1, or any listed element is not an integer in
+    ``[1, universe_size]`` (a float or a bool is not an element).
     """
-    if universe_size < 1:
-        raise ValueError(f"universe_size must be >= 1, got {universe_size}")
+    if type(universe_size) is not int or universe_size < 1:
+        raise ValueError(f"universe_size must be an integer >= 1, got {universe_size!r}")
     if len(sets) == 0:
         raise ValueError("empty set family")
     frozen = []
     for idx, members in enumerate(sets, start=1):
         fs = frozenset(members)
         for e in fs:
-            if not (isinstance(e, int) and 1 <= e <= universe_size):
+            if not (type(e) is int and 1 <= e <= universe_size):
                 raise ValueError(
                     f"set {idx} contains element {e!r} outside [1, {universe_size}]"
+                    " or not an integer"
                 )
         frozen.append(fs)
     containing: list[list[int]] = [[] for _ in range(universe_size)]
@@ -99,7 +101,16 @@ def to_json_dict(system: SetSystem, meta: dict | None = None) -> dict:
 
 
 def from_json_dict(doc: dict) -> SetSystem:
-    return build_set_system(doc["sets"], doc["universe_size"])
+    """Parse the interchange form; a malformed document raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a set system must be a JSON object, got {type(doc).__name__}")
+    sets = doc["sets"]
+    well_formed = isinstance(sets, list) and all(
+        isinstance(members, list) and all(type(e) is int for e in members) for members in sets
+    )
+    if not well_formed:
+        raise ValueError('set system "sets" must be a list of lists of integers')
+    return build_set_system(sets, doc["universe_size"])
 
 
 @dataclass(frozen=True)

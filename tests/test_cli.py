@@ -114,6 +114,59 @@ class TestGraphCommands:
         assert "not connected" in json.loads(err)["error"]
 
 
+class TestMalformedInput:
+    """Bad files and constants end in one JSON error line and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, flag, doc",
+        [
+            ("discover", "--graph", {"n": 3, "edges": [[1, 2.0], [2, 3]]}),
+            ("discover", "--graph", [[1, 2], [2, 3]]),
+            ("setcover", "--instance", [[1, 2]]),
+            ("setcover", "--instance", {"universe_size": 2, "sets": [[True, 2]]}),
+        ],
+        ids=["float-endpoint", "list-graph", "list-instance", "bool-element"],
+    )
+    def test_malformed_file(self, command, flag, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--algo", "greedy"] if command == "setcover" else []
+        code, out, err = run_cli(capsys, command, flag, str(path), *extra)
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "ValueError"
+
+    @pytest.fixture
+    def instance(self, tmp_path):
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps({"universe_size": 3, "sets": [[1, 2], [3]]}))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["setcover", "--algo", "pseudo-greedy", "--alpha", "nan"], "alpha must be finite"),
+            (["setcover", "--algo", "epsnet", "--alpha-net", "0"], "alpha_net must be finite"),
+        ],
+        ids=["setcover-alpha-nan", "epsnet-alpha-net-0"],
+    )
+    def test_bad_cover_constant(self, argv, message, instance, capsys):
+        code, out, err = run_cli(capsys, *argv, "--instance", str(instance))
+        assert code == 1 and out == ""
+        assert message in json.loads(err)["error"]
+
+    def test_discover_alpha_nan(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 3, "edges": [[1, 2], [2, 3]]}))
+        code, out, err = run_cli(capsys, "discover", "--graph", str(path), "--alpha", "nan")
+        assert code == 1 and out == ""
+        assert "alpha must be finite" in json.loads(err)["error"]
+
+    def test_lemma_test_negative_trials(self, capsys):
+        code, out, err = run_cli(capsys, "lemma-test", "--trials", "-1")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "trials must be >= 1, got -1"
+
+
 class TestStats:
     def test_lemma_test(self, capsys):
         code, out, _ = run_cli(capsys, "lemma-test", "--trials", "2000", "--seed", "1")

@@ -3,7 +3,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covert_setcover import discovery
 from covert_setcover.discovery import (
     LayeredGraphOracle,
     competitive_ratio,
@@ -37,14 +40,31 @@ class TestLayeredOracle:
         oracle.layered_query(2)
         assert oracle.ledger.layered_queries == 1
 
+    def test_non_integer_vertex_rejected_after_memo_fill(self):
+        oracle = LayeredGraphOracle(gen_graph("path", n=4))
+        oracle.layered_query(2)
+        with pytest.raises(ValueError, match="not an integer"):
+            oracle.layered_query(2.0)
+        assert oracle.ledger.layered_queries == 1
+
+    def test_repeated_query_is_charged_and_logged_every_time(self):
+        log = io.StringIO()
+        oracle = LayeredGraphOracle(gen_graph("path", n=5), log_stream=log)
+        answers = [oracle.layered_query(3) for _ in range(3)]
+        assert answers[0] == answers[1] == answers[2]
+        assert oracle.ledger.layered_queries == 3
+        lines = log.getvalue().splitlines()
+        assert len(lines) == 3 and len(set(lines)) == 1
+
 
 class TestHittingSet:
     def test_g6_pair_2_3(self, g6):
         oracle = LayeredGraphOracle(g6)
-        hset, side = hitting_set_H(oracle, 2, 3)
+        hset, (ans_u, ans_v) = hitting_set_H(oracle, 2, 3)
         assert hset == {2, 3, 4, 5, 6}
         assert oracle.ledger.layered_queries == 2
-        assert side[(2, 3)] is False  # the probed pair certifies itself
+        assert (ans_u.source, ans_v.source) == (2, 3)
+        assert certified_pairs(ans_u)[(2, 3)] is False  # the probed pair certifies itself
 
     def test_endpoints_always_inside(self):
         rng = random.Random(3)
@@ -79,7 +99,50 @@ class TestHittingSet:
                     assert (x in hset) == certified
 
 
+class TestCertifiedPairsKeys:
+    def test_keys_are_the_shared_all_pairs_tuples(self):
+        # Discovery results hold these keys; fresh tuples per call would cost
+        # memory in every result kept.
+        graph = gen_graph("er-connected", n=12, p=0.3, seed=2)
+        shared = {p: p for p in all_pairs(graph.n)}
+        for v in range(1, graph.n + 1):
+            for key in certified_pairs(layered_answer(graph, v)):
+                assert key is shared[key]
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree over a shuffled vertex order plus random extra edges."""
+    n = draw(st.integers(2, 9))
+    order = draw(st.permutations(range(1, n + 1)))
+    edges = [(order[draw(st.integers(0, j - 1))], order[j]) for j in range(1, n)]
+    edges += draw(st.lists(st.sampled_from(all_pairs(n)), max_size=n * (n - 1) // 2))
+    return Graph.from_edges(n, edges)
+
+
 class TestDiscovery:
+    @pytest.mark.parametrize("alpha", [2.0, 8.0], ids=["sampled-round", "base-case"])
+    def test_certificates_applied_once_per_vertex(self, alpha, monkeypatch):
+        sources = []
+
+        def counting(answer):
+            sources.append(answer.source)
+            return certified_pairs(answer)
+
+        monkeypatch.setattr(discovery, "certified_pairs", counting)
+        graph = gen_graph("er-connected", n=20, p=0.25, seed=1)
+        result = run_network_discovery(LayeredGraphOracle(graph), alpha=alpha, rng_seed=1)
+        assert result.statuses == true_pair_statuses(graph.n, graph.edges())
+        assert len(sources) == len(set(sources))
+        assert result.ledger.layered_queries > len(sources)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(graph=connected_graphs(), alpha=st.sampled_from([1.0, 2.0, 8.0]),
+           rng_seed=st.integers(0, 99))
+    def test_resolves_every_pair_correctly(self, graph, alpha, rng_seed):
+        result = run_network_discovery(LayeredGraphOracle(graph), alpha=alpha, rng_seed=rng_seed)
+        assert result.statuses == true_pair_statuses(graph.n, graph.edges())
+
     def test_g6_discovers_exact_partition(self, g6):
         result = run_network_discovery(LayeredGraphOracle(g6), alpha=8.0, rng_seed=0)
         assert result.edges == sorted(G6_EDGES)

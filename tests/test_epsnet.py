@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -99,6 +100,14 @@ class TestFindUncovered:
 
 
 class TestRun:
+    @pytest.mark.parametrize("name", ["alpha_net", "size_const", "cap_const"])
+    @pytest.mark.parametrize("value", [0.0, -2.0, math.nan, math.inf])
+    def test_constants_must_be_finite_and_positive(self, name, value):
+        oracle = CovertOracle(build_set_system([[1, 2, 3]], 3))
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            run_weighted_epsilon_net(oracle, **{name: value})
+        assert oracle.ledger.total == 0
+
     def test_single_universe_set(self):
         system = build_set_system([[1, 2, 3]], 3)
         result = run_weighted_epsilon_net(CovertOracle(system), rng_seed=0)

@@ -38,3 +38,10 @@ def test_discovery_er_16(alpha, expected):
     graph = gen_graph("er-connected", n=16, p=0.25, seed=1)
     result = run_network_discovery(LayeredGraphOracle(graph), alpha=alpha, rng_seed=1)
     assert _digest(result) == expected
+
+
+def test_discovery_er_60_benchmark_instance():
+    # The instance of the discover-er benchmark workload; this seed runs one sampled round.
+    graph = gen_graph("er-connected", n=60, p=0.1, seed=1)
+    result = run_network_discovery(LayeredGraphOracle(graph), alpha=8.0, rng_seed=1)
+    assert _digest(result) == "bb1d9acaeb512a014be95ae41606dea62cfa005cca4faa59c2192b362cee5466"

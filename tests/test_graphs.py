@@ -52,6 +52,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match="outside"):
             Graph.from_edges(2, [(1, 3)])
 
+    @pytest.mark.parametrize("edge", [(1, 2.0), (True, 2)], ids=["float", "bool"])
+    def test_non_integer_endpoint_rejected(self, edge):
+        with pytest.raises(ValueError, match="outside"):
+            Graph.from_edges(2, [edge])
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[1, 2]],
+            {"n": 2.0, "edges": [[1, 2]]},
+            {"n": 2, "edges": [[1, 2, 3]]},
+            {"n": 2, "edges": 5},
+        ],
+        ids=["list-document", "float-n", "triple-edge", "edges-not-a-list"],
+    )
+    def test_malformed_json_rejected(self, doc):
+        with pytest.raises(ValueError):
+            graph_from_json_dict(doc)
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="not connected"):
             Graph.from_edges(4, [(1, 2), (3, 4)])

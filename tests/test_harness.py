@@ -113,6 +113,11 @@ class TestConcentration:
         with pytest.raises(ValueError):
             sampling_concentration_test(8.0, 20.0, 1001, 10)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sampling_concentration_test(8.0, 20.0, 1024, trials)
+
 
 class TestBench:
     def test_fitted_exponent_recovers_power_law(self):

@@ -133,6 +133,13 @@ class TestBaseCase:
 
 
 class TestRun:
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        oracle = CovertOracle(build_set_system([[1, 2]], 2))
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            run_pseudo_greedy(oracle, alpha=alpha)
+        assert oracle.ledger.total == 0
+
     def test_single_set_instance_base_cases_immediately(self):
         system = build_set_system([list(range(1, 9))], 8)
         result = run_pseudo_greedy(CovertOracle(system), alpha=8.0, rng_seed=3)

@@ -61,6 +61,25 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_set_system([[1]], 0)
 
+    @pytest.mark.parametrize("element", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_element_rejected(self, element):
+        with pytest.raises(ValueError, match="outside"):
+            build_set_system([[element, 2]], 2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[1, 2]],
+            {"universe_size": 2.0, "sets": [[1, 2]]},
+            {"universe_size": 2, "sets": [1, 2]},
+            {"universe_size": 2, "sets": [[[1], 2]]},
+        ],
+        ids=["list-document", "float-universe", "sets-not-lists", "nested-element"],
+    )
+    def test_malformed_json_rejected(self, doc):
+        with pytest.raises(ValueError):
+            from_json_dict(doc)
+
     def test_inverse_is_exact(self):
         rng = random.Random(7)
         for _ in range(20):
