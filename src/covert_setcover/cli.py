@@ -13,21 +13,18 @@ import io
 import json
 import sys
 
-from .discovery import (
-    EXACT_VERIFICATION_VERTEX_CAP,
-    LayeredGraphOracle,
-    competitive_ratio,
-    offline_verification,
-    run_network_discovery,
-)
+from .discovery import offline_verification
 from .errors import CovertSetCoverError
 from .generators import GRAPH_MODELS, SET_MODELS, gen_graph, gen_set_system
 from .graphs import graph_to_json_dict
 from .harness import (
+    ALGORITHMS,
     ExperimentConfig,
     bench_planted_family,
     resolve_graph,
+    resolve_system,
     run_experiment,
+    run_trials,
     sampling_concentration_test,
 )
 from .setsystem import to_json_dict
@@ -61,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_gen_sets)
 
     c = sub.add_parser("setcover", help="run a cover algorithm on an instance file")
-    c.add_argument("--algo", required=True,
-                   choices=("pseudo-greedy", "epsnet", "greedy", "bruteforce"))
+    c.add_argument("--algo", required=True, choices=[
+        name for name, (resolve, _, _) in ALGORITHMS.items() if resolve is resolve_system
+    ])
     c.add_argument("--instance", required=True, help="set-system JSON file")
     c.add_argument("--alpha", type=float, default=8.0)
     c.add_argument("--theta", type=float, default=1.0)
@@ -142,17 +140,17 @@ def _cmd_setcover(args) -> dict:
 
 
 def _cmd_discover(args) -> dict:
-    graph = resolve_graph({"kind": "file", "path": args.graph})
-    opt = None
-    if graph.n <= EXACT_VERIFICATION_VERTEX_CAP:
-        _, opt = offline_verification(graph, mode="exact")
+    config = ExperimentConfig(
+        algorithm="discover",
+        seeds=list(range(args.seed, args.seed + args.trials)),
+        source={"kind": "file", "path": args.graph},
+        alpha=args.alpha,
+        compute_opt=True,
+    )
     trials = []
-    for seed in range(args.seed, args.seed + args.trials):
-        oracle = LayeredGraphOracle(graph)
-        result = run_network_discovery(oracle, alpha=args.alpha, rng_seed=seed)
-        ratio = competitive_ratio(result, opt) if opt else None
-        doc = result.to_json_dict(competitive_ratio=ratio)
-        doc["seed"] = seed
+    for record, result in run_trials(config):
+        doc = result.to_json_dict(competitive_ratio=record.get("competitive_ratio"))
+        doc["seed"] = record["seed"]
         trials.append(doc)
     if args.trials == 1:
         return trials[0]
@@ -229,7 +227,7 @@ def main(argv=None) -> int:
     try:
         payload = args.func(args)
         _emit(payload, args)
-    except (CovertSetCoverError, ValueError, RuntimeError, OSError, KeyError) as exc:
+    except (CovertSetCoverError, ValueError, OSError) as exc:
         sys.stderr.write(
             json.dumps({"error": str(exc), "kind": type(exc).__name__}) + "\n"
         )

@@ -22,7 +22,7 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
     """Build a named-family or random connected graph.
 
     ``er-connected`` resamples an Erdos-Renyi graph until it is connected
-    (at most ER_RETRY_BUDGET attempts); ``grid`` takes rows x cols with
+    (at most ER_RETRY_BUDGET attempts, then ValueError); ``grid`` takes rows x cols with
     vertices numbered row-major.
     """
     if model == "path":
@@ -61,7 +61,7 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
             )
             if candidate.is_connected():
                 return candidate
-        raise RuntimeError(
+        raise ValueError(
             f"no connected sample in {ER_RETRY_BUDGET} tries (n={n}, p={p}, seed={seed})"
         )
     raise ValueError(f"unknown graph model {model!r}; choose from {GRAPH_MODELS}")

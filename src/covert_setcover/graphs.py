@@ -17,10 +17,6 @@ from typing import Iterable, Sequence
 Pair = tuple[int, int]
 
 
-def ordered_pair(u: int, v: int) -> Pair:
-    return (u, v) if u < v else (v, u)
-
-
 @lru_cache(maxsize=4)
 def all_pairs(n: int) -> tuple[Pair, ...]:
     """Every unordered vertex pair, lexicographically.
@@ -38,9 +34,6 @@ class Graph:
 
     n: int
     adjacency: tuple[frozenset[int], ...]
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v - 1]
 
     def edges(self) -> list[Pair]:
         return [
@@ -94,6 +87,9 @@ def graph_from_json_dict(doc: dict) -> Graph:
     """Parse {"n": ..., "edges": [[u, v], ...]}; a malformed document raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a graph must be a JSON object, got {type(doc).__name__}")
+    for key in ("n", "edges"):
+        if key not in doc:
+            raise ValueError(f'graph JSON has no "{key}" field')
     edges = doc["edges"]
     if not (isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)):
         raise ValueError('graph "edges" must be a list of [u, v] pairs')
@@ -107,9 +103,6 @@ class LayeredAnswer:
     source: int
     dist: tuple[int, ...]
     shortest_path_edges: frozenset[Pair]
-
-    def distance(self, v: int) -> int:
-        return self.dist[v - 1]
 
 
 def layered_answer(graph: Graph, v: int) -> LayeredAnswer:
@@ -126,7 +119,7 @@ def layered_answer(graph: Graph, v: int) -> LayeredAnswer:
                 dist[w - 1] = dist[u - 1] + 1
                 queue.append(w)
     edges = frozenset(
-        ordered_pair(u, w)
+        (u, w)
         for u in range(1, graph.n + 1)
         for w in graph.adjacency[u - 1]
         if u < w and abs(dist[u - 1] - dist[w - 1]) == 1

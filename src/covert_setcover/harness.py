@@ -12,7 +12,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,10 +25,9 @@ from .discovery import (
     run_network_discovery,
 )
 from .epsnet import run_weighted_epsilon_net
-from .errors import BruteForceCapExceededError
 from .generators import gen_graph, gen_set_system
 from .graphs import Graph, graph_from_json_dict
-from .oracle import CovertOracle
+from .oracle import CovertOracle, QueryLedger
 from .pseudo_greedy import run_pseudo_greedy
 from .setsystem import (
     BRUTE_FORCE_SET_CAP,
@@ -38,8 +37,6 @@ from .setsystem import (
     greedy_cover,
     verify_cover,
 )
-
-ALGORITHMS = ("pseudo-greedy", "epsnet", "greedy", "bruteforce")
 
 
 @dataclass
@@ -58,183 +55,162 @@ class ExperimentConfig:
     compute_opt: bool = False
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS + ("discover",):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "seeds": list(self.seeds),
-            "source": dict(self.source),
-            "alpha": self.alpha,
-            "theta": self.theta,
-            "alpha_net": self.alpha_net,
-            "net_size_const": self.net_size_const,
-            "iter_cap_const": self.iter_cap_const,
-            "brute_cap": self.brute_cap,
-            "compute_opt": self.compute_opt,
-        }
+
+def _resolve(source: dict, parse, generate):
+    """Materialize the instance a config points at: a JSON file or a generator call.
+
+    A generator source passes its keys other than "kind" to the generator as
+    keyword arguments.
+    """
+    kind = source.get("kind")
+    if kind == "file":
+        with open(source["path"]) as fh:
+            return parse(json.load(fh))
+    if kind == "generate":
+        return generate(**{key: value for key, value in source.items() if key != "kind"})
+    raise ValueError(f"unsupported instance source {source!r}")
 
 
 def resolve_system(source: dict) -> SetSystem:
-    """Materialize the instance a config points at (file or generator description)."""
-    kind = source.get("kind")
-    if kind == "file":
-        with open(source["path"]) as fh:
-            return from_json_dict(json.load(fh))
-    if kind == "generate":
-        system, _ = gen_set_system(
-            source["model"],
-            n=source["n"],
-            m=source["m"],
-            seed=source.get("seed", 0),
-            k=source.get("k", 0),
-            density=source.get("density", 0.3),
-        )
-        return system
-    raise ValueError(f"unsupported set-system source {source!r}")
+    return _resolve(source, from_json_dict, lambda **params: gen_set_system(**params)[0])
 
 
 def resolve_graph(source: dict) -> Graph:
-    kind = source.get("kind")
-    if kind == "file":
-        with open(source["path"]) as fh:
-            return graph_from_json_dict(json.load(fh))
-    if kind == "generate":
-        return gen_graph(
-            source["model"],
-            n=source.get("n", 0),
-            seed=source.get("seed", 0),
-            p=source.get("p", 0.25),
-            rows=source.get("rows", 0),
-            cols=source.get("cols", 0),
-        )
-    raise ValueError(f"unsupported graph source {source!r}")
+    return _resolve(source, graph_from_json_dict, gen_graph)
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute all trials of a config and assemble the report.
-
-    Post-hoc validation is authoritative: a cover trial is valid iff
-    verify_cover holds against the hidden instance, regardless of what the
-    algorithm believed.
-    """
-    config.validate()
-    if config.algorithm == "discover":
-        return _run_discovery_experiment(config)
-    system = resolve_system(config.source)
-    opt_size = None
-    if config.compute_opt and system.n_sets <= config.brute_cap:
-        try:
-            opt_size = len(brute_force_min_cover(system, cap=config.brute_cap))
-        except BruteForceCapExceededError:
-            opt_size = None
-
-    trials = []
-    for seed in sorted(config.seeds):
-        t0 = time.perf_counter()
-        record = {"seed": seed, "algorithm": config.algorithm}
-        if config.algorithm == "pseudo-greedy":
-            oracle = CovertOracle(system)
-            result = run_pseudo_greedy(oracle, alpha=config.alpha, rng_seed=seed)
-            record.update(_cover_record(system, result))
-            if record["cover_size"]:
-                # Measured constant of the total <= C * log2(N)^2 * |cover| bound.
-                log2_n = math.log2(system.universe_size + system.n_sets)
-                record["query_bound_constant"] = record["queries"]["total"] / (
-                    log2_n**2 * record["cover_size"]
-                )
-        elif config.algorithm == "epsnet":
-            oracle = CovertOracle(system)
-            result = run_weighted_epsilon_net(
-                oracle,
-                alpha_net=config.alpha_net,
-                rng_seed=seed,
-                size_const=config.net_size_const,
-                cap_const=config.iter_cap_const,
-            )
-            record.update(_cover_record(system, result))
-            successes = [t for t in result.rounds if t.succeeded]
-            record["iterations_at_success"] = (
-                successes[0].iterations if successes else None
-            )
-        else:
-            if config.algorithm == "greedy":
-                cover = greedy_cover(system, theta=config.theta)
-            else:
-                cover = brute_force_min_cover(system, cap=config.brute_cap)
-            record.update(
-                cover_size=len(cover),
-                cover=list(cover.set_indices),
-                valid=verify_cover(system, cover),
-                failed=False,
-                queries={"hitting": 0, "set": 0, "layered": 0, "total": 0},
-            )
-        record["runtime_s"] = time.perf_counter() - t0
-        if opt_size:
-            record["opt_size"] = opt_size
-            record["size_ratio"] = record["cover_size"] / opt_size if opt_size else None
-        trials.append(record)
-
-    return _report(config, trials)
+def _cover_optimum(system: SetSystem, config: ExperimentConfig) -> int | None:
+    """Exact optimum size, or None when the family is over the brute-force cap."""
+    if system.n_sets > config.brute_cap:
+        return None
+    return len(brute_force_min_cover(system, cap=config.brute_cap))
 
 
-def _cover_record(system: SetSystem, result) -> dict:
-    ledger = result.ledger
+def _discovery_optimum(graph: Graph, config: ExperimentConfig) -> int | None:
+    if graph.n > EXACT_VERIFICATION_VERTEX_CAP:
+        return None
+    return offline_verification(graph, mode="exact")[1]
+
+
+def _queries(ledger: QueryLedger) -> dict:
     return {
-        "cover_size": len(result.cover),
-        "cover": list(result.cover.set_indices),
-        "valid": verify_cover(system, result.cover),
-        "failed": result.failed,
-        "rounds": len(result.rounds),
-        "queries": {
-            "hitting": ledger.hitting_queries,
-            "set": ledger.set_queries,
-            "layered": ledger.layered_queries,
-            "total": ledger.total,
-        },
+        "hitting": ledger.hitting_queries,
+        "set": ledger.set_queries,
+        "layered": ledger.layered_queries,
+        "total": ledger.total,
     }
 
 
-def _run_discovery_experiment(config: ExperimentConfig) -> dict:
-    graph = resolve_graph(config.source)
-    opt_size = None
-    if config.compute_opt and graph.n <= EXACT_VERIFICATION_VERTEX_CAP:
-        _, opt_size = offline_verification(graph, mode="exact")
-    truth = {p: True for p in graph.edges()}
-    trials = []
+def _cover_record(
+    system: SetSystem, cover, ledger: QueryLedger, opt: int | None, **fields
+) -> dict:
+    """Size, indices, post-hoc validity and query bill of a cover, plus its ratio to ``opt``."""
+    record = {
+        "cover_size": len(cover),
+        "cover": list(cover.set_indices),
+        "valid": verify_cover(system, cover),
+        **fields,
+        "queries": _queries(ledger),
+    }
+    if opt:
+        record["opt_size"] = opt
+        record["size_ratio"] = len(cover) / opt
+    return record
+
+
+def _pseudo_greedy_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
+    result = run_pseudo_greedy(CovertOracle(system), alpha=config.alpha, rng_seed=seed)
+    record = _cover_record(system, result.cover, result.ledger, opt,
+                           failed=result.failed, rounds=len(result.rounds))
+    if record["cover_size"]:
+        # Measured constant of the total <= C * log2(N)^2 * |cover| bound.
+        log2_n = math.log2(system.universe_size + system.n_sets)
+        record["query_bound_constant"] = record["queries"]["total"] / (
+            log2_n**2 * record["cover_size"]
+        )
+    return record, result
+
+
+def _epsnet_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
+    result = run_weighted_epsilon_net(
+        CovertOracle(system),
+        alpha_net=config.alpha_net,
+        rng_seed=seed,
+        size_const=config.net_size_const,
+        cap_const=config.iter_cap_const,
+    )
+    record = _cover_record(system, result.cover, result.ledger, opt,
+                           failed=result.failed, rounds=len(result.rounds))
+    successes = [t for t in result.rounds if t.succeeded]
+    record["iterations_at_success"] = successes[0].iterations if successes else None
+    return record, result
+
+
+def _greedy_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
+    cover = greedy_cover(system, theta=config.theta)
+    return _cover_record(system, cover, QueryLedger(), opt, failed=False), cover
+
+
+def _bruteforce_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
+    cover = brute_force_min_cover(system, cap=config.brute_cap)
+    return _cover_record(system, cover, QueryLedger(), opt, failed=False), cover
+
+
+def _discover_trial(graph: Graph, config: ExperimentConfig, seed: int, opt):
+    result = run_network_discovery(LayeredGraphOracle(graph), alpha=config.alpha, rng_seed=seed)
+    record = {
+        "valid": result.edges == graph.edges(),
+        "query_set_size": len(result.query_set),
+        "rounds": len(result.rounds),
+        "queries": _queries(result.ledger),
+    }
+    if opt:
+        record["opt_size"] = opt
+        record["competitive_ratio"] = competitive_ratio(result, opt)
+    return record, result
+
+
+# name -> (resolve the source to an instance, exact optimum or None, one trial).
+# A trial runs one seed on the instance and returns (record, result); the
+# record's validity is checked against the hidden instance, whatever the
+# algorithm believed.
+ALGORITHMS = {
+    "pseudo-greedy": (resolve_system, _cover_optimum, _pseudo_greedy_trial),
+    "epsnet": (resolve_system, _cover_optimum, _epsnet_trial),
+    "greedy": (resolve_system, _cover_optimum, _greedy_trial),
+    "bruteforce": (resolve_system, _cover_optimum, _bruteforce_trial),
+    "discover": (resolve_graph, _discovery_optimum, _discover_trial),
+}
+
+
+def run_trials(config: ExperimentConfig):
+    """Yield (record, result) for each seed of a config, in sorted seed order.
+
+    The instance is resolved and, with ``compute_opt``, its optimum computed
+    once; each record carries the seed, the algorithm and the trial's wall
+    time next to what the algorithm's trial put in it.
+    """
+    config.validate()
+    resolve, optimum, trial = ALGORITHMS[config.algorithm]
+    instance = resolve(config.source)
+    opt = optimum(instance, config) if config.compute_opt else None
     for seed in sorted(config.seeds):
         t0 = time.perf_counter()
-        oracle = LayeredGraphOracle(graph)
-        result = run_network_discovery(oracle, alpha=config.alpha, rng_seed=seed)
-        discovered_edges = set(result.edges)
-        correct = discovered_edges == set(truth)
-        record = {
-            "seed": seed,
-            "algorithm": "discover",
-            "valid": correct,
-            "query_set_size": len(result.query_set),
-            "rounds": len(result.rounds),
-            "queries": {
-                "hitting": 0,
-                "set": 0,
-                "layered": result.ledger.layered_queries,
-                "total": result.ledger.total,
-            },
-            "runtime_s": time.perf_counter() - t0,
-        }
-        if opt_size:
-            record["opt_size"] = opt_size
-            record["competitive_ratio"] = competitive_ratio(result, opt_size)
-        trials.append(record)
-    return _report(config, trials)
+        record, result = trial(instance, config, seed, opt)
+        runtime = time.perf_counter() - t0
+        yield {"seed": seed, "algorithm": config.algorithm, **record, "runtime_s": runtime}, result
 
 
-def _report(config: ExperimentConfig, trials: list[dict]) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Execute all trials of a config and assemble the report."""
+    trials = [record for record, _ in run_trials(config)]
     return {
-        "config": config.to_json_dict(),
+        "config": asdict(config),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "trials": trials,
         "aggregates": aggregate_cover_trials(trials),
@@ -256,25 +232,13 @@ def aggregate_cover_trials(trials: list[dict]) -> dict:
     if totals:
         agg["median_total_queries"] = statistics.median(totals)
         agg["p95_total_queries"] = _p95(totals)
-    ratios = [t["size_ratio"] for t in trials if t.get("size_ratio") is not None]
-    if ratios:
-        agg["median_size_ratio"] = statistics.median(ratios)
-    comp = [t["competitive_ratio"] for t in trials if t.get("competitive_ratio") is not None]
-    if comp:
-        agg["median_competitive_ratio"] = statistics.median(comp)
-    constants = [
-        t["query_bound_constant"] for t in trials
-        if t.get("query_bound_constant") is not None
-    ]
-    if constants:
-        agg["median_query_bound_constant"] = statistics.median(constants)
-        agg["max_query_bound_constant"] = max(constants)
-    iters = [
-        t["iterations_at_success"] for t in trials
-        if t.get("iterations_at_success") is not None
-    ]
-    if iters:
-        agg["median_iterations_at_success"] = statistics.median(iters)
+    optional = ("size_ratio", "competitive_ratio", "query_bound_constant", "iterations_at_success")
+    for key in optional:
+        values = [t[key] for t in trials if t.get(key) is not None]
+        if values:
+            agg[f"median_{key}"] = statistics.median(values)
+            if key == "query_bound_constant":
+                agg["max_query_bound_constant"] = max(values)
     return agg
 
 
@@ -334,57 +298,53 @@ def bench_planted_family(
 ) -> dict:
     """Head-to-head query growth of the two covert algorithms on planted instances.
 
-    For each planted optimum k, runs both algorithms across the seeds,
-    validates every cover post hoc, and reports median query totals plus the
-    fitted exponent of queries in k. The explicit greedy size (and the exact
-    optimum when the family is small enough) ride along as references.
+    For each planted optimum k, generates each seed's instance once, runs the
+    table's pseudo-greedy, epsnet and greedy trials on it, and reports median
+    query totals plus the fitted exponent of queries in k. The explicit
+    greedy size (and the exact optimum when the family is small enough) ride
+    along as references; ``all_valid`` covers every trial.
     """
+    # The trials read only the constants; each is called by name below.
+    config = ExperimentConfig(algorithm="pseudo-greedy", seeds=list(seeds),
+                              alpha=alpha, alpha_net=alpha_net)
     per_k = []
-    pg_medians = []
-    net_medians = []
     for k in k_values:
-        pg_queries, net_queries, pg_sizes, net_sizes = [], [], [], []
-        greedy_sizes = []
-        opt_sizes = []
-        valid = True
+        records = {"pseudo-greedy": [], "epsnet": [], "greedy": []}
         for seed in seeds:
-            system, meta = gen_set_system("planted-cover", n=n, m=m, seed=seed, k=k)
-            pg = run_pseudo_greedy(CovertOracle(system), alpha=alpha, rng_seed=seed)
-            net = run_weighted_epsilon_net(
-                CovertOracle(system), alpha_net=alpha_net, rng_seed=seed
-            )
-            valid &= verify_cover(system, pg.cover) and verify_cover(system, net.cover)
-            pg_queries.append(pg.ledger.total)
-            net_queries.append(net.ledger.total)
-            pg_sizes.append(len(pg.cover))
-            net_sizes.append(len(net.cover))
-            greedy_sizes.append(len(greedy_cover(system)))
-            if m <= BRUTE_FORCE_SET_CAP:
-                opt_sizes.append(len(brute_force_min_cover(system)))
+            system, _ = gen_set_system("planted-cover", n=n, m=m, seed=seed, k=k)
+            opt = _cover_optimum(system, config)
+            for name, runs in records.items():
+                _, _, trial = ALGORITHMS[name]
+                runs.append(trial(system, config, seed, opt)[0])
+        opt_sizes = [r["opt_size"] for r in records["greedy"] if "opt_size" in r]
+
+        def medians(name):
+            runs = records[name]
+            return {
+                "median_queries": statistics.median(r["queries"]["total"] for r in runs),
+                "median_cover_size": statistics.median(r["cover_size"] for r in runs),
+            }
+
         entry = {
             "k": k,
-            "all_valid": valid,
-            "pseudo_greedy": {
-                "median_queries": statistics.median(pg_queries),
-                "median_cover_size": statistics.median(pg_sizes),
-            },
-            "epsnet": {
-                "median_queries": statistics.median(net_queries),
-                "median_cover_size": statistics.median(net_sizes),
-            },
-            "greedy_median_size": statistics.median(greedy_sizes),
+            "all_valid": all(r["valid"] for runs in records.values() for r in runs),
+            "pseudo_greedy": medians("pseudo-greedy"),
+            "epsnet": medians("epsnet"),
+            "greedy_median_size": statistics.median(r["cover_size"] for r in records["greedy"]),
         }
         if opt_sizes:
             entry["opt_median_size"] = statistics.median(opt_sizes)
         per_k.append(entry)
-        pg_medians.append(statistics.median(pg_queries))
-        net_medians.append(statistics.median(net_queries))
     return {
         "n": n,
         "m": m,
         "k_values": list(k_values),
         "seeds": list(seeds),
         "per_k": per_k,
-        "pseudo_greedy_exponent": fitted_query_exponent(k_values, pg_medians),
-        "epsnet_exponent": fitted_query_exponent(k_values, net_medians),
+        "pseudo_greedy_exponent": fitted_query_exponent(
+            k_values, [e["pseudo_greedy"]["median_queries"] for e in per_k]
+        ),
+        "epsnet_exponent": fitted_query_exponent(
+            k_values, [e["epsnet"]["median_queries"] for e in per_k]
+        ),
     }

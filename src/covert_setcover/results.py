@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .oracle import QueryLedger
 from .setsystem import Cover
@@ -51,14 +51,7 @@ class GuessTrace:
     ledger_delta: dict[str, int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "net_size": self.net_size,
-            "iterations": self.iterations,
-            "iteration_cap": self.iteration_cap,
-            "succeeded": self.succeeded,
-            "ledger_delta": dict(self.ledger_delta),
-        }
+        return asdict(self)
 
 
 @dataclass

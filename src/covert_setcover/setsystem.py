@@ -104,6 +104,9 @@ def from_json_dict(doc: dict) -> SetSystem:
     """Parse the interchange form; a malformed document raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a set system must be a JSON object, got {type(doc).__name__}")
+    for key in ("universe_size", "sets"):
+        if key not in doc:
+            raise ValueError(f'set system JSON has no "{key}" field')
     sets = doc["sets"]
     well_formed = isinstance(sets, list) and all(
         isinstance(members, list) and all(type(e) is int for e in members) for members in sets

@@ -118,22 +118,29 @@ class TestMalformedInput:
     """Bad files and constants end in one JSON error line and exit 1, not a traceback."""
 
     @pytest.mark.parametrize(
-        "command, flag, doc",
+        "command, flag, doc, message",
         [
-            ("discover", "--graph", {"n": 3, "edges": [[1, 2.0], [2, 3]]}),
-            ("discover", "--graph", [[1, 2], [2, 3]]),
-            ("setcover", "--instance", [[1, 2]]),
-            ("setcover", "--instance", {"universe_size": 2, "sets": [[True, 2]]}),
+            ("discover", "--graph", {"n": 3, "edges": [[1, 2.0], [2, 3]]}, "not an integer"),
+            ("discover", "--graph", [[1, 2], [2, 3]], "must be a JSON object"),
+            ("setcover", "--instance", [[1, 2]], "must be a JSON object"),
+            ("setcover", "--instance", {"universe_size": 2, "sets": [[True, 2]]},
+             '"sets" must be a list of lists of integers'),
+            ("setcover", "--instance", {"universe_size": 2}, 'no "sets" field'),
+            ("setcover", "--instance", {"sets": [[1, 2]]}, 'no "universe_size" field'),
+            ("discover", "--graph", {"edges": [[1, 2]]}, 'no "n" field'),
+            ("discover", "--graph", {"n": 2}, 'no "edges" field'),
         ],
-        ids=["float-endpoint", "list-graph", "list-instance", "bool-element"],
+        ids=["float-endpoint", "list-graph", "list-instance", "bool-element",
+             "no-sets", "no-universe-size", "no-n", "no-edges"],
     )
-    def test_malformed_file(self, command, flag, doc, tmp_path, capsys):
+    def test_malformed_file(self, command, flag, doc, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         extra = ["--algo", "greedy"] if command == "setcover" else []
         code, out, err = run_cli(capsys, command, flag, str(path), *extra)
         assert code == 1 and out == ""
-        assert json.loads(err)["kind"] == "ValueError"
+        error = json.loads(err)
+        assert error["kind"] == "ValueError" and message in error["error"]
 
     @pytest.fixture
     def instance(self, tmp_path):
@@ -146,13 +153,17 @@ class TestMalformedInput:
         [
             (["setcover", "--algo", "pseudo-greedy", "--alpha", "nan"], "alpha must be finite"),
             (["setcover", "--algo", "epsnet", "--alpha-net", "0"], "alpha_net must be finite"),
+            (["gen-graph", "--model", "er-connected", "--n", "6", "--p", "0"],
+             "no connected sample"),
         ],
-        ids=["setcover-alpha-nan", "epsnet-alpha-net-0"],
+        ids=["setcover-alpha-nan", "epsnet-alpha-net-0", "gen-graph-er-p-0"],
     )
     def test_bad_cover_constant(self, argv, message, instance, capsys):
-        code, out, err = run_cli(capsys, *argv, "--instance", str(instance))
+        extra = ["--instance", str(instance)] if argv[0] == "setcover" else []
+        code, out, err = run_cli(capsys, *argv, *extra)
         assert code == 1 and out == ""
-        assert message in json.loads(err)["error"]
+        error = json.loads(err)
+        assert error["kind"] == "ValueError" and message in error["error"]
 
     def test_discover_alpha_nan(self, tmp_path, capsys):
         path = tmp_path / "g.json"

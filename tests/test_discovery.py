@@ -142,6 +142,11 @@ class TestDiscovery:
     def test_resolves_every_pair_correctly(self, graph, alpha, rng_seed):
         result = run_network_discovery(LayeredGraphOracle(graph), alpha=alpha, rng_seed=rng_seed)
         assert result.statuses == true_pair_statuses(graph.n, graph.edges())
+        # The ledger rebuilt from the trace: two queries per probed pair, one per accept.
+        assert result.ledger.layered_queries == sum(
+            2 * r.n_i if r.base_case else 2 * len(r.sample) + len(r.chosen)
+            for r in result.rounds
+        )
 
     def test_g6_discovers_exact_partition(self, g6):
         result = run_network_discovery(LayeredGraphOracle(g6), alpha=8.0, rng_seed=0)

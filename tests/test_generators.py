@@ -46,7 +46,7 @@ class TestGraphModels:
             gen_graph("er-connected", n=5, p=1.5)
 
     def test_er_retry_budget_exhausted(self):
-        with pytest.raises(RuntimeError, match="no connected sample"):
+        with pytest.raises(ValueError, match="no connected sample"):
             gen_graph("er-connected", n=3, p=0.0, seed=1)
 
 

@@ -1,9 +1,13 @@
 """Golden traces: seeded runs whose JSON reports must stay bit-identical.
 
-Each digest is the sha256 of ``json.dumps(result.to_json_dict(), sort_keys=True)``
-and pins the cover (or query set), the ledger with its per-phase split and
-the full round trace. A refactor that changes any of them must say why and
-update the value here.
+Each algorithm digest is the sha256 of
+``json.dumps(result.to_json_dict(), sort_keys=True)`` and pins the cover (or
+query set), the ledger with its per-phase split and the full round trace.
+The experiment-path digests pin what the harness and the CLI report: a
+``run_experiment`` report without its timestamp and runtimes, a
+``bench_planted_family`` report, and the stdout bytes of ``covertsc
+discover``. A refactor that changes any of them must say why and update the
+value here.
 """
 
 import hashlib
@@ -12,11 +16,18 @@ import json
 import pytest
 
 from covert_setcover import CovertOracle, LayeredGraphOracle, run_network_discovery, run_pseudo_greedy
+from covert_setcover.cli import main
 from covert_setcover.generators import gen_graph, gen_set_system
+from covert_setcover.graphs import graph_to_json_dict
+from covert_setcover.harness import ExperimentConfig, bench_planted_family, run_experiment
+
+
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def _digest(result) -> str:
-    return hashlib.sha256(json.dumps(result.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    return _sha256(result.to_json_dict())
 
 
 def test_pseudo_greedy_planted_512():
@@ -45,3 +56,49 @@ def test_discovery_er_60_benchmark_instance():
     graph = gen_graph("er-connected", n=60, p=0.1, seed=1)
     result = run_network_discovery(LayeredGraphOracle(graph), alpha=8.0, rng_seed=1)
     assert _digest(result) == "bb1d9acaeb512a014be95ae41606dea62cfa005cca4faa59c2192b362cee5466"
+
+
+PLANTED = {"kind": "generate", "model": "planted-cover", "n": 32, "m": 10, "k": 3, "seed": 5}
+ER_8 = {"kind": "generate", "model": "er-connected", "n": 8, "p": 0.3, "seed": 2}
+
+
+@pytest.mark.parametrize(
+    "algorithm, expected",
+    [
+        ("pseudo-greedy", "68fcb0cfc111643a6e2f70200bfc3ceb416f568d53c7dca4f7daa0b0fc95c2c9"),
+        ("epsnet", "d336f594bddac549a7712187227692c04577e87bf9b7d0057cd5232f646a100b"),
+        ("greedy", "67abda6ecafd12e622a66836efb2c3bc79c65c7b8ff7197ed059fb522276c268"),
+        ("bruteforce", "9e9853910fa72e43ffaf71726cdf6ba7b90f80d84515c65119eb93f9e40988a0"),
+        ("discover", "78d42e8a4934e1e5979651d0d209e1d0223382b5874a9c1614115103bbce0d8a"),
+    ],
+)
+def test_experiment_report(algorithm, expected):
+    source = dict(ER_8 if algorithm == "discover" else PLANTED)
+    config = ExperimentConfig(algorithm=algorithm, seeds=[2, 0, 1], source=source,
+                              compute_opt=True)
+    report = run_experiment(config)
+    report.pop("timestamp")
+    for trial in report["trials"]:
+        trial.pop("runtime_s")
+    assert _sha256(report) == expected
+
+
+def test_bench_planted_family_report():
+    report = bench_planted_family([1, 2], seeds=[0, 1], n=64, m=16)
+    assert _sha256(report) == "b837d62deae3c566609c26b2430853a3a341749d2391cb322ecc7a463bceb96f"
+
+
+@pytest.mark.parametrize(
+    "trials, expected",
+    [
+        ("1", "bc6790ca67bad43309357e06513d1264db011c71fd9e230162d7a2bc1f750b91"),
+        ("3", "9aa4430c6f90147a879141f7d915bf5892e8694f77cee74eeeb37456aa7aad7d"),
+    ],
+)
+def test_cli_discover_stdout(trials, expected, tmp_path, monkeypatch, capsys):
+    # A relative path keeps the stdout of a multi-trial run, which echoes it, fixed.
+    monkeypatch.chdir(tmp_path)
+    graph = gen_graph("er-connected", n=8, p=0.3, seed=2)  # the ER_8 instance
+    (tmp_path / "g.json").write_text(json.dumps(graph_to_json_dict(graph)))
+    assert main(["discover", "--graph", "g.json", "--seed", "3", "--trials", trials]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covert_setcover.errors import UncoverableInstanceError
 from covert_setcover.oracle import CovertOracle
@@ -18,7 +20,7 @@ from covert_setcover.generators import gen_set_system
 from covert_setcover.setsystem import build_set_system, greedy_cover, harmonic, verify_cover
 
 from oracles import exhaustive_min_cover, full_info_cover_trace
-from test_setsystem import random_system
+from test_setsystem import coverable_families, random_system
 
 
 class TestSampling:
@@ -184,6 +186,29 @@ class TestRun:
             deltas = [r.ledger_delta for r in result.rounds]
             assert sum(d["hitting"] for d in deltas) == hitting
             assert sum(d["set"] for d in deltas) == set_queries
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(family=coverable_families(), alpha=st.sampled_from([0.25, 0.5, 1.0, 8.0]),
+           rng_seed=st.integers(0, 99))
+    def test_valid_cover_and_ledger_from_trace_property(self, family, alpha, rng_seed):
+        n, sets = family
+        assert exhaustive_min_cover(sets, n) is not None
+        result = run_pseudo_greedy(CovertOracle(build_set_system(sets, n)), alpha=alpha,
+                                   rng_seed=rng_seed)
+        chosen = result.cover.set_indices
+        assert not result.failed and len(set(chosen)) == len(chosen)
+        assert set().union(*(sets[s - 1] for s in chosen)) == set(range(1, n + 1))
+        for r in result.rounds:
+            if r.base_case:
+                assert r.ledger_delta == {"hitting": r.n_i, "set": 0, "layered": 0}
+            else:
+                assert r.ledger_delta == {"hitting": len(r.sample), "set": len(r.chosen),
+                                          "layered": 0}
+        sampled = [r for r in result.rounds if not r.base_case]
+        base_n_i = sum(r.n_i for r in result.rounds if r.base_case)
+        assert result.ledger.hitting_queries == sum(len(r.sample) for r in sampled) + base_n_i
+        assert result.ledger.set_queries == sum(len(r.chosen) for r in sampled)
+        assert result.ledger.layered_queries == 0
 
     def test_full_information_rounds_match_reference(self):
         for seed in range(5):

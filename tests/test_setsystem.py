@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covert_setcover.errors import (
     BruteForceCapExceededError,
@@ -35,6 +37,17 @@ def random_system(rng, max_n=16, max_m=12, coverable=True):
         for e in sorted(missing):
             sets[rng.randrange(m)].append(e)
     return build_set_system(sets, n), sets
+
+
+@st.composite
+def coverable_families(draw, max_n=24, max_m=8):
+    """(n, sets): a family over 1..n in which every element has a home set."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    sets = [draw(st.sets(st.integers(1, n))) for _ in range(m)]
+    for e in range(1, n + 1):
+        sets[draw(st.integers(0, m - 1))].add(e)
+    return n, sets
 
 
 class TestBuild:
@@ -134,6 +147,15 @@ class TestGreedy:
             opt = exhaustive_min_cover(sets, system.universe_size)
             bound = harmonic(system.universe_size) * len(opt) / Fraction(theta)
             assert Fraction(len(cover)) <= bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(family=coverable_families(max_n=12), theta=st.sampled_from([1.0, 0.5]))
+    def test_harmonic_bound_property(self, family, theta):
+        n, sets = family
+        cover = greedy_cover(build_set_system(sets, n), theta=theta)
+        opt = exhaustive_min_cover(sets, n)
+        h_n = sum(Fraction(1, j) for j in range(1, n + 1))
+        assert len(cover) * Fraction(theta) <= len(opt) * h_n
 
     def test_deterministic(self):
         system, _ = random_system(random.Random(5))
