@@ -159,7 +159,7 @@ def run_network_discovery(
     # vertex is chosen twice: Q is the engine's pick list as it stands.
     query_set, rounds, _ = sampled_greedy(
         oracle, lambda: [p for p in pairs if p not in statuses], probe, accept,
-        n_elements=len(pairs), n_sets=n, n_total=n * n, alpha=alpha, rng_seed=rng_seed,
+        n_elements=len(pairs), n_total=n * n, alpha=alpha, rng_seed=rng_seed,
     )
     return DiscoveryResult(
         statuses=statuses,

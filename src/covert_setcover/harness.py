@@ -8,6 +8,7 @@ nondeterministic entries, so golden-file comparisons drop exactly those.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import statistics
@@ -64,20 +65,29 @@ class ExperimentConfig:
 def _resolve(source: dict, parse, generate):
     """Materialize the instance a config points at: a JSON file or a generator call.
 
-    A generator source passes its keys other than "kind" to the generator as
-    keyword arguments.
+    A file source needs a "path"; a generator source passes its keys other
+    than "kind" to ``generate`` as keyword arguments. A missing, unknown or
+    misspelled key raises ``ValueError`` naming it.
     """
     kind = source.get("kind")
     if kind == "file":
+        if "path" not in source:
+            raise ValueError(f'a file instance source needs a "path" key, got {source!r}')
         with open(source["path"]) as fh:
             return parse(json.load(fh))
     if kind == "generate":
-        return generate(**{key: value for key, value in source.items() if key != "kind"})
+        params = {key: value for key, value in source.items() if key != "kind"}
+        try:
+            inspect.signature(generate).bind(**params)
+        except TypeError as exc:
+            raise ValueError(f"generator source {source!r}: {exc}") from None
+        return generate(**params)
     raise ValueError(f"unsupported instance source {source!r}")
 
 
 def resolve_system(source: dict) -> SetSystem:
-    return _resolve(source, from_json_dict, lambda **params: gen_set_system(**params)[0])
+    # gen_set_system returns (system, meta); a parsed file gets the same shape.
+    return _resolve(source, lambda doc: (from_json_dict(doc), None), gen_set_system)[0]
 
 
 def resolve_graph(source: dict) -> Graph:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from itertools import chain
 from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 from .errors import UncoverableInstanceError
@@ -62,16 +64,23 @@ def shortlist_sets(
 ) -> tuple[list[int], dict[int, set]]:
     """Probe every sampled element and keep the heavily hit sets.
 
-    Returns the shortlist in canonical order together with the tally
-    (set index -> sampled elements it contains), which the sequential
-    filter reuses so no element is ever charged twice in a round.
+    Returns the shortlist in canonical order together with the tally of the
+    shortlisted sets (set index -> sampled elements it contains), which the
+    sequential filter reuses so no element is ever charged twice in a round.
+    Each sampled element is probed once, in sample order; the hits of every
+    set are counted in one pass over the answers, and only the shortlisted
+    sets get their element sets (the sample has no repeats, so a count is the
+    size of that set).
     """
     threshold = alpha * math.log2(n_total)
-    hits: dict[int, set] = {}
-    for e in sample:
-        for s in probe(e):
-            hits.setdefault(s, set()).add(e)
-    shortlist = sorted(s for s, h in hits.items() if len(h) >= threshold)
+    answers = [probe(e) for e in sample]
+    counts = Counter(chain.from_iterable(answers))
+    shortlist = sorted(s for s, count in counts.items() if count >= threshold)
+    hits: dict[int, set] = {s: set() for s in shortlist}
+    if hits:
+        for e, answer in zip(sample, answers):
+            for s in hits.keys() & answer:
+                hits[s].add(e)
     return shortlist, hits
 
 
@@ -101,15 +110,17 @@ def sequential_filter(
     return accepted, newly_covered
 
 
-def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable], n_sets: int) -> list[int]:
+def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable]) -> list[int]:
     """Reconstruct the residual instance and finish it with explicit greedy.
 
     Issues exactly one probe per remaining element (all of them, even if an
     early answer already dooms the instance, so the ledger stays
     reconstructible from the trace), rebuilds the residual sub-instance over
-    sets 1..n_sets with the canonical set order preserved, and runs the
-    classic greedy cover on it. Raises :class:`UncoverableInstanceError`
-    naming the smallest element contained in no set.
+    the sets the residue touches, in canonical set order, runs the classic
+    greedy cover on it and maps its picks back to set indices. A set the
+    residue misses holds no uncovered element, so greedy would never pick
+    it. Raises :class:`UncoverableInstanceError` naming the smallest element
+    contained in no set.
     """
     order = sorted(uncovered)
     residual: dict[int, set[int]] = {}
@@ -123,12 +134,10 @@ def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable], n_sets: int)
     if orphan is not None:
         raise UncoverableInstanceError(orphan)
     relabel = {e: i for i, e in enumerate(order, start=1)}
-    sub_sets = [
-        sorted(relabel[e] for e in residual.get(s, ()))
-        for s in range(1, n_sets + 1)
-    ]
+    touched = sorted(residual)
+    sub_sets = [[relabel[e] for e in residual[s]] for s in touched]
     sub_system = build_set_system(sub_sets, universe_size=len(order))
-    return list(greedy_cover(sub_system, theta=1.0).set_indices)
+    return [touched[j - 1] for j in greedy_cover(sub_system, theta=1.0).set_indices]
 
 
 def sampled_greedy(
@@ -137,7 +146,6 @@ def sampled_greedy(
     probe: Probe,
     accept: Accept,
     n_elements: int,
-    n_sets: int,
     n_total: int,
     alpha: float,
     rng_seed: int,
@@ -174,7 +182,7 @@ def sampled_greedy(
         if base_case:
             oracle.mark_phase("base-case")
             try:
-                picks = base_case_explicit(probe, uncovered, n_sets)
+                picks = base_case_explicit(probe, uncovered)
             except UncoverableInstanceError as exc:
                 witness = exc.element
         else:
@@ -228,7 +236,7 @@ def run_pseudo_greedy(
 
     chosen, rounds, witness = sampled_greedy(
         oracle, lambda: uncovered, oracle.hitting_query, accept,
-        n_elements=n_prime, n_sets=m_prime, n_total=n_prime + m_prime,
+        n_elements=n_prime, n_total=n_prime + m_prime,
         alpha=alpha, rng_seed=rng_seed,
     )
     failed = witness is not None

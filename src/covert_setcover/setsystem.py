@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -147,35 +148,53 @@ def verify_cover(system: SetSystem, cover: Cover | Iterable[int]) -> bool:
     return len(covered) == system.universe_size
 
 
+@lru_cache(maxsize=4)
+def _set_numbers(m: int) -> tuple[int, ...]:
+    """(1, ..., m), shared so that the covers of every m-set family reuse one int per index."""
+    return tuple(range(1, m + 1))
+
+
 def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     """Relaxed greedy cover: any pick must grab at least ``theta`` times the best.
 
-    Repeatedly recomputes n_max, the largest number of still-uncovered
-    elements held by any single set, then selects the first set in canonical
-    (index) order whose uncovered count is >= theta * n_max. With theta = 1
-    this is the classic greedy algorithm with lowest-index tie-breaking.
-    The relaxation never picks a dead set (theta > 0 forces a positive
-    uncovered count), so the output size obeys the harmonic bound
+    Repeatedly takes n_max, the largest number of still-uncovered elements
+    held by any single set, then selects the first set in canonical (index)
+    order whose uncovered count is >= theta * n_max. With theta = 1 this is
+    the classic greedy algorithm with lowest-index tie-breaking. The
+    relaxation never picks a dead set (theta > 0 forces a positive uncovered
+    count), so the output size obeys the harmonic bound
     |cover| <= (OPT / theta) * H(universe_size).
+
+    The uncovered counts are kept exactly and updated incrementally: they
+    start at the set sizes, and each newly covered element decrements the
+    count of every set containing it. The updates cost O(sum of set sizes)
+    over the whole run, plus two passes over the m counts per pick (the
+    maximum, then the first set reaching the bar), instead of recounting
+    every set against the uncovered elements on every pick.
 
     Raises :class:`UncoverableInstanceError` naming an uncovered element if
     the family cannot cover the universe.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
+    sets, containing = system.sets, system.element_to_sets
+    numbers = _set_numbers(len(sets))
+    counts = [len(members) for members in sets]
     uncovered = set(range(1, system.universe_size + 1))
     chosen: list[int] = []
     while uncovered:
-        counts = [len(members & uncovered) for members in system.sets]
         n_max = max(counts)
         if n_max == 0:
             raise UncoverableInstanceError(min(uncovered))
         need = theta * n_max
-        for idx, cnt in enumerate(counts, start=1):
-            if cnt >= need:
-                chosen.append(idx)
-                uncovered -= system.sets[idx - 1]
-                break
+        # The first set number whose count is >= need.
+        s = next(compress(numbers, map(need.__le__, counts)))
+        chosen.append(s)
+        new = sets[s - 1] & uncovered
+        uncovered -= new
+        for e in new:
+            for t in containing[e - 1]:
+                counts[t - 1] -= 1
     return Cover.from_indices(system, chosen)
 
 

@@ -46,6 +46,29 @@ def coverage_order(sets, picks):
     return order
 
 
+def naive_greedy(sets, n, theta):
+    """Relaxed greedy by full recount, the rule ``greedy_cover`` must follow.
+
+    Before every pick, count each set's uncovered elements afresh; take the
+    first set (lowest index) whose count is at least theta times the
+    largest count. Returns (picks as 1-based indices, witness): the witness
+    is None when the picks cover 1..n, otherwise the smallest element no set
+    contains, and the picks are those made before every count reached zero.
+    """
+    family = [set(s) for s in sets]
+    uncovered = set(range(1, n + 1))
+    picks = []
+    while uncovered:
+        counts = [len(members & uncovered) for members in family]
+        best = max(counts)
+        if best == 0:
+            return picks, min(uncovered)
+        j = next(j for j, c in enumerate(counts) if c >= theta * best)
+        picks.append(j + 1)
+        uncovered -= family[j]
+    return picks, None
+
+
 def bfs_levels(n, edges, source):
     """Hop distances from source over an undirected edge list."""
     adj = {v: set() for v in range(1, n + 1)}

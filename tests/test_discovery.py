@@ -136,7 +136,7 @@ class TestDiscovery:
         assert len(sources) == len(set(sources))
         assert result.ledger.layered_queries > len(sources)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(graph=connected_graphs(), alpha=st.sampled_from([1.0, 2.0, 8.0]),
            rng_seed=st.integers(0, 99))
     def test_resolves_every_pair_correctly(self, graph, alpha, rng_seed):

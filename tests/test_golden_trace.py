@@ -3,6 +3,7 @@
 Each algorithm digest is the sha256 of
 ``json.dumps(result.to_json_dict(), sort_keys=True)`` and pins the cover (or
 query set), the ledger with its per-phase split and the full round trace.
+The greedy digests pin the picks of ``greedy_cover`` on one sparse instance.
 The experiment-path digests pin what the harness and the CLI report: a
 ``run_experiment`` report without its timestamp and runtimes, a
 ``bench_planted_family`` report, and the stdout bytes of ``covertsc
@@ -20,6 +21,7 @@ from covert_setcover.cli import main
 from covert_setcover.generators import gen_graph, gen_set_system
 from covert_setcover.graphs import graph_to_json_dict
 from covert_setcover.harness import ExperimentConfig, bench_planted_family, run_experiment
+from covert_setcover.setsystem import greedy_cover
 
 
 def _sha256(doc) -> str:
@@ -56,6 +58,19 @@ def test_discovery_er_60_benchmark_instance():
     graph = gen_graph("er-connected", n=60, p=0.1, seed=1)
     result = run_network_discovery(LayeredGraphOracle(graph), alpha=8.0, rng_seed=1)
     assert _digest(result) == "bb1d9acaeb512a014be95ae41606dea62cfa005cca4faa59c2192b362cee5466"
+
+
+@pytest.mark.parametrize(
+    "theta, expected",
+    [
+        (1.0, "aecb54ee09f40a12d592d2e33070d4bf25fd190b09d9aed87c78523ca56de39b"),
+        (0.5, "634d7b237ed7fad0aa002afe43343998f84146617a5d0ddb24d4affd2d5dbae6"),
+    ],
+)
+def test_greedy_cover_sparse_1024_picks(theta, expected):
+    # The instance of the greedy-sparse benchmark workload: 152 picks at theta 1, 192 at 0.5.
+    system, _ = gen_set_system("uniform-random", n=1024, m=1024, seed=1, density=0.01)
+    assert _sha256(list(greedy_cover(system, theta=theta).set_indices)) == expected
 
 
 PLANTED = {"kind": "generate", "model": "planted-cover", "n": 32, "m": 10, "k": 3, "seed": 5}

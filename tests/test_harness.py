@@ -9,6 +9,7 @@ from covert_setcover.harness import (
     aggregate_cover_trials,
     bench_planted_family,
     fitted_query_exponent,
+    resolve_graph,
     resolve_system,
     run_experiment,
     sampling_concentration_test,
@@ -96,6 +97,26 @@ class TestRunExperiment:
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(to_json_dict(system)))
         assert resolve_system({"kind": "file", "path": str(path)}) == system
+
+    @pytest.mark.parametrize(
+        "resolve, source, key",
+        [
+            (resolve_system, {"kind": "generate", "model": "planted-cover", "n": 32, "k": 3}, "'m'"),
+            (resolve_system, planted_source(kk=3), "'kk'"),
+            (resolve_system, {"kind": "file"}, '"path"'),
+            (resolve_graph, {"kind": "generate", "model": "er-connected", "n": 8, "q": 0.3}, "'q'"),
+        ],
+        ids=["generator-missing-m", "generator-misspelled-key", "file-without-path",
+             "graph-generator-unknown-key"],
+    )
+    def test_bad_source_raises_value_error_naming_key(self, resolve, source, key):
+        with pytest.raises(ValueError, match=key):
+            resolve(source)
+
+    def test_bad_source_through_run_experiment(self):
+        config = ExperimentConfig(algorithm="greedy", seeds=[0], source=planted_source(kk=3))
+        with pytest.raises(ValueError, match="'kk'"):
+            run_experiment(config)
 
 
 class TestConcentration:

@@ -8,7 +8,7 @@ from covert_setcover.oracle import CovertOracle, QueryLedger
 from covert_setcover.pseudo_greedy import run_pseudo_greedy
 from covert_setcover.setsystem import build_set_system
 
-from test_setsystem import random_system
+from strategies import random_system
 
 
 @pytest.fixture

@@ -19,8 +19,8 @@ from covert_setcover.pseudo_greedy import (
 from covert_setcover.generators import gen_set_system
 from covert_setcover.setsystem import build_set_system, greedy_cover, harmonic, verify_cover
 
-from oracles import exhaustive_min_cover, full_info_cover_trace
-from test_setsystem import coverable_families, random_system
+from oracles import exhaustive_min_cover, full_info_cover_trace, naive_greedy
+from strategies import coverable_families, families, random_system
 
 
 class TestSampling:
@@ -79,6 +79,32 @@ class TestShortlist:
             caught += hits >= threshold
         assert caught == trials
 
+    @settings(max_examples=100)
+    @given(family=families(max_n=30, max_m=10), alpha=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+           data=st.data())
+    def test_matches_naive_tally(self, family, alpha, data):
+        n, sets = family
+        sample = data.draw(st.lists(st.integers(1, n), unique=True))
+        n_total = n + len(sets)
+        oracle = CovertOracle(build_set_system(sets, n))
+        probed = []
+
+        def probe(e):
+            probed.append(e)
+            return oracle.hitting_query(e)
+
+        shortlist, hits = shortlist_sets(sample, probe, alpha, n_total)
+        naive: dict[int, set] = {}
+        for e in sample:
+            for j, members in enumerate(sets, start=1):
+                if e in members:
+                    naive.setdefault(j, set()).add(e)
+        threshold = alpha * math.log2(n_total)
+        assert shortlist == sorted(j for j, h in naive.items() if len(h) >= threshold)
+        assert {s: hits[s] for s in shortlist} == {s: naive[s] for s in shortlist}
+        assert probed == sample
+        assert oracle.ledger.hitting_queries == len(sample)
+
 
 class TestSequentialFilter:
     def test_disjoint_sets_both_accepted(self):
@@ -112,7 +138,7 @@ class TestBaseCase:
     def test_single_covering_set(self):
         system = build_set_system([[1, 2, 3, 4]], 4)
         oracle = CovertOracle(system)
-        assert base_case_explicit(oracle.hitting_query, {1, 2, 3, 4}, oracle.n_sets) == [1]
+        assert base_case_explicit(oracle.hitting_query, {1, 2, 3, 4}) == [1]
         assert oracle.ledger.hitting_queries == 4
 
     def test_equals_explicit_greedy_on_full_instance(self):
@@ -121,15 +147,37 @@ class TestBaseCase:
             system, _ = random_system(rng, max_n=12, max_m=8)
             oracle = CovertOracle(system)
             picks = base_case_explicit(
-                oracle.hitting_query, set(range(1, system.universe_size + 1)), oracle.n_sets
+                oracle.hitting_query, set(range(1, system.universe_size + 1))
             )
             assert tuple(picks) == greedy_cover(system).set_indices
+
+    @settings(max_examples=100)
+    @given(family=families(max_n=16, max_m=8), data=st.data())
+    def test_matches_full_rebuild_on_partial_residue(self, family, data):
+        n, sets = family
+        residue = data.draw(st.sets(st.integers(1, n), min_size=1))
+        # A set outside the residue at a random position: the residue touches a strict subset.
+        spare = data.draw(st.integers(0, len(sets)))
+        sets = sets[:spare] + [set(range(1, n + 1)) - residue] + sets[spare:]
+        oracle = CovertOracle(build_set_system(sets, n))
+        # The full rebuild: every set cut to the residue, elements renumbered in order.
+        order = sorted(residue)
+        relabel = {e: i for i, e in enumerate(order, start=1)}
+        restricted = [[relabel[e] for e in members if e in residue] for members in sets]
+        picks, witness = naive_greedy(restricted, len(order), 1.0)
+        if witness is None:
+            assert base_case_explicit(oracle.hitting_query, residue) == picks
+        else:
+            with pytest.raises(UncoverableInstanceError) as err:
+                base_case_explicit(oracle.hitting_query, residue)
+            assert err.value.element == order[witness - 1]
+        assert oracle.ledger.hitting_queries == len(residue)
 
     def test_one_query_per_element_even_on_failure(self):
         system = build_set_system([[2], [4]], 4)
         oracle = CovertOracle(system)
         with pytest.raises(UncoverableInstanceError) as err:
-            base_case_explicit(oracle.hitting_query, {1, 2, 3, 4}, oracle.n_sets)
+            base_case_explicit(oracle.hitting_query, {1, 2, 3, 4})
         assert err.value.element == 1
         assert oracle.ledger.hitting_queries == 4
 
@@ -187,7 +235,7 @@ class TestRun:
             assert sum(d["hitting"] for d in deltas) == hitting
             assert sum(d["set"] for d in deltas) == set_queries
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(family=coverable_families(), alpha=st.sampled_from([0.25, 0.5, 1.0, 8.0]),
            rng_seed=st.integers(0, 99))
     def test_valid_cover_and_ledger_from_trace_property(self, family, alpha, rng_seed):

@@ -22,32 +22,8 @@ from covert_setcover.setsystem import (
     verify_cover,
 )
 
-from oracles import coverage_order, exhaustive_min_cover
-
-
-def random_system(rng, max_n=16, max_m=12, coverable=True):
-    n = rng.randint(2, max_n)
-    m = rng.randint(2, max_m)
-    sets = [
-        [e for e in range(1, n + 1) if rng.random() < rng.uniform(0.1, 0.6)]
-        for _ in range(m)
-    ]
-    if coverable:
-        missing = set(range(1, n + 1)) - set().union(*map(set, sets))
-        for e in sorted(missing):
-            sets[rng.randrange(m)].append(e)
-    return build_set_system(sets, n), sets
-
-
-@st.composite
-def coverable_families(draw, max_n=24, max_m=8):
-    """(n, sets): a family over 1..n in which every element has a home set."""
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(1, max_m))
-    sets = [draw(st.sets(st.integers(1, n))) for _ in range(m)]
-    for e in range(1, n + 1):
-        sets[draw(st.integers(0, m - 1))].add(e)
-    return n, sets
+from oracles import coverage_order, exhaustive_min_cover, naive_greedy
+from strategies import coverable_families, families, random_system
 
 
 class TestBuild:
@@ -148,7 +124,7 @@ class TestGreedy:
             bound = harmonic(system.universe_size) * len(opt) / Fraction(theta)
             assert Fraction(len(cover)) <= bound
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(family=coverable_families(max_n=12), theta=st.sampled_from([1.0, 0.5]))
     def test_harmonic_bound_property(self, family, theta):
         n, sets = family
@@ -160,6 +136,29 @@ class TestGreedy:
     def test_deterministic(self):
         system, _ = random_system(random.Random(5))
         assert greedy_cover(system) == greedy_cover(system)
+
+    @settings(max_examples=150)
+    @given(family=families(), theta=st.sampled_from([1.0, 0.5, 0.25]))
+    def test_matches_naive_recount(self, family, theta):
+        n, sets = family
+        picks, witness = naive_greedy(sets, n, theta)
+        system = build_set_system(sets, n)
+        if witness is None:
+            assert list(greedy_cover(system, theta=theta).set_indices) == picks
+        else:
+            with pytest.raises(UncoverableInstanceError) as err:
+                greedy_cover(system, theta=theta)
+            assert err.value.element == witness
+
+    def test_covers_of_same_sized_systems_share_index_ints(self):
+        # Trial records keep their covers, so a pick must not be a fresh int
+        # object per cover: covers of m-set families share one object per index.
+        m = 400
+        a = build_set_system([[1]] * (m - 1) + [[1, 2]], 2)
+        b = build_set_system([[3]] * (m - 1) + [[1, 2, 3]], 3)
+        first, second = greedy_cover(a).set_indices, greedy_cover(b, theta=0.5).set_indices
+        assert first == second == (m,)
+        assert first[0] is second[0]
 
 
 class TestBruteForce:
