@@ -14,6 +14,7 @@ import json
 import sys
 
 from .discovery import offline_verification
+from .epsnet import DEFAULT_ALPHA_NET
 from .errors import CovertSetCoverError
 from .generators import GRAPH_MODELS, SET_MODELS, gen_graph, gen_set_system
 from .graphs import graph_to_json_dict
@@ -27,6 +28,7 @@ from .harness import (
     run_trials,
     sampling_concentration_test,
 )
+from .pseudo_greedy import DEFAULT_ALPHA
 from .setsystem import to_json_dict
 
 
@@ -62,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
         name for name, (resolve, _, _) in ALGORITHMS.items() if resolve is resolve_system
     ])
     c.add_argument("--instance", required=True, help="set-system JSON file")
-    c.add_argument("--alpha", type=float, default=8.0)
+    c.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     c.add_argument("--theta", type=float, default=1.0)
-    c.add_argument("--alpha-net", type=float, default=2.0)
+    c.add_argument("--alpha-net", type=float, default=DEFAULT_ALPHA_NET)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--trials", type=int, default=1)
     c.add_argument("--with-opt", action="store_true",
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("discover", help="online network discovery on a graph file")
     d.add_argument("--graph", required=True)
-    d.add_argument("--alpha", type=float, default=8.0)
+    d.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--trials", type=int, default=1)
     _output_flags(d)
@@ -87,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_verify)
 
     t = sub.add_parser("lemma-test", help="sampling concentration rates for the shortlist threshold")
-    t.add_argument("--alpha", type=float, default=8.0)
+    t.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     t.add_argument("--log2-n", type=float, default=20.0, help="log2 of the scale parameter N")
     t.add_argument("--s", type=int, default=1024, help="round scale s_i")
     t.add_argument("--trials", type=int, default=10000)
@@ -101,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=int, default=512)
     b.add_argument("--trials", type=int, default=5)
     b.add_argument("--seed", type=int, default=0, help="first seed; trials use seed..seed+trials-1")
-    b.add_argument("--alpha", type=float, default=8.0)
-    b.add_argument("--alpha-net", type=float, default=2.0)
+    b.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    b.add_argument("--alpha-net", type=float, default=DEFAULT_ALPHA_NET)
     _output_flags(b)
     b.set_defaults(func=_cmd_bench)
 
@@ -183,10 +185,10 @@ def _cmd_bench(args) -> dict:
 
 
 def _emit(payload: dict, args) -> None:
+    # Serialized in either format, so a NaN or an infinity is an error, never output.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.format == "csv":
         text = _to_csv(payload)
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -18,7 +18,7 @@ from typing import IO
 from .oracle import MeteredOracle, QueryLedger
 # draw_round_sample is kept in this namespace as the sampler of discovery
 # rounds; perfbench/tracing.py wraps it under this name.
-from .pseudo_greedy import draw_round_sample, sampled_greedy  # noqa: F401
+from .pseudo_greedy import DEFAULT_ALPHA, draw_round_sample, sampled_greedy  # noqa: F401
 from .results import RoundState
 from .setsystem import brute_force_min_cover, build_set_system, greedy_cover
 from .graphs import (
@@ -116,7 +116,7 @@ class DiscoveryResult:
 
 
 def run_network_discovery(
-    oracle: LayeredGraphOracle, alpha: float = 8.0, rng_seed: int = 0
+    oracle: LayeredGraphOracle, alpha: float = DEFAULT_ALPHA, rng_seed: int = 0
 ) -> DiscoveryResult:
     """Discover every edge and non-edge of a hidden connected graph.
 

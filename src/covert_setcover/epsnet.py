@@ -22,8 +22,9 @@ from .results import CoverResult, GuessTrace
 from .setsystem import Cover
 
 DEFAULT_ALPHA_NET = 2.0
-DEFAULT_NET_SIZE_CONST = 4.0
-DEFAULT_ITER_CAP_CONST = 4.0
+# The fixed constants of the candidate size and the per-guess iteration budget.
+NET_SIZE_CONST = 4.0
+ITER_CAP_CONST = 4.0
 
 
 @dataclass
@@ -94,25 +95,20 @@ def run_weighted_epsilon_net(
     oracle: CovertOracle,
     alpha_net: float = DEFAULT_ALPHA_NET,
     rng_seed: int = 0,
-    size_const: float = DEFAULT_NET_SIZE_CONST,
-    cap_const: float = DEFAULT_ITER_CAP_CONST,
 ) -> CoverResult:
     """Run the reweighting baseline against a query oracle.
 
     Guesses k = 1, 2, 4, ... up to the first power of two >= m'. Each guess
     starts from unit weights and runs at most
-    cap_const * k * log2(m'/k + 2) iterations: sample a net, fetch the
+    ITER_CAP_CONST * k * log2(m'/k + 2) iterations: sample a net, fetch the
     candidate's contents (one set query per distinct candidate set, charged
     on every iteration because each coverage test is a fresh verification),
     and either return the covering candidate or double the weights along a
     missed element. Exhausting every guess, or a missed element contained in
-    no set, yields a failed result. ``alpha_net``, ``size_const`` and
-    ``cap_const`` must be finite and positive.
+    no set, yields a failed result. ``alpha_net`` must be finite and positive.
     """
-    constants = {"alpha_net": alpha_net, "size_const": size_const, "cap_const": cap_const}
-    for name, value in constants.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not (math.isfinite(alpha_net) and alpha_net > 0):
+        raise ValueError(f"alpha_net must be finite and positive, got {alpha_net}")
     rng = random.Random(rng_seed)
     n_prime, m_prime = oracle.n_elements, oracle.n_sets
     guess_limit = 1
@@ -123,8 +119,8 @@ def run_weighted_epsilon_net(
     k = 1
     while True:
         family = WeightedFamily.unit(m_prime)
-        size = net_size(k, m_prime, alpha_net, size_const)
-        cap = iteration_cap(k, m_prime, cap_const)
+        size = net_size(k, m_prime, alpha_net, NET_SIZE_CONST)
+        cap = iteration_cap(k, m_prime, ITER_CAP_CONST)
         oracle.mark_phase(f"guess-{k}")
         before = oracle.ledger_snapshot()
         iterations, cover, witness = cap, None, None
@@ -133,8 +129,7 @@ def run_weighted_epsilon_net(
             contents = {s: oracle.set_query(s) for s in candidate}
             missed = find_uncovered(candidate, contents, n_prime)
             if missed is None:
-                covered = frozenset().union(*contents.values())
-                iterations, cover = iteration, Cover(set_indices=candidate, covered=covered)
+                iterations, cover = iteration, Cover(set_indices=candidate)
                 break
             try:
                 reweight_on_miss(family, missed, oracle)
@@ -153,7 +148,7 @@ def run_weighted_epsilon_net(
         )
         if cover is not None or witness is not None or k >= guess_limit:
             return CoverResult(
-                cover=cover if cover is not None else Cover(set_indices=(), covered=frozenset()),
+                cover=cover if cover is not None else Cover(set_indices=()),
                 rounds=traces,
                 ledger=oracle.ledger_snapshot(),
                 failed=cover is None,

@@ -23,8 +23,10 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
 
     ``er-connected`` resamples an Erdos-Renyi graph until it is connected
     (at most ER_RETRY_BUDGET attempts, then ValueError); ``grid`` takes rows x cols with
-    vertices numbered row-major.
+    vertices numbered row-major. Every parameter is checked, whatever the model.
     """
+    _require_ints(n=n, seed=seed, rows=rows, cols=cols)
+    _require_probability("p", p)
     if model == "path":
         _require(n >= 2, "path needs n >= 2")
         return Graph.from_edges(n, [(i, i + 1) for i in range(1, n)])
@@ -50,34 +52,34 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
         return Graph.from_edges(rows * cols, edges)
     if model == "er-connected":
         _require(n >= 2, "er-connected needs n >= 2")
-        _require(0.0 <= p <= 1.0, "edge probability must be in [0, 1]")
         rng = random.Random(seed)
         pairs = all_pairs(n)
         for _ in range(ER_RETRY_BUDGET):
             edges = [pq for pq in pairs if rng.random() < p]
-            candidate = Graph(
-                n=n,
-                adjacency=_adjacency_of(n, edges),
-            )
-            if candidate.is_connected():
-                return candidate
+            try:
+                return Graph.from_edges(n, edges)
+            except ValueError:
+                pass  # the edges are valid, so the sample is disconnected: draw again
         raise ValueError(
             f"no connected sample in {ER_RETRY_BUDGET} tries (n={n}, p={p}, seed={seed})"
         )
     raise ValueError(f"unknown graph model {model!r}; choose from {GRAPH_MODELS}")
 
 
-def _adjacency_of(n, edges):
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u - 1].add(v)
-        adj[v - 1].add(u)
-    return tuple(frozenset(s) for s in adj)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _require_ints(**values) -> None:
+    for name, value in values.items():
+        _require(type(value) is int, f"{name} must be an integer, got {value!r}")
+
+
+def _require_probability(name: str, value) -> None:
+    # A bool is an int, and NaN fails every comparison.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _require(number and 0.0 <= value <= 1.0, f"{name} must be a number in [0, 1], got {value!r}")
 
 
 def gen_set_system(
@@ -100,7 +102,10 @@ def gen_set_system(
 
     Returns (system, meta); meta records the model, parameters, whether the
     family covers the universe, and for planted-cover the planted indices.
+    Every parameter is checked, whatever the model.
     """
+    _require_ints(n=n, m=m, seed=seed, k=k)
+    _require_probability("density", density)
     _require(n >= 1, "need n >= 1 elements")
     _require(m >= 1, "need m >= 1 sets")
     rng = random.Random(seed)
@@ -144,8 +149,5 @@ def gen_set_system(
         raise ValueError(f"unknown set model {model!r}; choose from {SET_MODELS}")
 
     system = build_set_system(sets, universe_size=n)
-    covered = set()
-    for members in system.sets:
-        covered |= members
-    meta["coverable"] = len(covered) == n
+    meta["coverable"] = all(system.element_to_sets)
     return system, meta

@@ -25,11 +25,11 @@ from .discovery import (
     offline_verification,
     run_network_discovery,
 )
-from .epsnet import run_weighted_epsilon_net
+from .epsnet import DEFAULT_ALPHA_NET, run_weighted_epsilon_net
 from .generators import gen_graph, gen_set_system
 from .graphs import Graph, graph_from_json_dict
 from .oracle import CovertOracle, QueryLedger
-from .pseudo_greedy import run_pseudo_greedy
+from .pseudo_greedy import DEFAULT_ALPHA, run_pseudo_greedy
 from .setsystem import (
     BRUTE_FORCE_SET_CAP,
     SetSystem,
@@ -47,12 +47,9 @@ class ExperimentConfig:
     algorithm: str
     seeds: list[int]
     source: dict = field(default_factory=dict)
-    alpha: float = 8.0
+    alpha: float = DEFAULT_ALPHA
     theta: float = 1.0
-    alpha_net: float = 2.0
-    net_size_const: float = 4.0
-    iter_cap_const: float = 4.0
-    brute_cap: int = BRUTE_FORCE_SET_CAP
+    alpha_net: float = DEFAULT_ALPHA_NET
     compute_opt: bool = False
 
     def validate(self) -> None:
@@ -96,9 +93,9 @@ def resolve_graph(source: dict) -> Graph:
 
 def _cover_optimum(system: SetSystem, config: ExperimentConfig) -> int | None:
     """Exact optimum size, or None when the family is over the brute-force cap."""
-    if system.n_sets > config.brute_cap:
+    if system.n_sets > BRUTE_FORCE_SET_CAP:
         return None
-    return len(brute_force_min_cover(system, cap=config.brute_cap))
+    return len(brute_force_min_cover(system))
 
 
 def _discovery_optimum(graph: Graph, config: ExperimentConfig) -> int | None:
@@ -108,12 +105,7 @@ def _discovery_optimum(graph: Graph, config: ExperimentConfig) -> int | None:
 
 
 def _queries(ledger: QueryLedger) -> dict:
-    return {
-        "hitting": ledger.hitting_queries,
-        "set": ledger.set_queries,
-        "layered": ledger.layered_queries,
-        "total": ledger.total,
-    }
+    return {**ledger.counts, "total": ledger.total}
 
 
 def _cover_record(
@@ -147,13 +139,8 @@ def _pseudo_greedy_trial(system: SetSystem, config: ExperimentConfig, seed: int,
 
 
 def _epsnet_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
-    result = run_weighted_epsilon_net(
-        CovertOracle(system),
-        alpha_net=config.alpha_net,
-        rng_seed=seed,
-        size_const=config.net_size_const,
-        cap_const=config.iter_cap_const,
-    )
+    result = run_weighted_epsilon_net(CovertOracle(system), alpha_net=config.alpha_net,
+                                      rng_seed=seed)
     record = _cover_record(system, result.cover, result.ledger, opt,
                            failed=result.failed, rounds=len(result.rounds))
     successes = [t for t in result.rounds if t.succeeded]
@@ -167,7 +154,7 @@ def _greedy_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
 
 
 def _bruteforce_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
-    cover = brute_force_min_cover(system, cap=config.brute_cap)
+    cover = brute_force_min_cover(system)
     return _cover_record(system, cover, QueryLedger(), opt, failed=False), cover
 
 
@@ -266,10 +253,15 @@ def sampling_concentration_test(
     Simulates the per-round Bernoulli sampling on synthetic sets of sizes
     s_i/2, s_i, and s_i/8 and reports how often each crosses the
     alpha*log2(N) shortlist threshold. Large sets (>= s_i/2) should cross
-    essentially always, small ones (s_i/8) essentially never.
+    essentially always, small ones (s_i/8) essentially never. ``alpha`` and
+    ``log2_n_total`` must be finite and positive, and ``s_i`` a positive
+    multiple of 8.
     """
-    if s_i % 8:
-        raise ValueError(f"s_i must be divisible by 8, got {s_i}")
+    for name, value in (("alpha", alpha), ("log2_n_total", log2_n_total)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if s_i < 8 or s_i % 8:
+        raise ValueError(f"s_i must be a positive multiple of 8, got {s_i}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     p = min(1.0, 4.0 * alpha * log2_n_total / s_i)
@@ -303,8 +295,8 @@ def bench_planted_family(
     seeds: list[int],
     n: int = 512,
     m: int = 512,
-    alpha: float = 8.0,
-    alpha_net: float = 2.0,
+    alpha: float = DEFAULT_ALPHA,
+    alpha_net: float = DEFAULT_ALPHA_NET,
 ) -> dict:
     """Head-to-head query growth of the two covert algorithms on planted instances.
 
@@ -312,8 +304,13 @@ def bench_planted_family(
     table's pseudo-greedy, epsnet and greedy trials on it, and reports median
     query totals plus the fitted exponent of queries in k. The explicit
     greedy size (and the exact optimum when the family is small enough) ride
-    along as references; ``all_valid`` covers every trial.
+    along as references; ``all_valid`` covers every trial. The exponents
+    need at least two distinct k values and at least one seed.
     """
+    if len(set(k_values)) < 2:
+        raise ValueError(f"need at least two distinct k values to fit an exponent, got {k_values}")
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
     # The trials read only the constants; each is called by name below.
     config = ExperimentConfig(algorithm="pseudo-greedy", seeds=list(seeds),
                               alpha=alpha, alpha_net=alpha_net)

@@ -15,54 +15,51 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 
+KINDS = ("hitting", "set", "layered")
+
+
 @dataclass
 class QueryLedger:
-    """Monotone query counters plus a per-phase breakdown."""
+    """Monotone query counts keyed by kind (``KINDS``) plus a per-phase breakdown."""
 
-    hitting_queries: int = 0
-    set_queries: int = 0
-    layered_queries: int = 0
+    counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(KINDS, 0))
     phase_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
+    def hitting_queries(self) -> int:
+        return self.counts["hitting"]
+
+    @property
+    def set_queries(self) -> int:
+        return self.counts["set"]
+
+    @property
+    def layered_queries(self) -> int:
+        return self.counts["layered"]
+
+    @property
     def total(self) -> int:
-        return self.hitting_queries + self.set_queries + self.layered_queries
+        return sum(self.counts.values())
 
     def record(self, kind: str, phase: str) -> None:
-        if kind == "hitting":
-            self.hitting_queries += 1
-        elif kind == "set":
-            self.set_queries += 1
-        elif kind == "layered":
-            self.layered_queries += 1
-        else:
+        if kind not in self.counts:
             raise ValueError(f"unknown query kind {kind!r}")
-        bucket = self.phase_counts.setdefault(
-            phase, {"hitting": 0, "set": 0, "layered": 0}
-        )
-        bucket[kind] += 1
+        self.counts[kind] += 1
+        self.phase_counts.setdefault(phase, dict.fromkeys(KINDS, 0))[kind] += 1
 
     def snapshot(self) -> "QueryLedger":
         """Value copy, detached from future updates."""
         return QueryLedger(
-            hitting_queries=self.hitting_queries,
-            set_queries=self.set_queries,
-            layered_queries=self.layered_queries,
+            counts=dict(self.counts),
             phase_counts={k: dict(v) for k, v in self.phase_counts.items()},
         )
 
     def delta_since(self, earlier: "QueryLedger") -> dict[str, int]:
-        return {
-            "hitting": self.hitting_queries - earlier.hitting_queries,
-            "set": self.set_queries - earlier.set_queries,
-            "layered": self.layered_queries - earlier.layered_queries,
-        }
+        return {kind: self.counts[kind] - earlier.counts[kind] for kind in KINDS}
 
     def to_json_dict(self) -> dict:
         return {
-            "hitting_queries": self.hitting_queries,
-            "set_queries": self.set_queries,
-            "layered_queries": self.layered_queries,
+            **{f"{kind}_queries": count for kind, count in self.counts.items()},
             "total": self.total,
             "phases": {k: dict(v) for k, v in sorted(self.phase_counts.items())},
         }

@@ -239,14 +239,11 @@ def run_pseudo_greedy(
         n_elements=n_prime, n_total=n_prime + m_prime,
         alpha=alpha, rng_seed=rng_seed,
     )
-    failed = witness is not None
-    # A finished base case covers its whole residue; a failed one covers none of it.
-    covered = frozenset(range(1, n_prime + 1)) - (uncovered if failed else set())
     return CoverResult(
-        cover=Cover(set_indices=tuple(chosen), covered=covered),
+        cover=Cover(set_indices=tuple(chosen)),
         rounds=rounds,
         ledger=oracle.ledger_snapshot(),
         base_case_entered=any(r.base_case for r in rounds),
-        failed=failed,
+        failed=witness is not None,
         uncovered_element=witness,
     )

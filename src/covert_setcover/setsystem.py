@@ -119,10 +119,9 @@ def from_json_dict(doc: dict) -> SetSystem:
 
 @dataclass(frozen=True)
 class Cover:
-    """A chosen sub-family: set indices in selection order plus their union."""
+    """A chosen sub-family: set indices in selection order."""
 
     set_indices: tuple[int, ...]
-    covered: frozenset[int]
 
     def __len__(self) -> int:
         return len(self.set_indices)
@@ -135,8 +134,7 @@ class Cover:
         for s in idx:
             if not 1 <= s <= system.n_sets:
                 raise InvalidCoverError(f"set index {s} outside [1, {system.n_sets}]")
-        covered = frozenset().union(*(system.members(s) for s in idx)) if idx else frozenset()
-        return cls(set_indices=idx, covered=covered)
+        return cls(set_indices=idx)
 
 
 def verify_cover(system: SetSystem, cover: Cover | Iterable[int]) -> bool:
@@ -198,26 +196,23 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     return Cover.from_indices(system, chosen)
 
 
-def brute_force_min_cover(system: SetSystem, cap: int = BRUTE_FORCE_SET_CAP) -> Cover:
+def brute_force_min_cover(system: SetSystem) -> Cover:
     """Exact minimum cover by subset enumeration, smallest size first.
 
     Among minimum covers, returns the lexicographically smallest index
-    sequence. Refuses instances with more than ``cap`` sets (default 20;
-    2^20 subsets is the tractability line at desk scale).
+    sequence. Refuses instances with more than BRUTE_FORCE_SET_CAP sets
+    (20; 2^20 subsets is the tractability line at desk scale).
     """
     m = system.n_sets
-    if m > cap:
+    if m > BRUTE_FORCE_SET_CAP:
         raise BruteForceCapExceededError(
-            f"{m} sets exceeds the brute-force cap of {cap}"
+            f"{m} sets exceeds the brute-force cap of {BRUTE_FORCE_SET_CAP}"
         )
+    for e, containing in enumerate(system.element_to_sets, start=1):
+        if not containing:
+            raise UncoverableInstanceError(e)
     masks = [_mask(members) for members in system.sets]
     universe_mask = (1 << system.universe_size) - 1
-    full = 0
-    for mk in masks:
-        full |= mk
-    if full != universe_mask:
-        missing = _lowest_missing(full, system.universe_size)
-        raise UncoverableInstanceError(missing)
     for size in range(1, m + 1):
         for combo in combinations(range(1, m + 1), size):
             acc = 0
@@ -233,13 +228,6 @@ def _mask(members: frozenset[int]) -> int:
     for e in members:
         mk |= 1 << (e - 1)
     return mk
-
-
-def _lowest_missing(mask: int, universe_size: int) -> int:
-    for e in range(1, universe_size + 1):
-        if not (mask >> (e - 1)) & 1:
-            return e
-    raise AssertionError("no missing element")
 
 
 def apportioned_weights(system: SetSystem, cover: Cover) -> dict[int, Fraction]:

@@ -1,8 +1,10 @@
+import argparse
 import json
+import math
 
 import pytest
 
-from covert_setcover.cli import main
+from covert_setcover.cli import _emit, main
 
 
 def run_cli(capsys, *argv):
@@ -155,8 +157,23 @@ class TestMalformedInput:
             (["setcover", "--algo", "epsnet", "--alpha-net", "0"], "alpha_net must be finite"),
             (["gen-graph", "--model", "er-connected", "--n", "6", "--p", "0"],
              "no connected sample"),
+            (["gen-sets", "--model", "uniform-random", "--n", "4", "--m", "2",
+              "--density", "nan"], "density must be a number in [0, 1]"),
+            (["bench", "--k", "1"], "at least two distinct k values"),
+            (["bench", "--k", ",,"], "at least two distinct k values"),
+            (["bench", "--trials", "0"], "seeds must be nonempty"),
+            (["bench", "--trials", "-1"], "seeds must be nonempty"),
+            (["lemma-test", "--alpha", "inf"], "alpha must be finite and positive"),
+            (["lemma-test", "--alpha", "nan"], "alpha must be finite and positive"),
+            (["lemma-test", "--log2-n", "nan"], "log2_n_total must be finite and positive"),
+            (["lemma-test", "--log2-n", "-3"], "log2_n_total must be finite and positive"),
+            (["lemma-test", "--s", "0"], "s_i must be a positive multiple of 8"),
+            (["lemma-test", "--s", "-8"], "s_i must be a positive multiple of 8"),
         ],
-        ids=["setcover-alpha-nan", "epsnet-alpha-net-0", "gen-graph-er-p-0"],
+        ids=["setcover-alpha-nan", "epsnet-alpha-net-0", "gen-graph-er-p-0",
+             "gen-sets-density-nan", "bench-one-k", "bench-no-k", "bench-trials-0",
+             "bench-trials-negative", "lemma-alpha-inf", "lemma-alpha-nan",
+             "lemma-log2-n-nan", "lemma-log2-n-negative", "lemma-s-0", "lemma-s-negative"],
     )
     def test_bad_cover_constant(self, argv, message, instance, capsys):
         extra = ["--instance", str(instance)] if argv[0] == "setcover" else []
@@ -171,6 +188,13 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, "discover", "--graph", str(path), "--alpha", "nan")
         assert code == 1 and out == ""
         assert "alpha must be finite" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_output_is_an_error(self, fmt, capsys):
+        args = argparse.Namespace(format=fmt, out=None)
+        with pytest.raises(ValueError, match="Out of range float values"):
+            _emit({"trials": [{"ratio": math.inf}]}, args)
+        assert capsys.readouterr().out == ""
 
     def test_lemma_test_negative_trials(self, capsys):
         code, out, err = run_cli(capsys, "lemma-test", "--trials", "-1")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from covert_setcover.generators import gen_graph, gen_set_system
@@ -82,3 +84,39 @@ class TestSetModels:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown set model"):
             gen_set_system("zipf", n=10, m=4)
+
+
+class TestParameterChecks:
+    """Every parameter is type- and range-checked up front, for every model."""
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"n": 8.0, "m": 4}, "n must be an integer"),
+            ({"n": 8, "m": "4"}, "m must be an integer"),
+            ({"n": 8, "m": 4, "k": 2.0}, "k must be an integer"),
+            ({"n": 8, "m": 4, "seed": True}, "seed must be an integer"),
+            ({"n": 8, "m": 4, "density": math.nan}, "density must be a number in"),
+            ({"n": 8, "m": 4, "density": math.inf}, "density must be a number in"),
+            ({"n": 8, "m": 4, "density": "0.3"}, "density must be a number in"),
+        ],
+        ids=["float-n", "string-m", "float-k", "bool-seed", "nan-density", "inf-density",
+             "string-density"],
+    )
+    def test_set_system(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            gen_set_system("uniform-random", **params)
+
+    @pytest.mark.parametrize(
+        "model, params, message",
+        [
+            ("path", {"n": 4.0}, "n must be an integer"),
+            ("grid", {"rows": 2, "cols": "3"}, "cols must be an integer"),
+            ("er-connected", {"n": 6, "p": math.nan}, "p must be a number in"),
+            ("er-connected", {"n": 6, "p": 1.5}, "p must be a number in"),
+        ],
+        ids=["float-n", "string-cols", "nan-p", "p-above-one"],
+    )
+    def test_graph(self, model, params, message):
+        with pytest.raises(ValueError, match=message):
+            gen_graph(model, **params)

@@ -80,11 +80,11 @@ ER_8 = {"kind": "generate", "model": "er-connected", "n": 8, "p": 0.3, "seed": 2
 @pytest.mark.parametrize(
     "algorithm, expected",
     [
-        ("pseudo-greedy", "68fcb0cfc111643a6e2f70200bfc3ceb416f568d53c7dca4f7daa0b0fc95c2c9"),
-        ("epsnet", "d336f594bddac549a7712187227692c04577e87bf9b7d0057cd5232f646a100b"),
-        ("greedy", "67abda6ecafd12e622a66836efb2c3bc79c65c7b8ff7197ed059fb522276c268"),
-        ("bruteforce", "9e9853910fa72e43ffaf71726cdf6ba7b90f80d84515c65119eb93f9e40988a0"),
-        ("discover", "78d42e8a4934e1e5979651d0d209e1d0223382b5874a9c1614115103bbce0d8a"),
+        ("pseudo-greedy", "80ba6c82492fa69d4ff399490c54202f36827ac7d4bd93fcc6ae1cb699942565"),
+        ("epsnet", "4bf0a856ce25aafc5a169b0040ee9509232a5a66664e6a11b7c3bb091e9bde14"),
+        ("greedy", "9882cb0adf49ee0e0e8d609562d52c7fdc234131fa51eea341da1a04de0b5118"),
+        ("bruteforce", "3f893b5a018cc2ed4a238b11a6383bdc5cbbf19fb54a083b97f8c253a747e408"),
+        ("discover", "748610991ba799bf8cc33d73157aed7f01d8e323071f5002b186b125d079f162"),
     ],
 )
 def test_experiment_report(algorithm, expected):

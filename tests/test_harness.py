@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 
@@ -118,6 +119,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="'kk'"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("n", ["32", 32.0], ids=["string-n", "float-n"])
+    def test_generator_source_with_non_integer_value(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            resolve_system(planted_source(n=n))
+
 
 class TestConcentration:
     def test_reference_rates(self):
@@ -134,6 +140,20 @@ class TestConcentration:
         with pytest.raises(ValueError):
             sampling_concentration_test(8.0, 20.0, 1001, 10)
 
+    @pytest.mark.parametrize(
+        "alpha, log2_n, s_i, message",
+        [
+            (math.inf, 20.0, 1024, "alpha must be finite and positive"),
+            (8.0, math.nan, 1024, "log2_n_total must be finite and positive"),
+            (8.0, -3.0, 1024, "log2_n_total must be finite and positive"),
+            (8.0, 20.0, 0, "s_i must be a positive multiple of 8"),
+        ],
+        ids=["alpha-inf", "log2-n-nan", "log2-n-negative", "s-zero"],
+    )
+    def test_constants_must_be_in_range(self, alpha, log2_n, s_i, message):
+        with pytest.raises(ValueError, match=message):
+            sampling_concentration_test(alpha, log2_n, s_i, 10)
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_must_be_positive(self, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -145,6 +165,19 @@ class TestBench:
         ks = [1, 2, 4, 8]
         assert fitted_query_exponent(ks, [10 * k**2 for k in ks]) == pytest.approx(2.0)
         assert fitted_query_exponent(ks, [10 * k for k in ks]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "k_values, seeds, message",
+        [
+            ([1], [0], "at least two distinct k values"),
+            ([2, 2], [0], "at least two distinct k values"),
+            ([1, 2], [], "seeds must be nonempty"),
+        ],
+        ids=["one-k", "repeated-k", "no-seeds"],
+    )
+    def test_rejects_what_cannot_fit_an_exponent(self, k_values, seeds, message):
+        with pytest.raises(ValueError, match=message):
+            bench_planted_family(k_values, seeds=seeds, n=64, m=16)
 
     def test_small_family_smoke(self):
         report = bench_planted_family([1, 2], seeds=[0, 1], n=64, m=16)

@@ -1,14 +1,18 @@
 """Every library name the benchmark under ``perfbench/`` reads must still exist.
 
-The traced run wraps the ``tracing.WRAPPED`` names and the workloads call the
-``workloads.Lib.NAMES`` entry points; a refactor that drops or renames one
-of them would otherwise only show up as an absent wrapper in a benchmark run.
+The traced run wraps the ``tracing.WRAPPED`` names, the workloads call the
+``workloads.Lib.NAMES`` entry points and read fields of the results; a
+refactor that drops or renames one of them would otherwise only show up in a
+benchmark run, as an absent wrapper or a changed digest.
 """
 
 import importlib
 import os
 
 import pytest
+
+import covert_setcover as cs
+from covert_setcover.generators import gen_graph, gen_set_system
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -35,3 +39,29 @@ def test_workload_entry_points_are_reachable(perfbench):
     _, workloads = perfbench
     lib = workloads.Lib()
     assert all(callable(getattr(lib, name)) for name in workloads.Lib.NAMES)
+
+
+def test_result_attributes_the_workloads_read(perfbench):
+    # workloads._trace reads round fields with getattr(r, f, None), so a dropped
+    # field would change the benchmark digest instead of failing.
+    _, workloads = perfbench
+    system, _ = gen_set_system("planted-cover", n=64, m=16, seed=1, k=2)
+    greedy = cs.run_pseudo_greedy(cs.CovertOracle(system), rng_seed=1)
+    epsnet = cs.run_weighted_epsilon_net(cs.CovertOracle(system), rng_seed=1)
+    graph = gen_graph("er-connected", n=8, p=0.3, seed=2)
+    discovery = cs.run_network_discovery(cs.LayeredGraphOracle(graph), rng_seed=1)
+    ledger_fields = ("hitting_queries", "set_queries", "layered_queries", "phase_counts", "total")
+    read = [
+        *((r, workloads.ROUND_FIELDS) for r in greedy.rounds + discovery.rounds),
+        *((g, workloads.GUESS_FIELDS) for g in epsnet.rounds),
+        *((result.ledger, ledger_fields) for result in (greedy, epsnet, discovery)),
+        *((result.cover, ("set_indices",)) for result in (greedy, epsnet)),
+        (discovery, ("statuses", "edges", "query_set")),
+    ]
+    missing = [
+        f"{type(obj).__name__}.{name}" for obj, names in read for name in names
+        if not hasattr(obj, name)
+    ]
+    assert missing == []
+    assert len(greedy.cover) == len(greedy.cover.set_indices)
+    assert len(epsnet.cover) == len(epsnet.cover.set_indices)
