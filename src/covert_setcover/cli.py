@@ -154,7 +154,7 @@ def _cmd_discover(args) -> dict:
         doc = result.to_json_dict(competitive_ratio=record.get("competitive_ratio"))
         doc["seed"] = record["seed"]
         trials.append(doc)
-    if args.trials == 1:
+    if args.trials == 1 and args.format == "json":
         return trials[0]
     return {"graph": args.graph, "trials": trials}
 

@@ -105,7 +105,8 @@ class CovertOracle(MeteredOracle):
     Algorithms should treat the hidden system as unreachable except through
     :meth:`hitting_query` and :meth:`set_query`; tests audit that covert
     runs only ever use set indices that appeared in some logged answer.
-    Queries are logged with kind "hit" or "set".
+    Queries are logged with kind "hit" or "set". An answer is the hidden
+    system's stored increasing tuple itself, returned with no sort or copy.
     """
 
     @property
@@ -124,7 +125,7 @@ class CovertOracle(MeteredOracle):
             raise ValueError(
                 f"element {e} outside [1, {self._hidden.universe_size}]"
             )
-        answer = tuple(sorted(self._hidden.sets_containing(e)))
+        answer = self._hidden.element_to_sets[e - 1]
         self._charge("hitting", "hit", e, answer)
         return answer
 
@@ -132,6 +133,6 @@ class CovertOracle(MeteredOracle):
         """All elements of set ``s``. Charges one set query."""
         if not 1 <= s <= self._hidden.n_sets:
             raise ValueError(f"set index {s} outside [1, {self._hidden.n_sets}]")
-        answer = tuple(sorted(self._hidden.members(s)))
+        answer = self._hidden.sets[s - 1]
         self._charge("set", "set", s, answer)
         return answer

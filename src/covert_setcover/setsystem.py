@@ -32,30 +32,21 @@ BRUTE_FORCE_SET_CAP = 20
 class SetSystem:
     """A ground set of ``universe_size`` elements plus an indexed family of subsets.
 
-    ``sets[i]`` holds the members of set ``i + 1``; ``element_to_sets[e - 1]``
-    holds the indices of the sets containing element ``e`` (the exact inverse
-    of ``sets``). Both are immutable after construction, so a system can be
-    shared read-only between concurrent trials.
+    ``sets[i]`` holds the members of set ``i + 1`` in increasing order;
+    ``element_to_sets[e - 1]`` holds the indices of the sets containing element
+    ``e`` in increasing order (the exact inverse of ``sets``). Both are tuples
+    of tuples, built once and never changed, so an oracle can hand out a stored
+    tuple as its answer and a system can be shared read-only between
+    concurrent trials.
     """
 
     universe_size: int
-    sets: tuple[frozenset[int], ...]
-    element_to_sets: tuple[frozenset[int], ...]
+    sets: tuple[tuple[int, ...], ...]
+    element_to_sets: tuple[tuple[int, ...], ...]
 
     @property
     def n_sets(self) -> int:
         return len(self.sets)
-
-    def members(self, s: int) -> frozenset[int]:
-        """Elements of set ``s`` (1-indexed)."""
-        return self.sets[s - 1]
-
-    def sets_containing(self, e: int) -> frozenset[int]:
-        """Indices of the sets containing element ``e`` (1-indexed)."""
-        return self.element_to_sets[e - 1]
-
-    def universe(self) -> frozenset[int]:
-        return frozenset(range(1, self.universe_size + 1))
 
 
 def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSystem:
@@ -69,24 +60,25 @@ def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSy
         raise ValueError(f"universe_size must be an integer >= 1, got {universe_size!r}")
     if len(sets) == 0:
         raise ValueError("empty set family")
-    frozen = []
+    rows = []
     for idx, members in enumerate(sets, start=1):
-        fs = frozenset(members)
-        for e in fs:
+        unique = set(members)
+        for e in unique:
             if not (type(e) is int and 1 <= e <= universe_size):
                 raise ValueError(
                     f"set {idx} contains element {e!r} outside [1, {universe_size}]"
                     " or not an integer"
                 )
-        frozen.append(fs)
+        rows.append(tuple(sorted(unique)))
+    # Sets are visited in index order, so each inverse list comes out sorted.
     containing: list[list[int]] = [[] for _ in range(universe_size)]
-    for idx, fs in enumerate(frozen, start=1):
-        for e in fs:
+    for idx, row in enumerate(rows, start=1):
+        for e in row:
             containing[e - 1].append(idx)
     return SetSystem(
         universe_size=universe_size,
-        sets=tuple(frozen),
-        element_to_sets=tuple(frozenset(lst) for lst in containing),
+        sets=tuple(rows),
+        element_to_sets=tuple(map(tuple, containing)),
     )
 
 
@@ -94,7 +86,7 @@ def to_json_dict(system: SetSystem, meta: dict | None = None) -> dict:
     """Serialize to the interchange form {"universe_size": ..., "sets": [[...], ...]}."""
     doc = {
         "universe_size": system.universe_size,
-        "sets": [sorted(members) for members in system.sets],
+        "sets": [list(members) for members in system.sets],
     }
     if meta is not None:
         doc["meta"] = meta
@@ -142,7 +134,7 @@ def verify_cover(system: SetSystem, cover: Cover | Iterable[int]) -> bool:
     indices = cover.set_indices if isinstance(cover, Cover) else tuple(cover)
     covered: set[int] = set()
     for s in indices:
-        covered |= system.members(s)
+        covered.update(system.sets[s - 1])
     return len(covered) == system.universe_size
 
 
@@ -188,7 +180,7 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
         # The first set number whose count is >= need.
         s = next(compress(numbers, map(need.__le__, counts)))
         chosen.append(s)
-        new = sets[s - 1] & uncovered
+        new = uncovered.intersection(sets[s - 1])
         uncovered -= new
         for e in new:
             for t in containing[e - 1]:
@@ -223,7 +215,7 @@ def brute_force_min_cover(system: SetSystem) -> Cover:
     raise AssertionError("unreachable: full-family union covers the universe")
 
 
-def _mask(members: frozenset[int]) -> int:
+def _mask(members: Iterable[int]) -> int:
     mk = 0
     for e in members:
         mk |= 1 << (e - 1)
@@ -245,7 +237,7 @@ def apportioned_weights(system: SetSystem, cover: Cover) -> dict[int, Fraction]:
     for s in cover.set_indices:
         if not 1 <= s <= system.n_sets:
             raise InvalidCoverError(f"set index {s} outside [1, {system.n_sets}]")
-        new = system.members(s) - seen
+        new = set(system.sets[s - 1]).difference(seen)
         if not new:
             raise InvalidCoverError(f"set {s} covers no new element at its turn")
         share = Fraction(1, len(new))
@@ -253,7 +245,7 @@ def apportioned_weights(system: SetSystem, cover: Cover) -> dict[int, Fraction]:
             weights[e] = share
         seen.update(new)
     if len(seen) != system.universe_size:
-        missing = min(system.universe().difference(seen))
+        missing = next(e for e in range(1, system.universe_size + 1) if e not in seen)
         raise InvalidCoverError(f"cover misses element {missing}")
     return weights
 

@@ -114,7 +114,7 @@ def test_criterion_3_pseudo_greedy_validity_at_scale():
         # exactly the runs whose union falls short of the universe.
         union = set()
         for s in result.cover.set_indices:
-            union |= system.members(s)
+            union.update(system.sets[s - 1])
         truly_valid = len(union) == system.universe_size
         valid += truly_valid
         if not truly_valid and post_hoc_valid:

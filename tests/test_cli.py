@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 
@@ -107,6 +109,16 @@ class TestGraphCommands:
         doc = json.loads(out)
         assert doc["edges"] == [[1, 2], [1, 3], [3, 4], [3, 5], [4, 6], [5, 6]]
         assert doc["competitive_ratio"] >= 1.0
+
+    def test_discover_csv_single_trial(self, graph_file, capsys):
+        # At the default --trials 1 a CSV report still gets one row per trial.
+        code, out, err = run_cli(capsys, "discover", "--graph", str(graph_file),
+                                 "--seed", "3", "--format", "csv")
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 1
+        assert rows[0]["seed"] == "3"
+        assert json.loads(rows[0]["edges"]) == [[1, 2], [1, 3], [3, 4], [3, 5], [4, 6], [5, 6]]
 
     def test_disconnected_graph_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ The greedy digests pin the picks of ``greedy_cover`` on one sparse instance.
 The experiment-path digests pin what the harness and the CLI report: a
 ``run_experiment`` report without its timestamp and runtimes, a
 ``bench_planted_family`` report, and the stdout bytes of ``covertsc
-discover``. A refactor that changes any of them must say why and update the
+discover`` and of ``covertsc gen-sets`` (an instance file). A refactor that changes any of them must say why and update the
 value here.
 """
 
@@ -117,3 +117,13 @@ def test_cli_discover_stdout(trials, expected, tmp_path, monkeypatch, capsys):
     (tmp_path / "g.json").write_text(json.dumps(graph_to_json_dict(graph)))
     assert main(["discover", "--graph", "g.json", "--seed", "3", "--trials", trials]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
+def test_cli_gen_sets_stdout(capsys):
+    # The instance file a generated system serializes to, byte for byte.
+    argv = ["gen-sets", "--model", "planted-cover", "--n", "300", "--m", "200", "--k", "4", "--seed", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a98066f692cf41611869ef6fd59eb0f0b805c017abb68f4f95333fb30953983f"
+    )

@@ -1,9 +1,12 @@
+import hashlib
 import io
 import json
 import random
 
 import pytest
 
+from covert_setcover.epsnet import run_weighted_epsilon_net
+from covert_setcover.generators import gen_set_system
 from covert_setcover.oracle import CovertOracle, QueryLedger
 from covert_setcover.pseudo_greedy import run_pseudo_greedy
 from covert_setcover.setsystem import build_set_system
@@ -62,6 +65,27 @@ class TestAnswers:
                 containing = oracle.hitting_query(e)
                 for s in range(1, system.n_sets + 1):
                     assert (s in containing) == (e in oracle.set_query(s))
+
+
+class TestStoredAnswers:
+    """An answer is the hidden system's stored tuple: no sort and no copy."""
+
+    def test_answers_are_the_stored_tuples(self):
+        system, _ = random_system(random.Random(5))
+        oracle = CovertOracle(system)
+        for e in range(1, system.universe_size + 1):
+            assert oracle.hitting_query(e) is system.element_to_sets[e - 1]
+        for s in range(1, system.n_sets + 1):
+            assert oracle.set_query(s) is system.sets[s - 1]
+
+    def test_planted_512_query_log(self):
+        # Pins every answer, in order, of a pseudo-greedy and an epsnet run.
+        system, _ = gen_set_system("planted-cover", n=512, m=512, seed=1, k=4)
+        stream = io.StringIO()
+        run_pseudo_greedy(CovertOracle(system, log_stream=stream), alpha=8.0, rng_seed=1)
+        run_weighted_epsilon_net(CovertOracle(system, log_stream=stream), alpha_net=2.0, rng_seed=1)
+        digest = hashlib.sha256(stream.getvalue().encode()).hexdigest()
+        assert digest == "7c579800c0b53f96de08032977072fcad73b5ddd021337627b127392fbdd86a6"
 
 
 class TestLedger:

@@ -29,9 +29,28 @@ from strategies import coverable_families, families, random_system
 class TestBuild:
     def test_inverse_index(self):
         system = build_set_system([[1, 2], [2, 3]], 3)
-        assert system.sets_containing(2) == {1, 2}
-        assert system.sets_containing(1) == {1}
-        assert system.sets_containing(3) == {2}
+        assert system.element_to_sets == ((1,), (1, 2), (2,))
+        assert system.sets == ((1, 2), (2, 3))
+
+    def test_sets_stored_sorted_without_duplicates(self):
+        system = build_set_system([[3, 1, 3], [2]], 3)
+        assert system.sets == ((1, 3), (2,))
+        assert system.element_to_sets == ((1,), (2,), (1,))
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_layout_is_increasing_and_exactly_inverse(self, data):
+        n = data.draw(st.integers(1, 20))
+        raw = data.draw(st.lists(st.lists(st.integers(1, n)), min_size=1, max_size=8))
+        system = build_set_system(raw, n)
+        assert system.sets == tuple(tuple(sorted(set(members))) for members in raw)
+        assert len(system.element_to_sets) == n
+        for row in system.sets + system.element_to_sets:
+            assert type(row) is tuple
+            assert all(a < b for a, b in zip(row, row[1:]))
+        by_set = {(s, e) for s, row in enumerate(system.sets, start=1) for e in row}
+        by_element = {(s, e) for e, row in enumerate(system.element_to_sets, start=1) for s in row}
+        assert by_set == by_element
 
     def test_singleton(self):
         system = build_set_system([[1]], 1)
@@ -73,9 +92,11 @@ class TestBuild:
         rng = random.Random(7)
         for _ in range(20):
             system, _ = random_system(rng)
+            for row in system.sets + system.element_to_sets:
+                assert list(row) == sorted(set(row))
             for e in range(1, system.universe_size + 1):
                 for s in range(1, system.n_sets + 1):
-                    assert (s in system.sets_containing(e)) == (e in system.members(s))
+                    assert (s in system.element_to_sets[e - 1]) == (e in system.sets[s - 1])
 
     def test_json_round_trip(self):
         system, _ = random_system(random.Random(3))
