@@ -29,7 +29,7 @@ from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 from .errors import UncoverableInstanceError
 from .oracle import CovertOracle, MeteredOracle
 from .results import CoverResult, RoundState
-from .setsystem import Cover, build_set_system, greedy_cover
+from .setsystem import Cover, SetSystem, build_set_system, greedy_cover
 
 DEFAULT_ALPHA = 8.0
 
@@ -113,31 +113,21 @@ def sequential_filter(
 def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable]) -> list[int]:
     """Reconstruct the residual instance and finish it with explicit greedy.
 
-    Issues exactly one probe per remaining element (all of them, even if an
-    early answer already dooms the instance, so the ledger stays
-    reconstructible from the trace), rebuilds the residual sub-instance over
-    the sets the residue touches, in canonical set order, runs the classic
-    greedy cover on it and maps its picks back to set indices. A set the
-    residue misses holds no uncovered element, so greedy would never pick
-    it. Raises :class:`UncoverableInstanceError` naming the smallest element
-    contained in no set.
+    Issues exactly one probe per remaining element in sorted order (all of
+    them, even if an early answer dooms the instance, so the ledger stays
+    reconstructible from the trace). The answers are the residue's inverse
+    index: their dual (the answers as sets over set indices) with its two
+    directions swapped is the residue system under the real set indices; a
+    set the residue misses has an empty row. Raises
+    :class:`UncoverableInstanceError` naming the smallest element in no set.
     """
     order = sorted(uncovered)
-    residual: dict[int, set[int]] = {}
-    orphan = None
-    for e in order:
-        containing = probe(e)
-        if not containing and orphan is None:
-            orphan = e
-        for s in containing:
-            residual.setdefault(s, set()).add(e)
-    if orphan is not None:
-        raise UncoverableInstanceError(orphan)
-    relabel = {e: i for i, e in enumerate(order, start=1)}
-    touched = sorted(residual)
-    sub_sets = [[relabel[e] for e in residual[s]] for s in touched]
-    sub_system = build_set_system(sub_sets, universe_size=len(order))
-    return [touched[j - 1] for j in greedy_cover(sub_system, theta=1.0).set_indices]
+    answers = [probe(e) for e in order]
+    if not all(answers):
+        raise UncoverableInstanceError(next(e for e, a in zip(order, answers) if not a))
+    dual = build_set_system(answers, universe_size=max(chain.from_iterable(answers)))
+    residue = SetSystem(len(order), sets=dual.element_to_sets, element_to_sets=dual.sets)
+    return list(greedy_cover(residue, theta=1.0).set_indices)
 
 
 def sampled_greedy(

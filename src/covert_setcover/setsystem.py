@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,6 +27,7 @@ from .errors import (
 )
 
 BRUTE_FORCE_SET_CAP = 20
+_INT_ONLY = frozenset({int})
 
 
 @dataclass(frozen=True)
@@ -62,14 +64,22 @@ def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSy
         raise ValueError("empty set family")
     rows = []
     for idx, members in enumerate(sets, start=1):
-        unique = set(members)
+        # A strictly increasing int row is kept as is; a bad row is checked in set(members) order.
+        row = tuple(members)
+        if _INT_ONLY.issuperset(map(type, row)):
+            if not all(map(lt, row, islice(row, 1, None))):
+                row = tuple(sorted(set(row)))
+            if not row or (row[0] >= 1 and row[-1] <= universe_size):
+                rows.append(row)
+                continue
+        unique = set(members if isinstance(members, (set, frozenset)) else row)
         for e in unique:
             if not (type(e) is int and 1 <= e <= universe_size):
                 raise ValueError(
                     f"set {idx} contains element {e!r} outside [1, {universe_size}]"
                     " or not an integer"
                 )
-        rows.append(tuple(sorted(unique)))
+        rows.append(tuple(sorted(unique)))  # a non-int equal to a kept int: True in [1, True]
     # Sets are visited in index order, so each inverse list comes out sorted.
     containing: list[list[int]] = [[] for _ in range(universe_size)]
     for idx, row in enumerate(rows, start=1):
@@ -124,16 +134,22 @@ class Cover:
         if len(idx) != len(set(idx)):
             raise InvalidCoverError(f"duplicate set indices in {idx}")
         for s in idx:
-            if not 1 <= s <= system.n_sets:
-                raise InvalidCoverError(f"set index {s} outside [1, {system.n_sets}]")
+            _check_index(system, s)
         return cls(set_indices=idx)
 
 
+def _check_index(system: SetSystem, s) -> None:
+    """Reject a set index that is not an ``int`` in [1, m] (a bool, a float, 0 or -1)."""
+    if not (type(s) is int and 1 <= s <= system.n_sets):
+        raise InvalidCoverError(f"set index {s!r} outside [1, {system.n_sets}] or not an integer")
+
+
 def verify_cover(system: SetSystem, cover: Cover | Iterable[int]) -> bool:
-    """True iff the union of the listed sets equals the universe."""
+    """True iff the listed sets cover the universe; a bad set index raises InvalidCoverError."""
     indices = cover.set_indices if isinstance(cover, Cover) else tuple(cover)
     covered: set[int] = set()
     for s in indices:
+        _check_index(system, s)
         covered.update(system.sets[s - 1])
     return len(covered) == system.universe_size
 
@@ -235,8 +251,7 @@ def apportioned_weights(system: SetSystem, cover: Cover) -> dict[int, Fraction]:
     weights: dict[int, Fraction] = {}
     seen: set[int] = set()
     for s in cover.set_indices:
-        if not 1 <= s <= system.n_sets:
-            raise InvalidCoverError(f"set index {s} outside [1, {system.n_sets}]")
+        _check_index(system, s)
         new = set(system.sets[s - 1]).difference(seen)
         if not new:
             raise InvalidCoverError(f"set {s} covers no new element at its turn")

@@ -9,6 +9,8 @@ import math
 from collections import deque
 from itertools import combinations
 
+from covert_setcover.errors import UncoverableInstanceError
+
 
 def exhaustive_min_cover(sets, n):
     """Minimum cover by checking every subfamily, smallest subsets first.
@@ -67,6 +69,57 @@ def naive_greedy(sets, n, theta):
         picks.append(j + 1)
         uncovered -= family[j]
     return picks, None
+
+
+def naive_build(sets, n):
+    """Rows and inverse of a family by set, sort and loop, the layout ``build_set_system`` must give.
+
+    Each row is set(members) checked element by element, then sorted; the
+    inverse is filled by visiting the rows in index order. Returns
+    (sets, element_to_sets) as tuples of tuples, or raises ``ValueError``
+    with the message ``build_set_system`` must raise for the same input.
+    """
+    rows = []
+    for idx, members in enumerate(sets, start=1):
+        unique = set(members)
+        for e in unique:
+            if not (type(e) is int and 1 <= e <= n):
+                raise ValueError(
+                    f"set {idx} contains element {e!r} outside [1, {n}] or not an integer"
+                )
+        rows.append(tuple(sorted(unique)))
+    containing = [[] for _ in range(n)]
+    for idx, row in enumerate(rows, start=1):
+        for e in row:
+            containing[e - 1].append(idx)
+    return tuple(rows), tuple(map(tuple, containing))
+
+
+def naive_base_case(probe, uncovered):
+    """The residue rebuilt through a dict of sets and finished by ``naive_greedy``.
+
+    Probes every element of ``uncovered`` in sorted order, collects each
+    touched set's residue elements, renumbers the elements 1..n_i in order
+    and the touched sets in index order, runs the recounting greedy at theta
+    1 and maps its picks back to set indices. Raises
+    ``UncoverableInstanceError`` naming the smallest element no answer holds,
+    after every probe.
+    """
+    order = sorted(uncovered)
+    residual = {}
+    orphan = None
+    for e in order:
+        containing = probe(e)
+        if not containing and orphan is None:
+            orphan = e
+        for s in containing:
+            residual.setdefault(s, set()).add(e)
+    if orphan is not None:
+        raise UncoverableInstanceError(orphan)
+    relabel = {e: i for i, e in enumerate(order, start=1)}
+    touched = sorted(residual)
+    picks, _ = naive_greedy([[relabel[e] for e in residual[s]] for s in touched], len(order), 1.0)
+    return [touched[j - 1] for j in picks]
 
 
 def bfs_levels(n, edges, source):

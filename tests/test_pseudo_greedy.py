@@ -19,7 +19,7 @@ from covert_setcover.pseudo_greedy import (
 from covert_setcover.generators import gen_set_system
 from covert_setcover.setsystem import build_set_system, greedy_cover, harmonic, verify_cover
 
-from oracles import exhaustive_min_cover, full_info_cover_trace, naive_greedy
+from oracles import exhaustive_min_cover, full_info_cover_trace, naive_base_case, naive_greedy
 from strategies import coverable_families, families, random_system
 
 
@@ -180,6 +180,52 @@ class TestBaseCase:
             base_case_explicit(oracle.hitting_query, {1, 2, 3, 4})
         assert err.value.element == 1
         assert oracle.ledger.hitting_queries == 4
+
+    @settings(max_examples=150)
+    @given(family=families(max_n=16, max_m=10), frozen=st.booleans(), data=st.data())
+    def test_matches_naive_base_case(self, family, frozen, data):
+        # Tuple answers are the oracle's stored rows; frozenset answers are how
+        # network discovery's probe returns a hitting set.
+        n, sets = family
+        residue = data.draw(st.sets(st.integers(1, n), min_size=1))
+        oracle = CovertOracle(build_set_system(sets, n))
+        probed = []
+
+        def probe(e):
+            probed.append(e)
+            answer = oracle.hitting_query(e)
+            return frozenset(answer) if frozen else answer
+
+        outcomes = []
+        for run in (base_case_explicit, naive_base_case):
+            probed.clear()
+            try:
+                outcomes.append(("picks", run(probe, residue)))
+            except UncoverableInstanceError as exc:
+                outcomes.append(("orphan", exc.element))
+            assert probed == sorted(residue)
+        assert outcomes[0] == outcomes[1]
+
+    def test_smallest_orphan_raised_after_every_probe(self):
+        # Elements 1, 2 and 4 are in no set; 1 is probed first.
+        oracle = CovertOracle(build_set_system([[3], [5, 6]], 6))
+        calls = []
+
+        def probe(e):
+            calls.append(e)
+            return oracle.hitting_query(e)
+
+        for run in (base_case_explicit, naive_base_case):
+            calls.clear()
+            with pytest.raises(UncoverableInstanceError) as err:
+                run(probe, {6, 5, 4, 3, 2, 1})
+            assert err.value.element == 1
+            assert calls == [1, 2, 3, 4, 5, 6]
+
+    def test_picks_are_real_set_indices_past_the_last_touched_set(self):
+        # Sets 1 and 2 miss the residue {3, 4}; set 4 is never touched.
+        oracle = CovertOracle(build_set_system([[1], [2], [3, 4], [1, 2]], 4))
+        assert base_case_explicit(oracle.hitting_query, {3, 4}) == [3]
 
 
 class TestRun:

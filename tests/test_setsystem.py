@@ -22,8 +22,48 @@ from covert_setcover.setsystem import (
     verify_cover,
 )
 
-from oracles import coverage_order, exhaustive_min_cover, naive_greedy
+from oracles import coverage_order, exhaustive_min_cover, naive_build, naive_greedy
 from strategies import coverable_families, families, random_system
+
+# Each row is rebuilt per call, so a one-shot generator is fresh for both builders.
+CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "frozenset": frozenset,
+    "generator": lambda values: (v for v in values),
+}
+SHAPES = {
+    "as-drawn": lambda values: values,
+    "sorted": lambda values: sorted(set(values)),
+    "descending": lambda values: sorted(set(values), reverse=True),
+    "duplicated": lambda values: sorted(values + values),
+    "empty": lambda values: [],
+}
+
+
+def _outcome(build, rows, n):
+    """(sets, element_to_sets) of a build, or the message of its ValueError."""
+    try:
+        built = build(rows, n)
+    except ValueError as exc:
+        return str(exc)
+    return built if isinstance(built, tuple) else (built.sets, built.element_to_sets)
+
+
+@st.composite
+def shaped_rows(draw, bad_values=()):
+    """(n, [(container, values)]): rows in every shape and container, optionally with bad elements."""
+    n = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        values = SHAPES[draw(st.sampled_from(sorted(SHAPES)))](
+            draw(st.lists(st.integers(1, n), max_size=8))
+        )
+        if bad_values:
+            for bad in draw(st.lists(st.sampled_from(bad_values), max_size=2)):
+                values.insert(draw(st.integers(0, len(values))), bad)
+        rows.append((draw(st.sampled_from(sorted(CONTAINERS))), values))
+    return n, rows
 
 
 class TestBuild:
@@ -51,6 +91,49 @@ class TestBuild:
         by_set = {(s, e) for s, row in enumerate(system.sets, start=1) for e in row}
         by_element = {(s, e) for e, row in enumerate(system.element_to_sets, start=1) for s in row}
         assert by_set == by_element
+
+    @settings(max_examples=200)
+    @given(case=shaped_rows())
+    def test_matches_naive_build(self, case):
+        n, rows = case
+        built = build_set_system([CONTAINERS[kind](values) for kind, values in rows], n)
+        expected = naive_build([CONTAINERS[kind](values) for kind, values in rows], n)
+        assert (built.sets, built.element_to_sets) == expected
+
+    @settings(max_examples=200)
+    @given(case=shaped_rows(bad_values=(True, False, 2.0, 1.0, "a", 0, -1, 99, None)))
+    def test_bad_elements_match_naive_build(self, case):
+        # Either both builds give the same layout (a bad value equal to a kept
+        # int, as True in [1, True], is dropped by the de-duplication), or
+        # both raise a ValueError naming the same element.
+        n, rows = case
+        built = _outcome(build_set_system, [CONTAINERS[kind](v) for kind, v in rows], n)
+        assert built == _outcome(naive_build, [CONTAINERS[kind](v) for kind, v in rows], n)
+
+    @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+    @pytest.mark.parametrize(
+        "row",
+        [[True], [2.0, 1], ["a"], [0, 2], [2, 4], [1, "a"], ["a", 3, 1], [2.5, 10, 3], [1, True],
+         [3, 2, 2.0]],
+        ids=["true", "float", "string", "zero", "n-plus-1", "mixed", "mixed-unsorted", "two-bad",
+             "true-after-1", "float-after-2"],
+    )
+    def test_bad_element_outcome_matches_naive_build(self, row, kind):
+        # A mixed row must not escape as a TypeError from sorting "a" against an int.
+        # As a frozenset, "two-bad" lists 2.5 before 10, a tuple copy's set the other
+        # way. De-duplication keeps the first of two equal values, so the last two
+        # rows build: [1, True] as (1,), [3, 2, 2.0] as (2, 3).
+        rows = [[1, 2], row]
+        built = _outcome(build_set_system, [CONTAINERS[kind](r) for r in rows], 3)
+        assert built == _outcome(naive_build, [CONTAINERS[kind](r) for r in rows], 3)
+
+    def test_increasing_tuple_row_is_stored_as_is(self):
+        increasing, unsorted, empty = (1, 3, 5), (4, 2), ()
+        system = build_set_system([increasing, unsorted, empty, [2, 5]], 5)
+        assert system.sets[0] is increasing
+        assert system.sets[1] == (2, 4) and system.sets[1] is not unsorted
+        assert system.sets[2] == ()
+        assert system.sets[3] == (2, 5)
 
     def test_singleton(self):
         system = build_set_system([[1]], 1)
@@ -233,6 +316,20 @@ class TestVerify:
         system = build_set_system([[1, 2], [2, 3]], 3)
         with pytest.raises(InvalidCoverError):
             Cover.from_indices(system, [1, 1])
+
+    @pytest.mark.parametrize(
+        "index", [0, -1, 3, 1.0, True], ids=["zero", "negative", "above-m", "float", "bool"]
+    )
+    def test_bad_index_rejected(self, index):
+        # 0 and -1 used to wrap to the last set, m + 1 raised IndexError and 1.0 TypeError.
+        system = build_set_system([[1], [1, 2]], 2)
+        for cover in ([index], Cover(set_indices=(index,)), [2, index]):
+            with pytest.raises(InvalidCoverError, match=f"set index {index!r} outside"):
+                verify_cover(system, cover)
+        with pytest.raises(InvalidCoverError, match=f"set index {index!r} outside"):
+            Cover.from_indices(system, [index])
+        with pytest.raises(InvalidCoverError, match=f"set index {index!r} outside"):
+            apportioned_weights(system, Cover(set_indices=(index,)))
 
 
 class TestApportionment:
