@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,6 +26,8 @@ DEFAULT_ALPHA_NET = 2.0
 # The fixed constants of the candidate size and the per-guess iteration budget.
 NET_SIZE_CONST = 4.0
 ITER_CAP_CONST = 4.0
+# The first window of find_uncovered; a typical missed element lies below it.
+_FIRST_WINDOW = 64
 
 
 @dataclass
@@ -55,13 +58,28 @@ def sample_weighted_net(
 def find_uncovered(
     candidate: Sequence[int], contents: Mapping[int, Sequence[int]], universe_size: int
 ) -> int | None:
-    """Smallest element the candidate misses, or None if it covers everything."""
-    covered: set[int] = set()
-    for s in candidate:
-        covered.update(contents[s])
-    for e in range(1, universe_size + 1):
-        if e not in covered:
-            return e
+    """Smallest element the candidate misses, or None if it covers everything.
+
+    Each row ``contents[s]`` must be strictly increasing with elements in
+    1..universe_size, as every oracle answer is. The test reads only a
+    growing prefix of each row: it unions the rows' elements in the window
+    (lo, hi], starting from (0, 64], and returns the window's first gap if
+    fewer than hi - lo elements are covered; otherwise the window moves to
+    (hi, 4 * hi], capped at ``universe_size``. Each element is unioned at
+    most once, and None comes only after the whole range is covered.
+    """
+    rows = [contents[s] for s in candidate]
+    starts = [0] * len(rows)
+    lo, hi = 0, min(_FIRST_WINDOW, universe_size)
+    while lo < hi:
+        covered: set[int] = set()
+        for i, row in enumerate(rows):
+            start = starts[i]
+            starts[i] = end = bisect_right(row, hi, start)
+            covered.update(row[start:end])
+        if len(covered) < hi - lo:
+            return next(e for e in range(lo + 1, hi + 1) if e not in covered)
+        lo, hi = hi, min(4 * hi, universe_size)
     return None
 
 

@@ -45,7 +45,10 @@ class QueryLedger:
         if kind not in self.counts:
             raise ValueError(f"unknown query kind {kind!r}")
         self.counts[kind] += 1
-        self.phase_counts.setdefault(phase, dict.fromkeys(KINDS, 0))[kind] += 1
+        per_phase = self.phase_counts.get(phase)
+        if per_phase is None:
+            per_phase = self.phase_counts[phase] = dict.fromkeys(KINDS, 0)
+        per_phase[kind] += 1
 
     def snapshot(self) -> "QueryLedger":
         """Value copy, detached from future updates."""
@@ -121,6 +124,9 @@ class CovertOracle(MeteredOracle):
 
     def hitting_query(self, e: int) -> tuple[int, ...]:
         """All set indices containing element ``e``. Charges one hitting query."""
+        if type(e) is not int:
+            # True == 1 and 2.0 == 2 pass the range check, so test the type first.
+            raise ValueError(f"element {e!r} is not an integer")
         if not 1 <= e <= self._hidden.universe_size:
             raise ValueError(
                 f"element {e} outside [1, {self._hidden.universe_size}]"
@@ -131,6 +137,8 @@ class CovertOracle(MeteredOracle):
 
     def set_query(self, s: int) -> tuple[int, ...]:
         """All elements of set ``s``. Charges one set query."""
+        if type(s) is not int:
+            raise ValueError(f"set index {s!r} is not an integer")
         if not 1 <= s <= self._hidden.n_sets:
             raise ValueError(f"set index {s} outside [1, {self._hidden.n_sets}]")
         answer = self._hidden.sets[s - 1]

@@ -122,6 +122,21 @@ def naive_base_case(probe, uncovered):
     return [touched[j - 1] for j in picks]
 
 
+def naive_find_uncovered(candidate, contents, n):
+    """Smallest element of 1..n that no candidate row holds, by union and scan.
+
+    Reads every row whole, the rule ``find_uncovered`` must follow with
+    less reading. Returns None when the rows cover 1..n.
+    """
+    covered = set()
+    for s in candidate:
+        covered.update(contents[s])
+    for e in range(1, n + 1):
+        if e not in covered:
+            return e
+    return None
+
+
 def bfs_levels(n, edges, source):
     """Hop distances from source over an undirected edge list."""
     adj = {v: set() for v in range(1, n + 1)}

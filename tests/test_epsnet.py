@@ -1,7 +1,11 @@
 import math
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covert_setcover.epsnet import (
     WeightedFamily,
@@ -16,6 +20,57 @@ from covert_setcover.errors import UncoverableInstanceError
 from covert_setcover.generators import gen_set_system
 from covert_setcover.oracle import CovertOracle
 from covert_setcover.setsystem import build_set_system, verify_cover
+
+from oracles import naive_find_uncovered
+
+
+def rows_missing(n, missing, n_rows, rng):
+    """``n_rows`` increasing rows whose union is 1..n less ``missing``.
+
+    Each other element lands in between one and ``n_rows`` of the rows.
+    """
+    rows = [[] for _ in range(n_rows)]
+    for e in range(1, n + 1):
+        if e not in missing:
+            for r in rng.sample(range(n_rows), rng.randint(1, n_rows)):
+                rows[r].append(e)
+    return {s: tuple(row) for s, row in enumerate(rows, start=1)}
+
+
+@st.composite
+def coverage_cases(draw):
+    """(candidate, contents, n): increasing rows over 1..n, often missing a window edge.
+
+    The candidate may repeat sets, leave some out or be empty.
+    """
+    n = draw(st.sampled_from([1, 63, 64, 65, 256, 257, 1100]) | st.integers(1, 1100))
+    # Both sides of find_uncovered's window edges 64 and 256, and the ends of 1..n.
+    edges = [e for e in (1, 64, 65, 256, 257, n) if e <= n]
+    missing = draw(st.sets(st.sampled_from(edges) | st.integers(1, n), max_size=3))
+    n_rows = draw(st.integers(1, 5))
+    contents = rows_missing(n, missing, n_rows, random.Random(draw(st.integers(0, 2**32))))
+    candidate = draw(st.lists(st.sampled_from(sorted(contents)), max_size=8))
+    if draw(st.booleans()):
+        candidate += sorted(contents)
+    return candidate, contents, n
+
+
+class ReadRecorder(Sequence):
+    """An increasing row that records every index read, by item or by slice."""
+
+    def __init__(self, items):
+        self.items = tuple(items)
+        self.read = set()
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.read.update(range(len(self.items))[i])
+        else:
+            self.read.add(range(len(self.items))[i])
+        return self.items[i]
 
 
 class TestWeights:
@@ -97,6 +152,39 @@ class TestFindUncovered:
 
     def test_empty_candidate(self):
         assert find_uncovered([], {}, 3) == 1
+
+    @pytest.mark.parametrize(
+        "n, gap",
+        [(1, 1), (1, None), (40, 1), (40, 40), (63, None), (64, 64), (64, None), (65, 64),
+         (65, 65), (65, None), (300, 256), (300, 257), (257, 257), (1100, 1025),
+         (1100, 1100), (4096, 4096), (4096, None)],
+    )
+    def test_gap_at_window_edges(self, n, gap):
+        contents = rows_missing(n, {gap}, 3, random.Random(n))
+        candidate = [2, 1, 3, 1]
+        assert find_uncovered(candidate, contents, n) == gap
+        assert naive_find_uncovered(candidate, contents, n) == gap
+
+    @settings(max_examples=150)
+    @given(case=coverage_cases())
+    @example(case=([], {}, 100))
+    def test_matches_union_and_scan(self, case):
+        candidate, contents, n = case
+        assert find_uncovered(candidate, contents, n) == naive_find_uncovered(
+            candidate, contents, n
+        )
+
+    @pytest.mark.parametrize("gap, window_end, passes", [(10, 64, 1), (64, 64, 1),
+                                                          (65, 256, 2), (256, 256, 2)])
+    def test_reads_stop_at_the_gap_window(self, gap, window_end, passes):
+        # Past the window that holds the gap, a row may be read only by the
+        # binary search's probes, one search per window passed.
+        rows = rows_missing(4096, {gap}, 5, random.Random(gap))
+        contents = {s: ReadRecorder(row) for s, row in rows.items()}
+        assert find_uncovered(list(contents), contents, 4096) == gap
+        for row in contents.values():
+            beyond = {i for i in row.read if i >= bisect_right(row.items, window_end)}
+            assert len(beyond) <= passes * len(row).bit_length()
 
 
 class TestRun:

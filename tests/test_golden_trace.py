@@ -16,7 +16,13 @@ import json
 
 import pytest
 
-from covert_setcover import CovertOracle, LayeredGraphOracle, run_network_discovery, run_pseudo_greedy
+from covert_setcover import (
+    CovertOracle,
+    LayeredGraphOracle,
+    run_network_discovery,
+    run_pseudo_greedy,
+    run_weighted_epsilon_net,
+)
 from covert_setcover.cli import main
 from covert_setcover.generators import gen_graph, gen_set_system
 from covert_setcover.graphs import graph_to_json_dict
@@ -36,6 +42,14 @@ def test_pseudo_greedy_planted_512():
     system, _ = gen_set_system("planted-cover", n=512, m=512, seed=1, k=4)
     result = run_pseudo_greedy(CovertOracle(system), alpha=8.0, rng_seed=1)
     assert _digest(result) == "fd3141ab2d2fdbff5b0cdb05bb8a0871de7a77c0de9d84ff06e4d23059fae7bd"
+
+
+def test_epsnet_planted_4096_benchmark_instance():
+    # The instance of the epsnet-planted benchmark workload; unlike the n = 32
+    # report below, its missed elements lie well past find_uncovered's first window.
+    system, _ = gen_set_system("planted-cover", n=4096, m=4096, seed=1, k=8)
+    result = run_weighted_epsilon_net(CovertOracle(system), rng_seed=1)
+    assert _digest(result) == "8a5366f16da4b4687cbdacbd85ef3370f6e40d49de2d89b4ba20ecd4e0c35ba8"
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 
 from covert_setcover.epsnet import run_weighted_epsilon_net
 from covert_setcover.generators import gen_set_system
-from covert_setcover.oracle import CovertOracle, QueryLedger
+from covert_setcover.oracle import KINDS, CovertOracle, QueryLedger
 from covert_setcover.pseudo_greedy import run_pseudo_greedy
 from covert_setcover.setsystem import build_set_system
 
@@ -50,6 +50,17 @@ class TestAnswers:
             small_oracle.hitting_query(4)
         with pytest.raises(ValueError):
             small_oracle.set_query(0)
+
+    @pytest.mark.parametrize("query", ["hitting_query", "set_query"])
+    @pytest.mark.parametrize("arg", [True, 1.0, 2.0, "1", None])
+    def test_non_integer_rejected_uncharged_and_unlogged(self, query, arg):
+        # True and 2.0 compare equal to in-range integers; neither may be answered.
+        stream = io.StringIO()
+        oracle = CovertOracle(build_set_system([[1, 2], [2, 3]], 3), log_stream=stream)
+        with pytest.raises(ValueError, match="not an integer"):
+            getattr(oracle, query)(arg)
+        assert oracle.ledger.total == 0
+        assert stream.getvalue() == ""
 
     def test_free_knowledge(self, small_oracle):
         assert small_oracle.n_elements == 3
@@ -127,6 +138,9 @@ class TestLedger:
         by_phase = sum(sum(counts.values()) for counts in ledger.phase_counts.values())
         assert by_phase == ledger.total == 3
         assert ledger.phase_counts["round-3"] == {"hitting": 1, "set": 1, "layered": 0}
+        # Phases keep first-query order; each phase's kinds keep KINDS order.
+        assert list(ledger.phase_counts) == ["init", "round-3"]
+        assert [list(counts) for counts in ledger.phase_counts.values()] == [list(KINDS)] * 2
 
     def test_delta_since(self, small_oracle):
         before = small_oracle.ledger_snapshot()
@@ -139,8 +153,10 @@ class TestLedger:
         }
 
     def test_unknown_kind_rejected(self):
+        ledger = QueryLedger()
         with pytest.raises(ValueError):
-            QueryLedger().record("bogus", "init")
+            ledger.record("bogus", "init")
+        assert ledger.phase_counts == {}
 
 
 class TestQueryLog:
