@@ -13,6 +13,8 @@ is refreshed only at round boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count, filterfalse
+from operator import ne
 from typing import IO
 
 from .oracle import MeteredOracle, QueryLedger
@@ -78,9 +80,7 @@ def hitting_set_H(
         raise ValueError(f"pair endpoints must differ, got ({u}, {v})")
     ans_u = oracle.layered_query(u)
     ans_v = oracle.layered_query(v)
-    hset = frozenset(
-        x for x, (du, dv) in enumerate(zip(ans_u.dist, ans_v.dist), start=1) if du != dv
-    )
+    hset = frozenset(compress(count(1), map(ne, ans_u.dist, ans_v.dist)))
     return hset, (ans_u, ans_v)
 
 
@@ -132,18 +132,24 @@ def run_network_discovery(
     Every query is charged, but a vertex's certificates are recorded only
     the first time an answer from it arrives: its answer never changes, so
     recording it again would change no key, value or order of ``statuses``.
+    A learned vertex reads only ``unresolved``, the pairs not yet in
+    ``statuses`` in lexicographic order. Each update rebinds it to a new
+    list, so the list a round was handed at its boundary stays unchanged.
     """
     n = oracle.n_vertices
     pairs = all_pairs(n)
     statuses: dict[Pair, bool] = {}
+    unresolved: list[Pair] = list(pairs)
     learned: set[int] = set()
 
     def learn(answer: LayeredAnswer) -> dict[Pair, bool]:
+        nonlocal unresolved
         if answer.source in learned:
             return {}
         learned.add(answer.source)
-        certified = certified_pairs(answer)
+        certified = certified_pairs(answer, unresolved)
         statuses.update(certified)
+        unresolved = list(filterfalse(certified.__contains__, unresolved))
         return certified
 
     def probe(pair: Pair) -> frozenset[int]:
@@ -158,7 +164,7 @@ def run_network_discovery(
     # x is in H(u, v) exactly when a query at x certifies {u, v}, so no
     # vertex is chosen twice: Q is the engine's pick list as it stands.
     query_set, rounds, _ = sampled_greedy(
-        oracle, lambda: [p for p in pairs if p not in statuses], probe, accept,
+        oracle, lambda: unresolved, probe, accept,
         n_elements=len(pairs), n_total=n * n, alpha=alpha, rng_seed=rng_seed,
     )
     return DiscoveryResult(

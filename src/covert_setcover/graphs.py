@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 Pair = tuple[int, int]
@@ -107,43 +109,40 @@ class LayeredAnswer:
 
 def layered_answer(graph: Graph, v: int) -> LayeredAnswer:
     """Compute the layered answer at ``v`` (offline; nothing is metered here)."""
+    if type(v) is not int:
+        raise ValueError(f"vertex {v!r} is not an integer")
     if not 1 <= v <= graph.n:
         raise ValueError(f"vertex {v} outside [1, {graph.n}]")
     dist = [-1] * graph.n
     dist[v - 1] = 0
+    edges: list[Pair] = []
     queue = deque([v])
     while queue:
         u = queue.popleft()
+        next_level = dist[u - 1] + 1
         for w in graph.adjacency[u - 1]:
             if dist[w - 1] < 0:
-                dist[w - 1] = dist[u - 1] + 1
+                dist[w - 1] = next_level
                 queue.append(w)
-    edges = frozenset(
-        (u, w)
-        for u in range(1, graph.n + 1)
-        for w in graph.adjacency[u - 1]
-        if u < w and abs(dist[u - 1] - dist[w - 1]) == 1
-    )
-    return LayeredAnswer(source=v, dist=tuple(dist), shortest_path_edges=edges)
+            # Each consecutive-level edge is listed once, from its lower endpoint.
+            if dist[w - 1] == next_level:
+                edges.append((u, w) if u < w else (w, u))
+    return LayeredAnswer(source=v, dist=tuple(dist), shortest_path_edges=frozenset(edges))
 
 
-def certified_pairs(answer: LayeredAnswer) -> dict[Pair, bool]:
-    """Pair statuses certified by one layered answer.
+def certified_pairs(answer: LayeredAnswer, pairs: Sequence[Pair] | None = None) -> dict[Pair, bool]:
+    """Statuses that one layered answer certifies among ``pairs`` (default :func:`all_pairs`).
 
-    Pairs at different levels are resolved: consecutive levels are an edge
-    exactly when the answer lists them, gaps of two or more levels are
-    non-edges. Equal-level pairs (including any pair of the source's
-    distance-1 neighbors) stay out of the mapping. The keys are the shared
-    tuples of :func:`all_pairs`, in the same lexicographic order.
+    Each pair at different levels maps to ``pair in shortest_path_edges``;
+    for an answer of :func:`layered_answer` that is an edge exactly at
+    consecutive levels and a non-edge across a gap of two or more. Equal-level
+    pairs (including any two distance-1 neighbors of the source) are left out.
+    The keys are the tuples of ``pairs`` themselves, in their order.
     """
-    dist = answer.dist
-    edges = answer.shortest_path_edges
-    statuses: dict[Pair, bool] = {}
-    for pair in all_pairs(len(dist)):
-        u, w = pair
-        gap = abs(dist[u - 1] - dist[w - 1])
-        if gap == 1:
-            statuses[pair] = pair in edges
-        elif gap >= 2:
-            statuses[pair] = False
-    return statuses
+    if pairs is None:
+        pairs = all_pairs(len(answer.dist))
+    level = (None, *answer.dist)
+    u_levels = map(level.__getitem__, map(itemgetter(0), pairs))
+    w_levels = map(level.__getitem__, map(itemgetter(1), pairs))
+    resolved = list(compress(pairs, map(ne, u_levels, w_levels)))
+    return dict(zip(resolved, map(answer.shortest_path_edges.__contains__, resolved)))

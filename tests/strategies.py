@@ -1,7 +1,8 @@
-"""Random set-system instances shared by the tests: a seeded builder and hypothesis strategies."""
+"""Random instances shared by the tests: a seeded set-system builder and hypothesis strategies."""
 
 from hypothesis import strategies as st
 
+from covert_setcover.graphs import Graph, all_pairs
 from covert_setcover.setsystem import build_set_system
 
 
@@ -36,3 +37,13 @@ def coverable_families(draw, max_n=24, max_m=8):
     for e in range(1, n + 1):
         sets[draw(st.integers(0, m - 1))].add(e)
     return n, sets
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree over a shuffled vertex order plus random extra edges."""
+    n = draw(st.integers(2, 9))
+    order = draw(st.permutations(range(1, n + 1)))
+    edges = [(order[draw(st.integers(0, j - 1))], order[j]) for j in range(1, n)]
+    edges += draw(st.lists(st.sampled_from(all_pairs(n)), max_size=n * (n - 1) // 2))
+    return Graph.from_edges(n, edges)

@@ -20,6 +20,7 @@ from covert_setcover.graphs import Graph, all_pairs, certified_pairs, layered_an
 from covert_setcover.setsystem import verify_cover
 
 from oracles import exhaustive_min_cover, true_pair_statuses
+from strategies import connected_graphs
 from test_graphs import G6_EDGES, random_connected_graph
 
 
@@ -110,24 +111,14 @@ class TestCertifiedPairsKeys:
                 assert key is shared[key]
 
 
-@st.composite
-def connected_graphs(draw):
-    """A random spanning tree over a shuffled vertex order plus random extra edges."""
-    n = draw(st.integers(2, 9))
-    order = draw(st.permutations(range(1, n + 1)))
-    edges = [(order[draw(st.integers(0, j - 1))], order[j]) for j in range(1, n)]
-    edges += draw(st.lists(st.sampled_from(all_pairs(n)), max_size=n * (n - 1) // 2))
-    return Graph.from_edges(n, edges)
-
-
 class TestDiscovery:
     @pytest.mark.parametrize("alpha", [2.0, 8.0], ids=["sampled-round", "base-case"])
     def test_certificates_applied_once_per_vertex(self, alpha, monkeypatch):
         sources = []
 
-        def counting(answer):
+        def counting(answer, *pairs):
             sources.append(answer.source)
-            return certified_pairs(answer)
+            return certified_pairs(answer, *pairs)
 
         monkeypatch.setattr(discovery, "certified_pairs", counting)
         graph = gen_graph("er-connected", n=20, p=0.25, seed=1)
@@ -135,6 +126,26 @@ class TestDiscovery:
         assert result.statuses == true_pair_statuses(graph.n, graph.edges())
         assert len(sources) == len(set(sources))
         assert result.ledger.layered_queries > len(sources)
+
+    @pytest.mark.parametrize("alpha", [2.0, 8.0], ids=["sampled-round", "base-case"])
+    def test_learned_vertex_reads_only_unresolved_pairs(self, alpha, monkeypatch):
+        calls = []
+
+        def recording(answer, *pairs):
+            certified = certified_pairs(answer, *pairs)
+            calls.append((list(*pairs), certified))
+            return certified
+
+        monkeypatch.setattr(discovery, "certified_pairs", recording)
+        graph = gen_graph("er-connected", n=20, p=0.25, seed=1)
+        result = run_network_discovery(LayeredGraphOracle(graph), alpha=alpha, rng_seed=1)
+        assert result.statuses == true_pair_statuses(graph.n, graph.edges())
+        assert len(calls) > 1
+        resolved = set()
+        for pairs, certified in calls:
+            # Exactly the pairs no earlier call certified, lexicographically.
+            assert pairs == [p for p in all_pairs(graph.n) if p not in resolved]
+            resolved.update(certified)
 
     @settings(max_examples=40)
     @given(graph=connected_graphs(), alpha=st.sampled_from([1.0, 2.0, 8.0]),

@@ -3,6 +3,7 @@
 Each algorithm digest is the sha256 of
 ``json.dumps(result.to_json_dict(), sort_keys=True)`` and pins the cover (or
 query set), the ledger with its per-phase split and the full round trace.
+One discovery digest also pins the insertion order of ``statuses``.
 The greedy digests pin the picks of ``greedy_cover`` on one sparse instance.
 The experiment-path digests pin what the harness and the CLI report: a
 ``run_experiment`` report without its timestamp and runtimes, a
@@ -65,6 +66,17 @@ def test_discovery_er_16(alpha, expected):
     graph = gen_graph("er-connected", n=16, p=0.25, seed=1)
     result = run_network_discovery(LayeredGraphOracle(graph), alpha=alpha, rng_seed=1)
     assert _digest(result) == expected
+
+
+def test_discovery_statuses_order_er_100():
+    # The digests above and perfbench's hash the sorted edges; this one also
+    # pins the order in which the pairs entered ``statuses``.
+    graph = gen_graph("er-connected", n=100, p=6 / 99, seed=1)
+    result = run_network_discovery(LayeredGraphOracle(graph), alpha=8.0, rng_seed=1)
+    statuses = [[u, v, s] for (u, v), s in result.statuses.items()]
+    assert _sha256([statuses, result.to_json_dict()]) == (
+        "a2445701d408b90c4dbd7cfc339dd216724be44fbcfc90cf34dcc844f931ca0f"
+    )
 
 
 def test_discovery_er_60_benchmark_instance():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covert_setcover.generators import gen_graph
 from covert_setcover.graphs import (
@@ -12,7 +14,8 @@ from covert_setcover.graphs import (
     layered_answer,
 )
 
-from oracles import bfs_levels, true_pair_statuses
+from oracles import bfs_levels, certified_by_query, true_pair_statuses
+from strategies import connected_graphs
 
 G6_EDGES = [(1, 2), (1, 3), (3, 4), (3, 5), (4, 6), (5, 6)]
 
@@ -107,6 +110,12 @@ class TestLayeredAnswer:
         with pytest.raises(ValueError):
             layered_answer(g6, 7)
 
+    @pytest.mark.parametrize("v", [True, 2.0, "1"], ids=["bool", "float", "str"])
+    def test_non_integer_vertex_rejected(self, g6, v):
+        # True == 1 and 2.0 == 2, but neither is a vertex.
+        with pytest.raises(ValueError, match="is not an integer"):
+            layered_answer(g6, v)
+
     def test_levels_match_reference_bfs(self):
         rng = random.Random(13)
         for _ in range(20):
@@ -152,3 +161,34 @@ class TestCertifiedPairs:
                 for (u, w) in truth:
                     if answer.dist[u - 1] != answer.dist[w - 1]:
                         assert (u, w) in statuses
+
+
+@st.composite
+def pair_sublists(draw, n):
+    """A lexicographic sub-list of all_pairs(n) as fresh tuples: none, one, all or a random subset."""
+    pairs = all_pairs(n)
+    kind = draw(st.sampled_from(["empty", "single", "all", "random"]))
+    if kind == "empty":
+        chosen = []
+    elif kind == "single":
+        chosen = [draw(st.sampled_from(pairs))]
+    elif kind == "all":
+        chosen = list(pairs)
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        chosen = [p for p, k in zip(pairs, keep) if k]
+    return [(u, w) for u, w in chosen]
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_certified_pairs_matches_distance_rule_on_given_pairs(data):
+    graph = data.draw(connected_graphs())
+    v = data.draw(st.integers(1, graph.n))
+    pairs = data.draw(pair_sublists(graph.n))
+    statuses = certified_pairs(layered_answer(graph, v), pairs)
+    expected = certified_by_query(graph.n, graph.edges(), v)
+    assert statuses == {p: expected[p] for p in pairs if p in expected}
+    assert list(statuses) == [p for p in pairs if p in expected]
+    passed = {id(p) for p in pairs}
+    assert all(id(key) in passed for key in statuses)
