@@ -22,11 +22,9 @@ from .results import CoverResult, RoundState
 from .setsystem import (
     Cover,
     SetSystem,
-    apportioned_weights,
     brute_force_min_cover,
     build_set_system,
     greedy_cover,
-    harmonic,
     verify_cover,
 )
 
@@ -46,13 +44,11 @@ __all__ = [
     "SetSystem",
     "UncoverableInstanceError",
     "WeightedFamily",
-    "apportioned_weights",
     "brute_force_min_cover",
     "build_set_system",
     "certified_pairs",
     "competitive_ratio",
     "greedy_cover",
-    "harmonic",
     "hitting_set_H",
     "layered_answer",
     "offline_verification",

@@ -103,23 +103,30 @@ def gen_set_system(
     Returns (system, meta); meta records the model, parameters, whether the
     family covers the universe, and for planted-cover the planted indices.
     Every parameter is checked, whatever the model.
+
+    Every model draws its elements from one ``universe = tuple(range(1, n + 1))``,
+    so the system holds one int object per element value: indexing a ``range``
+    makes a fresh 28-byte int for every value above 256, once per (set, element)
+    entry. The draws are the same as from the range: ``random.sample`` chooses
+    positions from the population's length alone and then reads
+    ``population[j]``, so the tuple yields the same values from the same
+    random stream, and every set, digest and trace is unchanged.
     """
     _require_ints(n=n, m=m, seed=seed, k=k)
     _require_probability("density", density)
     _require(n >= 1, "need n >= 1 elements")
     _require(m >= 1, "need m >= 1 sets")
+    _require(model in SET_MODELS, f"unknown set model {model!r}; choose from {SET_MODELS}")
     rng = random.Random(seed)
     meta: dict = {"model": model, "n": n, "m": m, "seed": seed}
+    universe = tuple(range(1, n + 1))
 
     if model == "uniform-random":
-        sets = [
-            [e for e in range(1, n + 1) if rng.random() < density]
-            for _ in range(m)
-        ]
+        sets = [[e for e in universe if rng.random() < density] for _ in range(m)]
         meta["density"] = density
     elif model == "planted-cover":
         _require(1 <= k <= min(n, m), "planted-cover needs 1 <= k <= min(n, m)")
-        elements = list(range(1, n + 1))
+        elements = list(universe)
         rng.shuffle(elements)
         cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
         blocks = []
@@ -129,7 +136,7 @@ def gen_set_system(
             prev = cut
         decoy_cap = max(1, n // (2 * k))
         decoys = [
-            sorted(rng.sample(range(1, n + 1), rng.randint(1, decoy_cap)))
+            sorted(rng.sample(universe, rng.randint(1, decoy_cap)))
             for _ in range(m - k)
         ]
         sets = blocks + decoys
@@ -139,14 +146,12 @@ def gen_set_system(
         planted = sorted(order.index(j) + 1 for j in range(k))
         meta["k"] = k
         meta["planted_indices"] = planted
-    elif model == "skewed":
+    else:  # skewed
         sizes = []
         for _ in range(m):
             scale = rng.randint(0, max(0, n.bit_length() - 1))
             sizes.append(max(1, n >> scale))
-        sets = [sorted(rng.sample(range(1, n + 1), size)) for size in sizes]
-    else:
-        raise ValueError(f"unknown set model {model!r}; choose from {SET_MODELS}")
+        sets = [sorted(rng.sample(universe, size)) for size in sizes]
 
     system = build_set_system(sets, universe_size=n)
     meta["coverable"] = all(system.element_to_sets)

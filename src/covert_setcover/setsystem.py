@@ -1,8 +1,7 @@
 """Explicit set-system instances and the reference cover algorithms.
 
 Everything here has full knowledge of the instance: the relaxed greedy
-cover, the exhaustive optimum, cover verification, and the per-element
-cost apportionment used to check the harmonic approximation bound.
+cover, the exhaustive optimum and cover verification.
 Covert algorithms (which see the instance only through a query oracle)
 live in :mod:`covert_setcover.pseudo_greedy` and
 :mod:`covert_setcover.epsnet`.
@@ -14,9 +13,9 @@ order of the sets is the canonical order used for every tie-break.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, islice
+from numbers import Real
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -54,25 +53,36 @@ class SetSystem:
 def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSystem:
     """Validate and build a :class:`SetSystem`, including the inverse index.
 
-    Raises ``ValueError`` if the family is empty, ``universe_size`` is not an
-    integer >= 1, or any listed element is not an integer in
-    ``[1, universe_size]`` (a float or a bool is not an element).
+    Raises ``ValueError`` if the family is empty or not a sequence, a set is
+    not an iterable of hashable values, ``universe_size`` is not an integer
+    >= 1, or any listed element is not an integer in ``[1, universe_size]``
+    (a float or a bool is not an element).
     """
     if type(universe_size) is not int or universe_size < 1:
         raise ValueError(f"universe_size must be an integer >= 1, got {universe_size!r}")
-    if len(sets) == 0:
+    try:
+        n_rows = len(sets)
+    except TypeError:
+        raise ValueError(f"the set family must be a sequence, got {sets!r}") from None
+    if n_rows == 0:
         raise ValueError("empty set family")
     rows = []
     for idx, members in enumerate(sets, start=1):
         # A strictly increasing int row is kept as is; a bad row is checked in set(members) order.
-        row = tuple(members)
+        try:
+            row = tuple(members)
+        except TypeError:
+            raise ValueError(f"set {idx} is not an iterable of elements: {members!r}") from None
         if _INT_ONLY.issuperset(map(type, row)):
             if not all(map(lt, row, islice(row, 1, None))):
                 row = tuple(sorted(set(row)))
             if not row or (row[0] >= 1 and row[-1] <= universe_size):
                 rows.append(row)
                 continue
-        unique = set(members if isinstance(members, (set, frozenset)) else row)
+        try:
+            unique = set(members if isinstance(members, (set, frozenset)) else row)
+        except TypeError:
+            raise ValueError(f"set {idx} holds an unhashable value: {row!r}") from None
         for e in unique:
             if not (type(e) is int and 1 <= e <= universe_size):
                 raise ValueError(
@@ -116,7 +126,18 @@ def from_json_dict(doc: dict) -> SetSystem:
     )
     if not well_formed:
         raise ValueError('set system "sets" must be a list of lists of integers')
-    return build_set_system(sets, doc["universe_size"])
+    n = doc["universe_size"]
+    if type(n) is int and n >= 1:
+        # json.load makes a fresh int per entry; mapping each in-range row through one
+        # shared tuple leaves one int object per element value. A row holding 0, -1 or
+        # n + 1 is passed on as it is, so build_set_system names the bad element.
+        values = tuple(range(n + 1))
+        sets = [
+            tuple(map(values.__getitem__, row)) if row and min(row) >= 1 and max(row) <= n
+            else row
+            for row in sets
+        ]
+    return build_set_system(sets, n)
 
 
 @dataclass(frozen=True)
@@ -130,12 +151,19 @@ class Cover:
 
     @classmethod
     def from_indices(cls, system: SetSystem, indices: Iterable[int]) -> "Cover":
-        idx = tuple(indices)
+        idx = _index_tuple(indices)
         if len(idx) != len(set(idx)):
             raise InvalidCoverError(f"duplicate set indices in {idx}")
         for s in idx:
             _check_index(system, s)
         return cls(set_indices=idx)
+
+
+def _index_tuple(indices) -> tuple:
+    try:
+        return tuple(indices)
+    except TypeError:
+        raise InvalidCoverError(f"set indices must be an iterable, got {indices!r}") from None
 
 
 def _check_index(system: SetSystem, s) -> None:
@@ -146,7 +174,7 @@ def _check_index(system: SetSystem, s) -> None:
 
 def verify_cover(system: SetSystem, cover: Cover | Iterable[int]) -> bool:
     """True iff the listed sets cover the universe; a bad set index raises InvalidCoverError."""
-    indices = cover.set_indices if isinstance(cover, Cover) else tuple(cover)
+    indices = cover.set_indices if isinstance(cover, Cover) else _index_tuple(cover)
     covered: set[int] = set()
     for s in indices:
         _check_index(system, s)
@@ -181,8 +209,8 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     Raises :class:`UncoverableInstanceError` naming an uncovered element if
     the family cannot cover the universe.
     """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    if not (isinstance(theta, Real) and 0.0 < theta <= 1.0):
+        raise ValueError(f"theta must be a number in (0, 1], got {theta!r}")
     sets, containing = system.sets, system.element_to_sets
     numbers = _set_numbers(len(sets))
     counts = [len(members) for members in sets]
@@ -236,35 +264,3 @@ def _mask(members: Iterable[int]) -> int:
     for e in members:
         mk |= 1 << (e - 1)
     return mk
-
-
-def apportioned_weights(system: SetSystem, cover: Cover) -> dict[int, Fraction]:
-    """Spread each set's unit cost over the elements it covers first.
-
-    Element ``e`` is charged 1/k where k is the number of elements newly
-    covered by the set that first reaches ``e`` (the set's cost-effectiveness
-    at its turn). Exact rationals, so sum(weights) == len(cover) holds with
-    no tolerance. Requires a valid cover in which every listed set covers at
-    least one new element at its turn; anything else raises
-    :class:`InvalidCoverError`.
-    """
-    weights: dict[int, Fraction] = {}
-    seen: set[int] = set()
-    for s in cover.set_indices:
-        _check_index(system, s)
-        new = set(system.sets[s - 1]).difference(seen)
-        if not new:
-            raise InvalidCoverError(f"set {s} covers no new element at its turn")
-        share = Fraction(1, len(new))
-        for e in new:
-            weights[e] = share
-        seen.update(new)
-    if len(seen) != system.universe_size:
-        missing = next(e for e in range(1, system.universe_size + 1) if e not in seen)
-        raise InvalidCoverError(f"cover misses element {missing}")
-    return weights
-
-
-def harmonic(n: int) -> Fraction:
-    """H(n) = 1 + 1/2 + ... + 1/n as an exact rational."""
-    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))

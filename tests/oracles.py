@@ -7,9 +7,10 @@ they check.
 
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
-from covert_setcover.errors import UncoverableInstanceError
+from covert_setcover.errors import InvalidCoverError, UncoverableInstanceError
 
 
 def exhaustive_min_cover(sets, n):
@@ -46,6 +47,41 @@ def coverage_order(sets, picks):
         order.extend(new)
         seen.update(new)
     return order
+
+
+def apportioned_weights(system, cover):
+    """Spread each set's unit cost over the elements it covers first.
+
+    Element ``e`` is charged 1/k where k is the number of elements newly
+    covered by the set that first reaches ``e`` (the set's cost-effectiveness
+    at its turn). Exact rationals, so sum(weights) == len(cover) holds with
+    no tolerance. Requires a valid cover in which every listed set covers at
+    least one new element at its turn; anything else, including a set index
+    that is not an ``int`` in [1, m], raises ``InvalidCoverError``.
+    """
+    weights = {}
+    seen = set()
+    for s in cover.set_indices:
+        if not (type(s) is int and 1 <= s <= system.n_sets):
+            raise InvalidCoverError(
+                f"set index {s!r} outside [1, {system.n_sets}] or not an integer"
+            )
+        new = set(system.sets[s - 1]).difference(seen)
+        if not new:
+            raise InvalidCoverError(f"set {s} covers no new element at its turn")
+        share = Fraction(1, len(new))
+        for e in new:
+            weights[e] = share
+        seen.update(new)
+    if len(seen) != system.universe_size:
+        missing = next(e for e in range(1, system.universe_size + 1) if e not in seen)
+        raise InvalidCoverError(f"cover misses element {missing}")
+    return weights
+
+
+def harmonic(n):
+    """H(n) = 1 + 1/2 + ... + 1/n as an exact rational."""
+    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
 
 def naive_greedy(sets, n, theta):

@@ -29,14 +29,12 @@ from covert_setcover.harness import (
 from covert_setcover.oracle import CovertOracle
 from covert_setcover.pseudo_greedy import run_pseudo_greedy
 from covert_setcover.setsystem import (
-    apportioned_weights,
     brute_force_min_cover,
     greedy_cover,
-    harmonic,
     verify_cover,
 )
 
-from oracles import full_info_cover_trace
+from oracles import apportioned_weights, full_info_cover_trace, harmonic
 
 G6 = Graph.from_edges(6, [(1, 2), (1, 3), (3, 4), (3, 5), (4, 6), (5, 6)])
 

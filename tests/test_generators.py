@@ -1,9 +1,10 @@
+import json
 import math
 
 import pytest
 
-from covert_setcover.generators import gen_graph, gen_set_system
-from covert_setcover.setsystem import verify_cover
+from covert_setcover.generators import SET_MODELS, gen_graph, gen_set_system
+from covert_setcover.setsystem import from_json_dict, to_json_dict, verify_cover
 
 
 class TestGraphModels:
@@ -84,6 +85,16 @@ class TestSetModels:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown set model"):
             gen_set_system("zipf", n=10, m=4)
+
+    @pytest.mark.parametrize("model", SET_MODELS)
+    def test_one_int_object_per_element(self, model):
+        # Values above 256 are not cached by CPython, so a fresh int per entry
+        # would show up as more distinct objects than elements.
+        system, _ = gen_set_system(model, n=600, m=600, seed=3, k=5, density=0.05)
+        loaded = from_json_dict(json.loads(json.dumps(to_json_dict(system))))
+        assert loaded == system
+        for built in (system, loaded):
+            assert len({id(e) for row in built.sets for e in row}) <= built.universe_size
 
 
 class TestParameterChecks:

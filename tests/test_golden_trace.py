@@ -5,6 +5,8 @@ Each algorithm digest is the sha256 of
 query set), the ledger with its per-phase split and the full round trace.
 One discovery digest also pins the insertion order of ``statuses``.
 The greedy digests pin the picks of ``greedy_cover`` on one sparse instance.
+The generator digests pin the ``to_json_dict`` form of each set model at
+n = m = 600, where the drawn elements go above CPython's small-int cache.
 The experiment-path digests pin what the harness and the CLI report: a
 ``run_experiment`` report without its timestamp and runtimes, a
 ``bench_planted_family`` report, and the stdout bytes of ``covertsc
@@ -28,7 +30,7 @@ from covert_setcover.cli import main
 from covert_setcover.generators import gen_graph, gen_set_system
 from covert_setcover.graphs import graph_to_json_dict
 from covert_setcover.harness import ExperimentConfig, bench_planted_family, run_experiment
-from covert_setcover.setsystem import greedy_cover
+from covert_setcover.setsystem import greedy_cover, to_json_dict
 
 
 def _sha256(doc) -> str:
@@ -43,6 +45,22 @@ def test_pseudo_greedy_planted_512():
     system, _ = gen_set_system("planted-cover", n=512, m=512, seed=1, k=4)
     result = run_pseudo_greedy(CovertOracle(system), alpha=8.0, rng_seed=1)
     assert _digest(result) == "fd3141ab2d2fdbff5b0cdb05bb8a0871de7a77c0de9d84ff06e4d23059fae7bd"
+
+
+@pytest.mark.parametrize(
+    "model, params, expected",
+    [
+        ("uniform-random", {"density": 0.05},
+         "5305eb07e96a62c0f8c5a5a5230c041a7becb9a43bbe5e4fe7955d457c9bf953"),
+        ("planted-cover", {"k": 5},
+         "12d93177bdd47996e204a7e524f7f32a72c0b688535a0dd054c43b55b32a18d0"),
+        ("skewed", {}, "16620dfd664b45c8a7f5c44f1061e4bfe9b6a107dc66c71216036f740278a9ae"),
+    ],
+    ids=["uniform-random", "planted-cover", "skewed"],
+)
+def test_generated_set_system_600(model, params, expected):
+    system, meta = gen_set_system(model, n=600, m=600, seed=3, **params)
+    assert _sha256(to_json_dict(system, meta)) == expected
 
 
 def test_epsnet_planted_4096_benchmark_instance():

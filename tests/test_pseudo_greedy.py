@@ -17,9 +17,15 @@ from covert_setcover.pseudo_greedy import (
     shortlist_sets,
 )
 from covert_setcover.generators import gen_set_system
-from covert_setcover.setsystem import build_set_system, greedy_cover, harmonic, verify_cover
+from covert_setcover.setsystem import build_set_system, greedy_cover, verify_cover
 
-from oracles import exhaustive_min_cover, full_info_cover_trace, naive_base_case, naive_greedy
+from oracles import (
+    exhaustive_min_cover,
+    full_info_cover_trace,
+    harmonic,
+    naive_base_case,
+    naive_greedy,
+)
 from strategies import coverable_families, families, random_system
 
 

@@ -12,17 +12,22 @@ from covert_setcover.errors import (
 )
 from covert_setcover.setsystem import (
     Cover,
-    apportioned_weights,
     brute_force_min_cover,
     build_set_system,
     from_json_dict,
     greedy_cover,
-    harmonic,
     to_json_dict,
     verify_cover,
 )
 
-from oracles import coverage_order, exhaustive_min_cover, naive_build, naive_greedy
+from oracles import (
+    apportioned_weights,
+    coverage_order,
+    exhaustive_min_cover,
+    harmonic,
+    naive_build,
+    naive_greedy,
+)
 from strategies import coverable_families, families, random_system
 
 # Each row is rebuilt per call, so a one-shot generator is fresh for both builders.
@@ -171,6 +176,13 @@ class TestBuild:
         with pytest.raises(ValueError):
             from_json_dict(doc)
 
+    @pytest.mark.parametrize("bad", [0, -1, 4], ids=["zero", "negative", "n-plus-1"])
+    def test_json_out_of_range_element_named(self, bad):
+        # In-range rows are read through a shared (0, ..., n) tuple; -1 must not wrap to n.
+        doc = {"universe_size": 3, "sets": [[1, 2], [3, bad], [bad]]}
+        with pytest.raises(ValueError, match=f"set 2 contains element {bad} outside"):
+            from_json_dict(doc)
+
     def test_inverse_is_exact(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -184,6 +196,30 @@ class TestBuild:
     def test_json_round_trip(self):
         system, _ = random_system(random.Random(3))
         assert from_json_dict(to_json_dict(system)) == system
+
+
+SMALL = build_set_system([[1, 2], [2]], 2)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: build_set_system(None, 3), ValueError),
+        (lambda: build_set_system([1, 2], 3), ValueError),
+        (lambda: build_set_system([[1], [[2]]], 3), ValueError),
+        (lambda: verify_cover(SMALL, None), InvalidCoverError),
+        (lambda: Cover.from_indices(SMALL, 1), InvalidCoverError),
+        (lambda: greedy_cover(SMALL, "a"), ValueError),
+        (lambda: greedy_cover(SMALL, None), ValueError),
+    ],
+    ids=["family-none", "rows-not-iterable", "unhashable-element", "cover-none",
+         "indices-not-iterable", "theta-string", "theta-none"],
+)
+def test_wrong_type_raises_typed_error(call, error):
+    # Each of these ended in a bare TypeError from len, tuple, set or a comparison.
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
 
 
 class TestGreedy:
