@@ -88,12 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(v)
     v.set_defaults(func=_cmd_verify)
 
-    t = sub.add_parser("lemma-test", help="sampling concentration rates for the shortlist threshold")
+    t = sub.add_parser("lemma-test", help="exact threshold-crossing rates of the round sampling")
     t.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     t.add_argument("--log2-n", type=float, default=20.0, help="log2 of the scale parameter N")
     t.add_argument("--s", type=int, default=1024, help="round scale s_i")
-    t.add_argument("--trials", type=int, default=10000)
-    t.add_argument("--seed", type=int, default=0)
     _output_flags(t)
     t.set_defaults(func=_cmd_lemma_test)
 
@@ -166,13 +164,7 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_lemma_test(args) -> dict:
-    return sampling_concentration_test(
-        alpha=args.alpha,
-        log2_n_total=args.log2_n,
-        s_i=args.s,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    return sampling_concentration_test(alpha=args.alpha, log2_n_total=args.log2_n, s_i=args.s)
 
 
 def _cmd_bench(args) -> dict:

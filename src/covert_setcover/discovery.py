@@ -179,15 +179,14 @@ def run_network_discovery(
 def verification_system(graph: Graph):
     """Explicit cover instance: all pairs as elements, per-vertex certificates as sets.
 
-    Returns (system, pair list) where pair j+1 in the system is pairs[j].
+    Element j+1 of the system is ``all_pairs(graph.n)[j]``.
     """
-    pairs = all_pairs(graph.n)
-    pair_ix = {p: j for j, p in enumerate(pairs, start=1)}
+    pair_ix = {p: j for j, p in enumerate(all_pairs(graph.n), start=1)}
     vertex_sets = [
         sorted(pair_ix[p] for p in certified_pairs(layered_answer(graph, v)))
         for v in range(1, graph.n + 1)
     ]
-    return build_set_system(vertex_sets, universe_size=len(pairs)), pairs
+    return build_set_system(vertex_sets, universe_size=len(pair_ix))
 
 
 def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], int]:
@@ -197,20 +196,16 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
     runs the classic greedy cover. Nothing here touches a ledger. Returns
     (vertex list, its size).
     """
+    if mode not in ("exact", "greedy"):
+        raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    if mode == "exact" and graph.n > EXACT_VERIFICATION_VERTEX_CAP:
+        raise ValueError(
+            f"exact verification capped at n <= {EXACT_VERIFICATION_VERTEX_CAP}, got {graph.n}"
+        )
     if graph.n < 2:
         return [], 0
-    if mode == "exact":
-        if graph.n > EXACT_VERIFICATION_VERTEX_CAP:
-            raise ValueError(
-                f"exact verification capped at n <= {EXACT_VERIFICATION_VERTEX_CAP}, got {graph.n}"
-            )
-        system, _ = verification_system(graph)
-        cover = brute_force_min_cover(system)
-    elif mode == "greedy":
-        system, _ = verification_system(graph)
-        cover = greedy_cover(system, theta=1.0)
-    else:
-        raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    system = verification_system(graph)
+    cover = brute_force_min_cover(system) if mode == "exact" else greedy_cover(system, theta=1.0)
     vertices = list(cover.set_indices)
     return vertices, len(vertices)
 

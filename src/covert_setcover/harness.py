@@ -11,12 +11,11 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-
-import numpy as np
 
 from .discovery import (
     EXACT_VERIFICATION_VERTEX_CAP,
@@ -53,10 +52,20 @@ class ExperimentConfig:
     compute_opt: bool = False
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
+        """Reject a field of the wrong type or value with a ``ValueError`` naming it."""
+        if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)):
+            raise ValueError(f"seeds must be a nonempty list of ints, got {self.seeds!r}")
+        if not isinstance(self.source, dict):
+            raise ValueError(f"source must be a dict, got {self.source!r}")
+        if not isinstance(self.compute_opt, bool):
+            raise ValueError(f"compute_opt must be a bool, got {self.compute_opt!r}")
+        for name in ("alpha", "theta", "alpha_net"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _resolve(source: dict, parse, generate):
@@ -91,14 +100,14 @@ def resolve_graph(source: dict) -> Graph:
     return _resolve(source, graph_from_json_dict, gen_graph)
 
 
-def _cover_optimum(system: SetSystem, config: ExperimentConfig) -> int | None:
+def _cover_optimum(system: SetSystem) -> int | None:
     """Exact optimum size, or None when the family is over the brute-force cap."""
     if system.n_sets > BRUTE_FORCE_SET_CAP:
         return None
     return len(brute_force_min_cover(system))
 
 
-def _discovery_optimum(graph: Graph, config: ExperimentConfig) -> int | None:
+def _discovery_optimum(graph: Graph) -> int | None:
     if graph.n > EXACT_VERIFICATION_VERTEX_CAP:
         return None
     return offline_verification(graph, mode="exact")[1]
@@ -195,7 +204,7 @@ def run_trials(config: ExperimentConfig):
     config.validate()
     resolve, optimum, trial = ALGORITHMS[config.algorithm]
     instance = resolve(config.source)
-    opt = optimum(instance, config) if config.compute_opt else None
+    opt = optimum(instance) if config.compute_opt else None
     for seed in sorted(config.seeds):
         t0 = time.perf_counter()
         record, result = trial(instance, config, seed, opt)
@@ -245,49 +254,71 @@ def _p95(values: list) -> float:
     return float(ordered[rank])
 
 
-def sampling_concentration_test(
-    alpha: float, log2_n_total: float, s_i: int, trials: int, seed: int = 0
-) -> dict:
-    """Empirical threshold-crossing rates for the round-sampling guarantee.
+def binomial_tail(size: int, p: float, threshold: float) -> float:
+    """P[Binom(size, p) >= threshold], exact up to float rounding.
 
-    Simulates the per-round Bernoulli sampling on synthetic sets of sizes
-    s_i/2, s_i, and s_i/8 and reports how often each crosses the
-    alpha*log2(N) shortlist threshold. Large sets (>= s_i/2) should cross
-    essentially always, small ones (s_i/8) essentially never. ``alpha`` and
-    ``log2_n_total`` must be finite and positive, and ``s_i`` a positive
-    multiple of 8.
+    Weights the counts in mean +- (40 sd + 40) by the pmf's ratio recurrence
+    outward from the mode and returns the weight at or above the threshold
+    over the total. Bernstein's inequality leaves under 2 * e**-60 of the
+    mass outside that window (40 sd alone can miss 2e-7 when the variance
+    is tiny), so a threshold past either end is 0 or 1 with no sum. Unlike
+    ``math.lgamma`` terms, the ratios keep full precision at any size.
+    """
+    if threshold > size:
+        return 0.0
+    k_min = math.ceil(threshold)
+    if k_min <= 0 or p >= 1.0:
+        return 1.0
+    mean = size * p
+    reach = 40.0 * math.sqrt(mean * (1.0 - p)) + 40.0
+    if k_min > mean + reach:
+        return 0.0
+    if k_min <= mean - reach:
+        return 1.0
+    lo, hi = max(0, math.floor(mean - reach)), min(size, math.ceil(mean + reach))
+    mode, odds = min(size, math.floor((size + 1) * p)), p / (1.0 - p)
+    weights = {mode: 1.0}
+    for k in range(mode, hi):
+        weights[k + 1] = weights[k] * (size - k) / (k + 1) * odds
+    for k in range(mode, lo, -1):
+        weights[k - 1] = weights[k] * k / ((size - k + 1) * odds)
+    tail = math.fsum(w for k, w in weights.items() if k >= k_min)
+    return tail / math.fsum(weights.values())
+
+
+def sampling_concentration_test(alpha: float, log2_n_total: float, s_i: int) -> dict:
+    """Exact threshold-crossing rates for the round-sampling guarantee.
+
+    A set with ``size`` uncovered elements, each sampled with the round's
+    probability p = min(1, 4*alpha*log2(N)/s_i), crosses the alpha*log2(N)
+    shortlist threshold with probability P[Binom(size, p) >= threshold].
+    Reports that tail for sizes s_i/2, s_i and s_i/8: large sets
+    (>= s_i/2) should cross essentially always, small ones (s_i/8)
+    essentially never. ``alpha`` and ``log2_n_total`` must be finite and
+    positive reals, and ``s_i`` an int and a positive multiple of 8.
     """
     for name, value in (("alpha", alpha), ("log2_n_total", log2_n_total)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-    if s_i < 8 or s_i % 8:
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not isinstance(s_i, int) or s_i < 8 or s_i % 8:
         raise ValueError(f"s_i must be a positive multiple of 8, got {s_i}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     p = min(1.0, 4.0 * alpha * log2_n_total / s_i)
     threshold = alpha * log2_n_total
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rates = {}
-    for label, size in (("half", s_i // 2), ("full", s_i), ("eighth", s_i // 8)):
-        hits = rng.binomial(size, p, size=trials)
-        rates[label] = float(np.mean(hits >= threshold))
+    sizes = (("half", s_i // 2), ("full", s_i), ("eighth", s_i // 8))
     return {
         "alpha": alpha,
         "log2_N": log2_n_total,
         "s_i": s_i,
         "p": p,
         "threshold": threshold,
-        "trials": trials,
-        "crossing_rates": rates,
+        "crossing_rates": {label: binomial_tail(size, p, threshold) for label, size in sizes},
     }
 
 
 def fitted_query_exponent(k_values: list[int], medians: list[float]) -> float:
     """Least-squares slope of log(median queries) against log(planted k)."""
-    logs_k = np.log(np.asarray(k_values, dtype=float))
-    logs_q = np.log(np.asarray(medians, dtype=float))
-    slope, _ = np.polyfit(logs_k, logs_q, 1)
-    return float(slope)
+    logs_k, logs_q = [math.log(k) for k in k_values], [math.log(q) for q in medians]
+    return statistics.linear_regression(logs_k, logs_q).slope
 
 
 def bench_planted_family(
@@ -319,7 +350,7 @@ def bench_planted_family(
         records = {"pseudo-greedy": [], "epsnet": [], "greedy": []}
         for seed in seeds:
             system, _ = gen_set_system("planted-cover", n=n, m=m, seed=seed, k=k)
-            opt = _cover_optimum(system, config)
+            opt = _cover_optimum(system)
             for name, runs in records.items():
                 _, _, trial = ALGORITHMS[name]
                 runs.append(trial(system, config, seed, opt)[0])

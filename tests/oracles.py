@@ -84,6 +84,22 @@ def harmonic(n):
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
 
+def binomial_tail_exact(size, p, threshold):
+    """P[Binom(size, p) >= threshold], summed over every count in exact integers.
+
+    With p = a / d, the pmf at k is comb(size, k) * a**k * (d - a)**(size - k)
+    over d**size; int / int true division rounds the sum once, correctly.
+    """
+    a, d = Fraction(p).as_integer_ratio()
+    total, rest = 0, 1  # rest == (d - a) ** (size - k)
+    for k in range(size, -1, -1):
+        if k < threshold:
+            break
+        total += math.comb(size, k) * a**k * rest
+        rest *= d - a
+    return total / d**size
+
+
 def naive_greedy(sets, n, theta):
     """Relaxed greedy by full recount, the rule ``greedy_cover`` must follow.
 

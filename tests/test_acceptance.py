@@ -195,9 +195,7 @@ def test_criterion_5_full_sample_degeneracy():
 
 def test_criterion_6_sampling_concentration():
     t0 = time.perf_counter()
-    stats = sampling_concentration_test(
-        alpha=8.0, log2_n_total=20.0, s_i=1024, trials=10_000, seed=0
-    )
+    stats = sampling_concentration_test(alpha=8.0, log2_n_total=20.0, s_i=1024)
     elapsed = time.perf_counter() - t0
     rates = stats["crossing_rates"]
     ok = rates["half"] >= 0.99 and rates["eighth"] <= 0.01 and elapsed < 5.0

@@ -222,7 +222,7 @@ class TestOfflineVerification:
     def test_g6_optimum_is_two(self, g6):
         vertices, size = offline_verification(g6, mode="exact")
         assert size == 2
-        system, _ = verification_system(g6)
+        system = verification_system(g6)
         assert verify_cover(system, vertices)
 
     def test_complete_graphs_need_all_but_one(self):
@@ -249,7 +249,7 @@ class TestOfflineVerification:
         rng = random.Random(83)
         for _ in range(8):
             graph = random_connected_graph(rng, rng.randint(3, 7))
-            system, _ = verification_system(graph)
+            system = verification_system(graph)
             sets = [sorted(s) for s in system.sets]
             expected = exhaustive_min_cover(sets, system.universe_size)
             _, size = offline_verification(graph, mode="exact")

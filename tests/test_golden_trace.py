@@ -144,7 +144,7 @@ def test_experiment_report(algorithm, expected):
 
 def test_bench_planted_family_report():
     report = bench_planted_family([1, 2], seeds=[0, 1], n=64, m=16)
-    assert _sha256(report) == "b837d62deae3c566609c26b2430853a3a341749d2391cb322ecc7a463bceb96f"
+    assert _sha256(report) == "c6f9e5025a68c2e70d4958bb0bef70d68dc1e5662edb01f8dd0cc67f4919b1b8"
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
 import copy
 import json
 import math
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covert_setcover.generators import gen_set_system
 from covert_setcover.harness import (
     ExperimentConfig,
     aggregate_cover_trials,
     bench_planted_family,
+    binomial_tail,
     fitted_query_exponent,
     resolve_graph,
     resolve_system,
@@ -17,11 +21,21 @@ from covert_setcover.harness import (
 )
 from covert_setcover.setsystem import to_json_dict
 
+from oracles import binomial_tail_exact
+
 
 def planted_source(**overrides):
     source = {"kind": "generate", "model": "planted-cover", "n": 32, "m": 10, "k": 3, "seed": 5}
     source.update(overrides)
     return source
+
+
+@st.composite
+def tail_cases(draw):
+    """(size, p, threshold): size <= 300, p in (0, 1] with 1.0 itself, threshold in [0, 2 size]."""
+    size = draw(st.integers(0, 300))
+    p = draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0))
+    return size, p, draw(st.floats(0.0, 2.0 * size))
 
 
 def strip_nondeterminism(report):
@@ -89,6 +103,31 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="seeds"):
             run_experiment(ExperimentConfig(algorithm="greedy", seeds=[], source=planted_source()))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("algorithm", ["greedy"]),
+            ("seeds", "12"),
+            ("seeds", (0, 1)),
+            ("seeds", [1.5]),
+            ("seeds", [True]),
+            ("source", None),
+            ("compute_opt", "yes"),
+            ("alpha", "8"),
+            ("alpha", True),
+            ("theta", "x"),
+            ("alpha_net", None),
+        ],
+        ids=["algorithm-list", "seeds-str", "seeds-tuple", "seeds-float", "seeds-bool",
+             "source-none", "compute-opt-str", "alpha-str", "alpha-bool", "theta-str",
+             "alpha-net-none"],
+    )
+    def test_config_field_of_wrong_type(self, field, value):
+        config = ExperimentConfig(algorithm="pseudo-greedy", seeds=[0], source=planted_source())
+        setattr(config, field, value)
+        with pytest.raises(ValueError, match=field if field != "algorithm" else "unknown algorithm"):
+            run_experiment(config)
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_experiment(ExperimentConfig(algorithm="magic", seeds=[1]))
@@ -127,9 +166,7 @@ class TestRunExperiment:
 
 class TestConcentration:
     def test_reference_rates(self):
-        stats = sampling_concentration_test(
-            alpha=8.0, log2_n_total=20.0, s_i=1024, trials=4000, seed=1
-        )
+        stats = sampling_concentration_test(alpha=8.0, log2_n_total=20.0, s_i=1024)
         assert stats["p"] == pytest.approx(0.625)
         assert stats["threshold"] == 160.0
         assert stats["crossing_rates"]["half"] >= 0.99
@@ -138,26 +175,39 @@ class TestConcentration:
 
     def test_s_must_be_divisible_by_eight(self):
         with pytest.raises(ValueError):
-            sampling_concentration_test(8.0, 20.0, 1001, 10)
+            sampling_concentration_test(8.0, 20.0, 1001)
 
     @pytest.mark.parametrize(
         "alpha, log2_n, s_i, message",
         [
             (math.inf, 20.0, 1024, "alpha must be finite and positive"),
+            ("8", 20.0, 1024, "alpha must be finite and positive"),
             (8.0, math.nan, 1024, "log2_n_total must be finite and positive"),
             (8.0, -3.0, 1024, "log2_n_total must be finite and positive"),
             (8.0, 20.0, 0, "s_i must be a positive multiple of 8"),
+            (8.0, 20.0, 1024.0, "s_i must be a positive multiple of 8"),
         ],
-        ids=["alpha-inf", "log2-n-nan", "log2-n-negative", "s-zero"],
+        ids=["alpha-inf", "alpha-str", "log2-n-nan", "log2-n-negative", "s-zero", "s-float"],
     )
     def test_constants_must_be_in_range(self, alpha, log2_n, s_i, message):
         with pytest.raises(ValueError, match=message):
-            sampling_concentration_test(alpha, log2_n, s_i, 10)
+            sampling_concentration_test(alpha, log2_n, s_i)
 
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_trials_must_be_positive(self, trials):
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            sampling_concentration_test(8.0, 20.0, 1024, trials)
+    @settings(max_examples=200)
+    @given(case=tail_cases())
+    # Variance so small that mean +- 40 sd holds only two counts.
+    @example(case=(300, 6.2e-4 / 300, 3.0))
+    @example(case=(300, 1 - 6.2e-4 / 300, 299.0))
+    def test_tail_matches_exact_sum(self, case):
+        size, p, threshold = case
+        expected = binomial_tail_exact(size, p, threshold)
+        assert binomial_tail(size, p, threshold) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_extreme_constants_answer_at_once(self):
+        t0 = time.perf_counter()
+        stats = sampling_concentration_test(1e9, 20.0, 2**40)
+        assert time.perf_counter() - t0 < 1.0
+        assert all(0.0 <= rate <= 1.0 for rate in stats["crossing_rates"].values())
 
 
 class TestBench:
