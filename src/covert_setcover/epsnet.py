@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import UncoverableInstanceError
+from .generators import require_run_constants
 from .oracle import CovertOracle
 from .results import CoverResult, GuessTrace
 from .setsystem import Cover
@@ -123,10 +124,10 @@ def run_weighted_epsilon_net(
     on every iteration because each coverage test is a fresh verification),
     and either return the covering candidate or double the weights along a
     missed element. Exhausting every guess, or a missed element contained in
-    no set, yields a failed result. ``alpha_net`` must be finite and positive.
+    no set, yields a failed result. ``alpha_net`` must be a finite positive
+    real and ``rng_seed`` an int.
     """
-    if not (math.isfinite(alpha_net) and alpha_net > 0):
-        raise ValueError(f"alpha_net must be finite and positive, got {alpha_net}")
+    require_run_constants(rng_seed, alpha_net=alpha_net)
     rng = random.Random(rng_seed)
     n_prime, m_prime = oracle.n_elements, oracle.n_sets
     guess_limit = 1

@@ -27,6 +27,7 @@ from itertools import chain
 from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 from .errors import UncoverableInstanceError
+from .generators import require_run_constants
 from .oracle import CovertOracle, MeteredOracle
 from .results import CoverResult, RoundState
 from .setsystem import Cover, SetSystem, build_set_system, greedy_cover
@@ -147,13 +148,12 @@ def sampled_greedy(
     s_i = min(n_elements/2^i, n_i); once s_i <= alpha*log2(n_total) the
     residue goes to :func:`base_case_explicit` and the run ends. Each round
     is labelled as a ledger phase and traced as a :class:`RoundState`.
-    ``alpha`` must be finite and positive.
+    ``alpha`` must be a finite positive real and ``rng_seed`` an int.
 
     Returns (chosen set indices in order, the round trace, the element the
     base case found in no set, or None).
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    require_run_constants(rng_seed, alpha=alpha)
     rng = random.Random(rng_seed)
     base_entry = alpha * math.log2(n_total)
     chosen: list[int] = []

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, islice
+from itertools import combinations, compress, count, islice
+from math import ceil
 from numbers import Real
 from operator import lt
 from typing import Iterable, Sequence
@@ -201,10 +202,12 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
 
     The uncovered counts are kept exactly and updated incrementally: they
     start at the set sizes, and each newly covered element decrements the
-    count of every set containing it. The updates cost O(sum of set sizes)
-    over the whole run, plus two passes over the m counts per pick (the
-    maximum, then the first set reaching the bar), instead of recounting
-    every set against the uncovered elements on every pick.
+    count of every set containing it, O(sum of set sizes) over the whole run.
+    Counts only fall, so while n_max holds, every set before the last one
+    found at n_max is below it and every set before the last pick is below
+    the bar ceil(theta * n_max) (an int count reaches theta * n_max exactly
+    when it reaches the bar). Both scans resume where they stopped; a full
+    pass over the m counts is made only when n_max falls.
 
     Raises :class:`UncoverableInstanceError` naming an uncovered element if
     the family cannot cover the universe.
@@ -213,22 +216,30 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
         raise ValueError(f"theta must be a number in (0, 1], got {theta!r}")
     sets, containing = system.sets, system.element_to_sets
     numbers = _set_numbers(len(sets))
-    counts = [len(members) for members in sets]
+    counts = [0, *map(len, sets)]  # counts[s] for set s; the pad at 0 never reaches a bar >= 1
     uncovered = set(range(1, system.universe_size + 1))
     chosen: list[int] = []
     while uncovered:
         n_max = max(counts)
         if n_max == 0:
             raise UncoverableInstanceError(min(uncovered))
-        need = theta * n_max
-        # The first set number whose count is >= need.
-        s = next(compress(numbers, map(need.__le__, counts)))
-        chosen.append(s)
-        new = uncovered.intersection(sets[s - 1])
-        uncovered -= new
-        for e in new:
-            for t in containing[e - 1]:
-                counts[t - 1] -= 1
+        bar = ceil(theta * n_max)
+        top = s = 0
+        while True:  # the picks at this n_max; covering the last element ends it too
+            try:
+                top = counts.index(n_max, top)
+            except ValueError:
+                break
+            if bar == n_max:
+                s = top
+            else:
+                s = next(compress(count(s), map(bar.__le__, islice(counts, s, None))))
+            chosen.append(numbers[s - 1])
+            new = uncovered.intersection(sets[s - 1])
+            uncovered -= new
+            for e in new:
+                for t in containing[e - 1]:
+                    counts[t] -= 1
     return Cover.from_indices(system, chosen)
 
 

@@ -181,11 +181,14 @@ class TestMalformedInput:
             (["lemma-test", "--log2-n", "-3"], "log2_n_total must be finite and positive"),
             (["lemma-test", "--s", "0"], "s_i must be a positive multiple of 8"),
             (["lemma-test", "--s", "-8"], "s_i must be a positive multiple of 8"),
+            (["lemma-test", "--alpha", "1e300", "--log2-n", "1e10"],
+             "alpha * log2_n_total must be finite"),
         ],
         ids=["setcover-alpha-nan", "epsnet-alpha-net-0", "gen-graph-er-p-0",
              "gen-sets-density-nan", "bench-one-k", "bench-no-k", "bench-trials-0",
              "bench-trials-negative", "lemma-alpha-inf", "lemma-alpha-nan",
-             "lemma-log2-n-nan", "lemma-log2-n-negative", "lemma-s-0", "lemma-s-negative"],
+             "lemma-log2-n-nan", "lemma-log2-n-negative", "lemma-s-0", "lemma-s-negative",
+             "lemma-product-overflow"],
     )
     def test_bad_cover_constant(self, argv, message, instance, capsys):
         extra = ["--instance", str(instance)] if argv[0] == "setcover" else []

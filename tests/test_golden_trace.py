@@ -4,7 +4,9 @@ Each algorithm digest is the sha256 of
 ``json.dumps(result.to_json_dict(), sort_keys=True)`` and pins the cover (or
 query set), the ledger with its per-phase split and the full round trace.
 One discovery digest also pins the insertion order of ``statuses``.
-The greedy digests pin the picks of ``greedy_cover`` on one sparse instance.
+The greedy digests pin the picks of ``greedy_cover`` on one sparse instance,
+where many picks share each largest count, and on one planted instance, where
+the largest count falls many levels between picks.
 The generator digests pin the ``to_json_dict`` form of each set model at
 n = m = 600, where the drawn elements go above CPython's small-int cache.
 The experiment-path digests pin what the harness and the CLI report: a
@@ -114,6 +116,19 @@ def test_discovery_er_60_benchmark_instance():
 def test_greedy_cover_sparse_1024_picks(theta, expected):
     # The instance of the greedy-sparse benchmark workload: 152 picks at theta 1, 192 at 0.5.
     system, _ = gen_set_system("uniform-random", n=1024, m=1024, seed=1, density=0.01)
+    assert _sha256(list(greedy_cover(system, theta=theta).set_indices)) == expected
+
+
+@pytest.mark.parametrize(
+    "theta, expected",
+    [
+        (1.0, "b17f028dd1e57bbcd1c6aee5e036bb38779ca2bd6679d193c20bf5e19406651a"),
+        (0.5, "666ebf1cb8e54d1fd7aff718149b34e5049874aa9f4842e6ddf20834603f64f9"),
+    ],
+)
+def test_greedy_cover_planted_512_picks(theta, expected):
+    # Four picks: (76, 394, 361, 48) at theta 1 and (76, 48, 361, 394) at 0.5.
+    system, _ = gen_set_system("planted-cover", n=512, m=512, k=4, seed=1)
     assert _sha256(list(greedy_cover(system, theta=theta).set_indices)) == expected
 
 

@@ -186,8 +186,11 @@ class TestConcentration:
             (8.0, -3.0, 1024, "log2_n_total must be finite and positive"),
             (8.0, 20.0, 0, "s_i must be a positive multiple of 8"),
             (8.0, 20.0, 1024.0, "s_i must be a positive multiple of 8"),
+            # Each is finite, the threshold is not: it used to reach the report as inf.
+            (1e300, 1e10, 1024, r"alpha \* log2_n_total must be finite"),
         ],
-        ids=["alpha-inf", "alpha-str", "log2-n-nan", "log2-n-negative", "s-zero", "s-float"],
+        ids=["alpha-inf", "alpha-str", "log2-n-nan", "log2-n-negative", "s-zero", "s-float",
+             "product-overflow"],
     )
     def test_constants_must_be_in_range(self, alpha, log2_n, s_i, message):
         with pytest.raises(ValueError, match=message):

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covert_setcover.discovery import LayeredGraphOracle, run_network_discovery
+from covert_setcover.epsnet import run_weighted_epsilon_net
 from covert_setcover.errors import UncoverableInstanceError
+from covert_setcover.graphs import Graph
 from covert_setcover.oracle import CovertOracle
 from covert_setcover.pseudo_greedy import (
     base_case_explicit,
@@ -240,6 +243,38 @@ class TestRun:
         oracle = CovertOracle(build_set_system([[1, 2]], 2))
         with pytest.raises(ValueError, match="alpha must be finite and positive"):
             run_pseudo_greedy(oracle, alpha=alpha)
+        assert oracle.ledger.total == 0
+
+    @pytest.mark.parametrize(
+        "entry, kwargs, message",
+        [
+            ("pseudo-greedy", {"alpha": "8"}, "alpha must be finite and positive"),
+            ("discovery", {"alpha": "8"}, "alpha must be finite and positive"),
+            ("epsnet", {"alpha_net": "2"}, "alpha_net must be finite and positive"),
+            ("pseudo-greedy", {"alpha": True}, "alpha must be finite and positive"),
+            ("pseudo-greedy", {"rng_seed": [1]}, "rng_seed must be an integer"),
+            ("discovery", {"rng_seed": [1]}, "rng_seed must be an integer"),
+            ("epsnet", {"rng_seed": [1]}, "rng_seed must be an integer"),
+            ("pseudo-greedy", {"rng_seed": True}, "rng_seed must be an integer"),
+            ("epsnet", {"rng_seed": "1"}, "rng_seed must be an integer"),
+            ("discovery", {"rng_seed": None}, "rng_seed must be an integer"),
+            ("pseudo-greedy", {"rng_seed": 1.0}, "rng_seed must be an integer"),
+        ],
+        ids=["pg-alpha-str", "discovery-alpha-str", "epsnet-alpha-net-str", "pg-alpha-bool",
+             "pg-seed-list", "discovery-seed-list", "epsnet-seed-list", "pg-seed-bool",
+             "epsnet-seed-str", "discovery-seed-none", "pg-seed-float"],
+    )
+    def test_entry_points_reject_a_wrong_type(self, entry, kwargs, message):
+        # A str seed or None would run (random.Random takes both); a list or a str alpha
+        # would end in a bare TypeError. Each is a ValueError naming the parameter.
+        if entry == "discovery":
+            oracle = LayeredGraphOracle(Graph.from_edges(3, [(1, 2), (2, 3)]))
+            run = run_network_discovery
+        else:
+            oracle = CovertOracle(build_set_system([[1, 2], [3]], 3))
+            run = run_pseudo_greedy if entry == "pseudo-greedy" else run_weighted_epsilon_net
+        with pytest.raises(ValueError, match=message):
+            run(oracle, **kwargs)
         assert oracle.ledger.total == 0
 
     def test_single_set_instance_base_cases_immediately(self):

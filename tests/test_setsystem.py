@@ -277,8 +277,18 @@ class TestGreedy:
         system, _ = random_system(random.Random(5))
         assert greedy_cover(system) == greedy_cover(system)
 
-    @settings(max_examples=150)
-    @given(family=families(), theta=st.sampled_from([1.0, 0.5, 0.25]))
+    # Wide families give runs of picks at one largest count, where greedy_cover resumes
+    # its scans; thetas next to 0 and 1 and a Fraction test the bar ceil(theta * n_max);
+    # an all-empty family must name element 1 and never pick the pad before set 1.
+    @settings(max_examples=200)
+    @given(
+        family=st.one_of(
+            families(),
+            families(max_n=80, max_m=48),
+            st.builds(lambda n, m: (n, [set()] * m), st.integers(1, 24), st.integers(1, 8)),
+        ),
+        theta=st.sampled_from([1.0, 0.5, 0.25, 1e-9, 0.999999, Fraction(2, 3)]),
+    )
     def test_matches_naive_recount(self, family, theta):
         n, sets = family
         picks, witness = naive_greedy(sets, n, theta)
