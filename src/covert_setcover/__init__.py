@@ -8,7 +8,7 @@ from .discovery import (
     offline_verification,
     run_network_discovery,
 )
-from .epsnet import WeightedFamily, run_weighted_epsilon_net
+from .epsnet import run_weighted_epsilon_net
 from .errors import (
     BruteForceCapExceededError,
     CovertSetCoverError,
@@ -43,7 +43,6 @@ __all__ = [
     "RoundState",
     "SetSystem",
     "UncoverableInstanceError",
-    "WeightedFamily",
     "brute_force_min_cover",
     "build_set_system",
     "certified_pairs",

@@ -45,6 +45,8 @@ class LayeredGraphOracle(MeteredOracle):
     query is still charged and logged like the first.
     """
 
+    hidden_type = Graph
+
     def __init__(self, hidden: Graph, log_stream: IO[str] | None = None):
         super().__init__(hidden, log_stream)
         self._answers: dict[int, LayeredAnswer] = {}
@@ -103,9 +105,9 @@ class DiscoveryResult:
         return sorted(p for p, is_edge in self.statuses.items() if not is_edge)
 
     def to_json_dict(self, competitive_ratio: float | None = None) -> dict:
+        """The report; every pair of ``all_pairs(n)`` not in its edges is a non-edge."""
         doc = {
             "edges": [list(p) for p in self.edges],
-            "non_edges": [list(p) for p in self.non_edges],
             "query_set": list(self.query_set),
             "ledger": self.ledger.to_json_dict(),
             "rounds": [r.to_json_dict() for r in self.rounds],
@@ -126,7 +128,7 @@ def run_network_discovery(
     immediately) and accepting a vertex layered-queries it once as its
     coverage update. The base case probes every remaining pair and reduces
     the residue to an explicit set cover over the vertices. N = n^2, so the
-    thresholds use 2*log2(n). Always terminates with every pair certified;
+    round threshold is 2*alpha*log2(n). Always terminates with every pair certified;
     the query set Q is the online analogue of the cover.
 
     Every query is charged, but a vertex's certificates are recorded only
@@ -137,9 +139,8 @@ def run_network_discovery(
     list, so the list a round was handed at its boundary stays unchanged.
     """
     n = oracle.n_vertices
-    pairs = all_pairs(n)
     statuses: dict[Pair, bool] = {}
-    unresolved: list[Pair] = list(pairs)
+    unresolved: list[Pair] = list(all_pairs(n))
     learned: set[int] = set()
 
     def learn(answer: LayeredAnswer) -> dict[Pair, bool]:
@@ -165,7 +166,7 @@ def run_network_discovery(
     # vertex is chosen twice: Q is the engine's pick list as it stands.
     query_set, rounds, _ = sampled_greedy(
         oracle, lambda: unresolved, probe, accept,
-        n_elements=len(pairs), n_total=n * n, alpha=alpha, rng_seed=rng_seed,
+        n_total=n * n, alpha=alpha, rng_seed=rng_seed,
     )
     return DiscoveryResult(
         statuses=statuses,
@@ -212,6 +213,6 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
 
 def competitive_ratio(result: DiscoveryResult, opt_size: int) -> float:
     """Layered queries spent online divided by the offline optimum."""
-    if opt_size < 1:
-        raise ValueError(f"opt_size must be >= 1, got {opt_size}")
+    if type(opt_size) is not int or opt_size < 1:
+        raise ValueError(f"opt_size must be an integer >= 1, got {opt_size!r}")
     return result.ledger.layered_queries / opt_size

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import UncoverableInstanceError
-from .generators import require_run_constants
+from .errors import UncoverableInstanceError, _require_ints, require_run_constants
 from .oracle import CovertOracle
 from .results import CoverResult, GuessTrace
 from .setsystem import Cover
@@ -31,45 +29,25 @@ ITER_CAP_CONST = 4.0
 _FIRST_WINDOW = 64
 
 
-@dataclass
-class WeightedFamily:
-    """Per-set positive integer weights; only ever doubled, never decreased."""
-
-    weights: list[int]
-
-    @classmethod
-    def unit(cls, m: int) -> "WeightedFamily":
-        return cls(weights=[1] * m)
-
-    def double(self, indices: Sequence[int]) -> None:
-        for s in indices:
-            self.weights[s - 1] *= 2
-
-
-def sample_weighted_net(
-    family: WeightedFamily, size: int, rng: random.Random
-) -> tuple[int, ...]:
-    """Distinct indices from ``size`` independent weight-proportional draws."""
+def sample_weighted_net(weights: list[int], size: int, rng: random.Random) -> tuple[int, ...]:
+    """Distinct indices from ``size`` independent draws; set s has weight ``weights[s - 1]``."""
     if size < 1:
         raise ValueError(f"net size must be >= 1, got {size}")
-    draws = rng.choices(range(1, len(family.weights) + 1), weights=family.weights, k=size)
+    draws = rng.choices(range(1, len(weights) + 1), weights=weights, k=size)
     return tuple(sorted(set(draws)))
 
 
-def find_uncovered(
-    candidate: Sequence[int], contents: Mapping[int, Sequence[int]], universe_size: int
-) -> int | None:
-    """Smallest element the candidate misses, or None if it covers everything.
+def find_uncovered(rows: Sequence[Sequence[int]], universe_size: int) -> int | None:
+    """Smallest element no row holds, or None if the rows cover 1..universe_size.
 
-    Each row ``contents[s]`` must be strictly increasing with elements in
-    1..universe_size, as every oracle answer is. The test reads only a
+    ``rows`` are the candidate's sets as the oracle answered them: each row
+    strictly increasing with elements in 1..universe_size. The test reads only a
     growing prefix of each row: it unions the rows' elements in the window
     (lo, hi], starting from (0, 64], and returns the window's first gap if
     fewer than hi - lo elements are covered; otherwise the window moves to
     (hi, 4 * hi], capped at ``universe_size``. Each element is unioned at
     most once, and None comes only after the whole range is covered.
     """
-    rows = [contents[s] for s in candidate]
     starts = [0] * len(rows)
     lo, hi = 0, min(_FIRST_WINDOW, universe_size)
     while lo < hi:
@@ -84,19 +62,19 @@ def find_uncovered(
     return None
 
 
-def reweight_on_miss(
-    family: WeightedFamily, x: int, oracle: CovertOracle
-) -> tuple[int, ...]:
-    """Double the weight of every set containing the missed element ``x``.
+def reweight_on_miss(weights: list[int], x: int, oracle: CovertOracle) -> tuple[int, ...]:
+    """Double, in place, ``weights[s - 1]`` for every set s containing the missed element ``x``.
 
     Issues the hitting query that identifies those sets and returns them.
-    An empty answer means ``x`` is in no set at all, so no reweighting can
-    ever cover it: raises :class:`UncoverableInstanceError`.
+    Weights only ever double, never decrease. An empty answer means ``x`` is
+    in no set at all, so no reweighting can ever cover it: raises
+    :class:`UncoverableInstanceError`.
     """
     containing = oracle.hitting_query(x)
     if not containing:
         raise UncoverableInstanceError(x)
-    family.double(containing)
+    for s in containing:
+        weights[s - 1] *= 2
     return containing
 
 
@@ -127,7 +105,8 @@ def run_weighted_epsilon_net(
     no set, yields a failed result. ``alpha_net`` must be a finite positive
     real and ``rng_seed`` an int.
     """
-    require_run_constants(rng_seed, alpha_net=alpha_net)
+    _require_ints(rng_seed=rng_seed)
+    require_run_constants(alpha_net=alpha_net)
     rng = random.Random(rng_seed)
     n_prime, m_prime = oracle.n_elements, oracle.n_sets
     guess_limit = 1
@@ -137,21 +116,20 @@ def run_weighted_epsilon_net(
     traces: list[GuessTrace] = []
     k = 1
     while True:
-        family = WeightedFamily.unit(m_prime)
+        weights = [1] * m_prime
         size = net_size(k, m_prime, alpha_net, NET_SIZE_CONST)
         cap = iteration_cap(k, m_prime, ITER_CAP_CONST)
         oracle.mark_phase(f"guess-{k}")
         before = oracle.ledger_snapshot()
         iterations, cover, witness = cap, None, None
         for iteration in range(1, cap + 1):
-            candidate = sample_weighted_net(family, size, rng)
-            contents = {s: oracle.set_query(s) for s in candidate}
-            missed = find_uncovered(candidate, contents, n_prime)
+            candidate = sample_weighted_net(weights, size, rng)
+            missed = find_uncovered([oracle.set_query(s) for s in candidate], n_prime)
             if missed is None:
                 iterations, cover = iteration, Cover(set_indices=candidate)
                 break
             try:
-                reweight_on_miss(family, missed, oracle)
+                reweight_on_miss(weights, missed, oracle)
             except UncoverableInstanceError:
                 iterations, witness = iteration, missed
                 break

@@ -1,4 +1,7 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the argument checks that raise ``ValueError``."""
+
+import math
+from numbers import Real
 
 
 class CovertSetCoverError(Exception):
@@ -19,3 +22,24 @@ class InvalidCoverError(CovertSetCoverError):
 
 class BruteForceCapExceededError(CovertSetCoverError):
     """Instance too large for exhaustive optimum search."""
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValueError(message)
+
+
+def _require_ints(**values) -> None:
+    for name, value in values.items():
+        _require(type(value) is int, f"{name} must be an integer, got {value!r}")
+
+
+def require_run_constants(**constants) -> None:
+    """Raise ``ValueError`` naming the first constant that is not a finite positive real.
+
+    A bool is not one. The algorithms check before they issue any query.
+    """
+    for name, value in constants.items():
+        real = isinstance(value, Real) and not isinstance(value, bool)
+        _require(real and math.isfinite(value) and value > 0,
+                 f"{name} must be finite and positive, got {value!r}")

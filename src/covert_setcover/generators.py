@@ -6,10 +6,9 @@ Every generator is deterministic per (model, params, seed): one
 
 from __future__ import annotations
 
-import math
 import random
-from numbers import Real
 
+from .errors import _require, _require_ints
 from .graphs import Graph, all_pairs
 from .setsystem import SetSystem, build_set_system
 
@@ -68,33 +67,10 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
     raise ValueError(f"unknown graph model {model!r}; choose from {GRAPH_MODELS}")
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _require_ints(**values) -> None:
-    for name, value in values.items():
-        _require(type(value) is int, f"{name} must be an integer, got {value!r}")
-
-
 def _require_probability(name: str, value) -> None:
     # A bool is an int, and NaN fails every comparison.
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     _require(number and 0.0 <= value <= 1.0, f"{name} must be a number in [0, 1], got {value!r}")
-
-
-def require_run_constants(rng_seed, **constants) -> None:
-    """Check an algorithm's entry: an int ``rng_seed`` and finite positive real constants.
-
-    A bool is neither a seed nor a constant. A failure raises ``ValueError``
-    naming the parameter, before the run issues any query.
-    """
-    _require_ints(rng_seed=rng_seed)
-    for name, value in constants.items():
-        real = isinstance(value, Real) and not isinstance(value, bool)
-        _require(real and math.isfinite(value) and value > 0,
-                 f"{name} must be finite and positive, got {value!r}")
 
 
 def gen_set_system(

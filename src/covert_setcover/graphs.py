@@ -10,11 +10,11 @@ always a non-edge, and pairs on the same level stay unresolved.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter, ne
-from typing import Iterable, Sequence
 
 Pair = tuple[int, int]
 
@@ -50,6 +50,8 @@ class Graph:
         """Build and validate: integer in-range endpoints, no self-loops, connected."""
         if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be an integer >= 1, got {n!r}")
+        if not isinstance(edges, Iterable):
+            raise ValueError(f"edges must be an iterable of vertex pairs, got {edges!r}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for edge in edges:
             u, v = edge

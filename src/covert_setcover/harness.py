@@ -25,6 +25,7 @@ from .discovery import (
     run_network_discovery,
 )
 from .epsnet import DEFAULT_ALPHA_NET, run_weighted_epsilon_net
+from .errors import require_run_constants
 from .generators import gen_graph, gen_set_system
 from .graphs import Graph, graph_from_json_dict
 from .oracle import CovertOracle, QueryLedger
@@ -295,18 +296,16 @@ def sampling_concentration_test(alpha: float, log2_n_total: float, s_i: int) -> 
     Reports that tail for sizes s_i/2, s_i and s_i/8: large sets
     (>= s_i/2) should cross essentially always, small ones (s_i/8)
     essentially never. ``alpha`` and ``log2_n_total`` must be finite and
-    positive reals whose product is finite, and ``s_i`` an int and a
-    positive multiple of 8.
+    positive reals, not bools, whose product is finite, and ``s_i`` an int
+    and a positive multiple of 8.
     """
-    for name, value in (("alpha", alpha), ("log2_n_total", log2_n_total)):
-        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    require_run_constants(alpha=alpha, log2_n_total=log2_n_total)
     if not isinstance(s_i, int) or s_i < 8 or s_i % 8:
         raise ValueError(f"s_i must be a positive multiple of 8, got {s_i}")
     threshold = alpha * log2_n_total
     if not math.isfinite(threshold):
         raise ValueError(f"alpha * log2_n_total must be finite, got {alpha!r} * {log2_n_total!r}")
-    p = min(1.0, 4.0 * alpha * log2_n_total / s_i)
+    p = min(1.0, 4.0 * threshold / s_i)
     sizes = (("half", s_i // 2), ("full", s_i), ("eighth", s_i // 8))
     return {
         "alpha": alpha,

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
+from .setsystem import SetSystem
 
 KINDS = ("hitting", "set", "layered")
 
@@ -75,9 +76,14 @@ class MeteredOracle:
     then calls :meth:`_charge`, so a rejected query costs nothing and leaves
     no log line. ``log_stream``, when given, receives one JSON line per
     charged query: {"kind": ..., "arg": id, "answer": [...], "phase": label}.
+    A hidden instance that is not a ``hidden_type`` raises ``ValueError``.
     """
 
+    hidden_type: type = object
+
     def __init__(self, hidden, log_stream: IO[str] | None = None):
+        if not isinstance(hidden, self.hidden_type):
+            raise ValueError(f"{type(self).__name__} cannot hide a {type(hidden).__name__}")
         self._hidden = hidden
         self.ledger = QueryLedger()
         self._phase = "init"
@@ -111,6 +117,8 @@ class CovertOracle(MeteredOracle):
     Queries are logged with kind "hit" or "set". An answer is the hidden
     system's stored increasing tuple itself, returned with no sort or copy.
     """
+
+    hidden_type = SetSystem
 
     @property
     def n_elements(self) -> int:

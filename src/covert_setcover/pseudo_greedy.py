@@ -26,8 +26,7 @@ from collections import Counter
 from itertools import chain
 from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
-from .errors import UncoverableInstanceError
-from .generators import require_run_constants
+from .errors import UncoverableInstanceError, _require_ints, require_run_constants
 from .oracle import CovertOracle, MeteredOracle
 from .results import CoverResult, RoundState
 from .setsystem import Cover, SetSystem, build_set_system, greedy_cover
@@ -42,28 +41,23 @@ Probe = Callable[[Hashable], Iterable[int]]
 Accept = Callable[[int], Iterable[Hashable]]
 
 
-def sample_probability(s_i: float, alpha: float, n_total: int) -> float:
-    """Per-element inclusion probability min(1, 4*alpha*log2(N)/s_i)."""
-    return min(1.0, 4.0 * alpha * math.log2(n_total) / s_i)
+def draw_round_sample(uncovered, s_i: float, threshold: float, rng: random.Random) -> list:
+    """Bernoulli sample of the uncovered elements at p = min(1, 4*threshold/s_i).
 
-
-def draw_round_sample(uncovered, s_i: float, alpha: float, n_total: int, rng: random.Random) -> list:
-    """Bernoulli sample of the uncovered elements at the round's probability.
-
-    Each element is included independently, so the expected sample size is
-    (4*alpha*n_i/s_i)*log2(N); when the probability clips to 1 the sample is
-    the whole population. Elements are visited in sorted order so a seeded
-    generator reproduces the sample exactly. Works on any sortable element
-    type (the discovery simulator samples vertex pairs with it).
+    With threshold = alpha*log2(N) the expected sample size is
+    (4*alpha*n_i/s_i)*log2(N); when p clips to 1 the sample is the whole
+    population. Elements are visited in sorted order so a seeded generator
+    reproduces the sample exactly. Works on any sortable element type (the
+    discovery simulator samples vertex pairs with it).
     """
-    p = sample_probability(s_i, alpha, n_total)
+    p = min(1.0, 4.0 * threshold / s_i)
     return [e for e in sorted(uncovered) if rng.random() < p]
 
 
 def shortlist_sets(
-    sample: Sequence[Hashable], probe: Probe, alpha: float, n_total: int
+    sample: Sequence[Hashable], probe: Probe, threshold: float
 ) -> tuple[list[int], dict[int, set]]:
-    """Probe every sampled element and keep the heavily hit sets.
+    """Probe every sampled element and keep the sets hit at least ``threshold`` times.
 
     Returns the shortlist in canonical order together with the tally of the
     shortlisted sets (set index -> sampled elements it contains), which the
@@ -73,7 +67,6 @@ def shortlist_sets(
     sets get their element sets (the sample has no repeats, so a count is the
     size of that set).
     """
-    threshold = alpha * math.log2(n_total)
     answers = [probe(e) for e in sample]
     counts = Counter(chain.from_iterable(answers))
     shortlist = sorted(s for s, count in counts.items() if count >= threshold)
@@ -86,20 +79,15 @@ def shortlist_sets(
 
 
 def sequential_filter(
-    shortlist: Sequence[int],
-    sample_hits: Mapping[int, set],
-    accept: Accept,
-    alpha: float,
-    n_total: int,
+    shortlist: Sequence[int], sample_hits: Mapping[int, set], accept: Accept, threshold: float
 ) -> tuple[list[int], set]:
     """Walk the shortlist in order, accepting sets that still own enough samples.
 
     A set is accepted iff its sampled elements outside those claimed by
-    earlier acceptances still number >= alpha*log2(N). Acceptance fetches the
+    earlier acceptances still number >= ``threshold``. Acceptance fetches the
     set (one charged query); the returned union of what the accepted sets
     cover costs nothing extra.
     """
-    threshold = alpha * math.log2(n_total)
     accepted: list[int] = []
     claimed: set = set()
     newly_covered: set = set()
@@ -136,7 +124,6 @@ def sampled_greedy(
     remaining: Callable[[], Collection[Hashable]],
     probe: Probe,
     accept: Accept,
-    n_elements: int,
     n_total: int,
     alpha: float,
     rng_seed: int,
@@ -145,17 +132,21 @@ def sampled_greedy(
 
     ``remaining()`` gives the uncovered elements at each round boundary;
     ``probe`` and ``accept`` are the two charged queries. Round i has scale
-    s_i = min(n_elements/2^i, n_i); once s_i <= alpha*log2(n_total) the
-    residue goes to :func:`base_case_explicit` and the run ends. Each round
-    is labelled as a ledger phase and traced as a :class:`RoundState`.
-    ``alpha`` must be a finite positive real and ``rng_seed`` an int.
+    s_i = min(n_0/2^i, n_i), n_0 = len(remaining()) at the start. One
+    threshold alpha*log2(n_total) sets every cut: the sampling rate, the
+    shortlist and filter cuts, and the base-case entry s_i <= threshold, where
+    the residue goes to :func:`base_case_explicit` and the run ends. Each
+    round is a ledger phase traced as a :class:`RoundState`. ``alpha`` must
+    be a finite positive real and ``rng_seed`` an int.
 
     Returns (chosen set indices in order, the round trace, the element the
     base case found in no set, or None).
     """
-    require_run_constants(rng_seed, alpha=alpha)
+    _require_ints(rng_seed=rng_seed)
+    require_run_constants(alpha=alpha)
     rng = random.Random(rng_seed)
-    base_entry = alpha * math.log2(n_total)
+    threshold = alpha * math.log2(n_total)
+    n_0 = len(remaining())
     chosen: list[int] = []
     rounds: list[RoundState] = []
     witness = None
@@ -163,12 +154,12 @@ def sampled_greedy(
     i = 0
     while uncovered := remaining():
         n_i = len(uncovered)
-        s_i = min(n_elements / 2**i, n_i)
+        s_i = min(n_0 / 2**i, n_i)
         before = oracle.ledger_snapshot()
         sample: list = []
         shortlist: list[int] = []
         picks: list[int] = []
-        base_case = s_i <= base_entry
+        base_case = s_i <= threshold
         if base_case:
             oracle.mark_phase("base-case")
             try:
@@ -177,11 +168,11 @@ def sampled_greedy(
                 witness = exc.element
         else:
             oracle.mark_phase(f"round-{i}")
-            sample = draw_round_sample(uncovered, s_i, alpha, n_total, rng)
+            sample = draw_round_sample(uncovered, s_i, threshold, rng)
             if sample:
-                shortlist, hits = shortlist_sets(sample, probe, alpha, n_total)
+                shortlist, hits = shortlist_sets(sample, probe, threshold)
                 if shortlist:
-                    picks, _ = sequential_filter(shortlist, hits, accept, alpha, n_total)
+                    picks, _ = sequential_filter(shortlist, hits, accept, threshold)
         rounds.append(
             RoundState(
                 i=i,
@@ -215,8 +206,7 @@ def run_pseudo_greedy(
     On an uncoverable instance the base case flags failure and the result
     carries the witness element and the partial cover accepted so far.
     """
-    n_prime, m_prime = oracle.n_elements, oracle.n_sets
-    uncovered = set(range(1, n_prime + 1))
+    uncovered = set(range(1, oracle.n_elements + 1))
 
     def accept(s: int) -> tuple[int, ...]:
         # Shrinking mid-round is safe: the round has already drawn its sample.
@@ -226,8 +216,7 @@ def run_pseudo_greedy(
 
     chosen, rounds, witness = sampled_greedy(
         oracle, lambda: uncovered, oracle.hitting_query, accept,
-        n_elements=n_prime, n_total=n_prime + m_prime,
-        alpha=alpha, rng_seed=rng_seed,
+        n_total=oracle.n_elements + oracle.n_sets, alpha=alpha, rng_seed=rng_seed,
     )
     return CoverResult(
         cover=Cover(set_indices=tuple(chosen)),

@@ -212,7 +212,7 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     Raises :class:`UncoverableInstanceError` naming an uncovered element if
     the family cannot cover the universe.
     """
-    if not (isinstance(theta, Real) and 0.0 < theta <= 1.0):
+    if not (isinstance(theta, Real) and not isinstance(theta, bool) and 0.0 < theta <= 1.0):
         raise ValueError(f"theta must be a number in (0, 1], got {theta!r}")
     sets, containing = system.sets, system.element_to_sets
     numbers = _set_numbers(len(sets))

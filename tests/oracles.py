@@ -174,6 +174,17 @@ def naive_base_case(probe, uncovered):
     return [touched[j - 1] for j in picks]
 
 
+def naive_round_sample(uncovered, s_i, alpha, n_total, rng):
+    """Bernoulli sample at the paper's rate p = min(1, 4*alpha*log2(N)/s_i).
+
+    p is computed from alpha and N as the paper writes it, the rule
+    ``draw_round_sample`` must follow from the precomputed alpha*log2(N);
+    the elements are visited in sorted order, one draw each.
+    """
+    p = min(1.0, 4.0 * alpha * math.log2(n_total) / s_i)
+    return [e for e in sorted(uncovered) if rng.random() < p]
+
+
 def naive_find_uncovered(candidate, contents, n):
     """Smallest element of 1..n that no candidate row holds, by union and scan.
 

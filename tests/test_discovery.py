@@ -214,8 +214,13 @@ class TestDiscovery:
         result = run_network_discovery(LayeredGraphOracle(g6), alpha=8.0, rng_seed=0)
         doc = result.to_json_dict(competitive_ratio=3.0)
         assert set(doc) == {
-            "edges", "non_edges", "query_set", "ledger", "rounds", "competitive_ratio",
+            "edges", "query_set", "ledger", "rounds", "competitive_ratio",
         }
+        # The non-edges are the complement of the edges over all pairs; the report
+        # leaves them out and the result still derives them.
+        assert [list(p) for p in result.non_edges] == [
+            list(p) for p in all_pairs(6) if list(p) not in doc["edges"]
+        ]
 
 
 class TestOfflineVerification:

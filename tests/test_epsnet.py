@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covert_setcover.epsnet import (
-    WeightedFamily,
     find_uncovered,
     iteration_cap,
     net_size,
@@ -75,83 +74,87 @@ class ReadRecorder(Sequence):
 
 class TestWeights:
     def test_doubling(self):
-        family = WeightedFamily.unit(3)
-        family.double([1, 3])
-        assert family.weights == [2, 1, 2]
-        assert sum(family.weights) == 5
+        # Element 3 is in sets 2 and 3: their weights double, set 1's is untouched.
+        oracle = CovertOracle(build_set_system([[1], [2, 3], [3]], 3))
+        weights = [1, 4, 2]
+        reweight_on_miss(weights, 3, oracle)
+        assert weights == [1, 8, 4]
+        assert sum(weights) == 13
 
     def test_double_twice_is_times_four(self):
-        family = WeightedFamily.unit(3)
-        family.double([2])
-        family.double([2])
-        assert family.weights[1] == 4
+        oracle = CovertOracle(build_set_system([[1], [2], [3]], 3))
+        weights = [1] * 3
+        reweight_on_miss(weights, 2, oracle)
+        reweight_on_miss(weights, 2, oracle)
+        assert weights == [1, 4, 1]
 
     def test_reweight_on_miss(self):
         system = build_set_system([[1, 2], [3], [1]], 3)
         oracle = CovertOracle(system)
-        family = WeightedFamily.unit(3)
-        doubled = reweight_on_miss(family, 1, oracle)
+        weights = [1] * 3
+        doubled = reweight_on_miss(weights, 1, oracle)
         assert doubled == (1, 3)
-        assert family.weights == [2, 1, 2]
+        assert weights == [2, 1, 2]
         assert oracle.ledger.hitting_queries == 1
 
     def test_reweight_on_orphan_element(self):
         system = build_set_system([[2]], 2)
         oracle = CovertOracle(system)
         with pytest.raises(UncoverableInstanceError) as err:
-            reweight_on_miss(WeightedFamily.unit(1), 1, oracle)
+            reweight_on_miss([1], 1, oracle)
         assert err.value.element == 1
 
     def test_total_weight_strictly_increases_per_miss(self):
         system = build_set_system([[1, 2], [2, 3], [3]], 3)
         oracle = CovertOracle(system)
-        family = WeightedFamily.unit(3)
+        weights = [1] * 3
         rng = random.Random(0)
-        last = sum(family.weights)
+        last = sum(weights)
         for _ in range(20):
             x = rng.randint(1, 3)
-            before = list(family.weights)
-            reweight_on_miss(family, x, oracle)
-            assert all(b <= a for b, a in zip(before, family.weights))
-            assert sum(family.weights) > last
-            last = sum(family.weights)
+            before = list(weights)
+            reweight_on_miss(weights, x, oracle)
+            assert all(b <= a for b, a in zip(before, weights))
+            assert sum(weights) > last
+            last = sum(weights)
 
 
 class TestNetSampling:
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError):
-            sample_weighted_net(WeightedFamily.unit(2), 0, random.Random(0))
+            sample_weighted_net([1, 1], 0, random.Random(0))
 
     def test_large_sample_collects_both_sets(self):
         # Coupon collector: 50 draws over two unit weights miss a set with
         # probability 2^-49.
         for seed in range(5):
-            picked = sample_weighted_net(WeightedFamily.unit(2), 50, random.Random(seed))
+            picked = sample_weighted_net([1, 1], 50, random.Random(seed))
             assert picked == (1, 2)
 
     def test_heavy_weight_dominates(self):
-        family = WeightedFamily(weights=[2**20, 1])
         rng = random.Random(99)
-        hits = sum(sample_weighted_net(family, 1, rng) == (1,) for _ in range(10_000))
+        hits = sum(sample_weighted_net([2**20, 1], 1, rng) == (1,) for _ in range(10_000))
         assert hits >= 9990
 
     def test_distinct_sorted_output(self):
-        family = WeightedFamily.unit(4)
-        picked = sample_weighted_net(family, 100, random.Random(1))
+        picked = sample_weighted_net([1] * 4, 100, random.Random(1))
         assert picked == tuple(sorted(set(picked)))
 
 
-class TestFindUncovered:
-    CONTENTS = {1: (1, 2), 2: (3,)}
+def rows_of(candidate, contents):
+    """The candidate's rows in candidate order, as the epsnet loop hands them over."""
+    return [contents[s] for s in candidate]
 
+
+class TestFindUncovered:
     def test_none_when_covering(self):
-        assert find_uncovered([1, 2], self.CONTENTS, 3) is None
+        assert find_uncovered([(1, 2), (3,)], 3) is None
 
     def test_smallest_missing(self):
-        assert find_uncovered([1], self.CONTENTS, 3) == 3
+        assert find_uncovered([(1, 2)], 3) == 3
 
     def test_empty_candidate(self):
-        assert find_uncovered([], {}, 3) == 1
+        assert find_uncovered([], 3) == 1
 
     @pytest.mark.parametrize(
         "n, gap",
@@ -162,7 +165,7 @@ class TestFindUncovered:
     def test_gap_at_window_edges(self, n, gap):
         contents = rows_missing(n, {gap}, 3, random.Random(n))
         candidate = [2, 1, 3, 1]
-        assert find_uncovered(candidate, contents, n) == gap
+        assert find_uncovered(rows_of(candidate, contents), n) == gap
         assert naive_find_uncovered(candidate, contents, n) == gap
 
     @settings(max_examples=150)
@@ -170,7 +173,7 @@ class TestFindUncovered:
     @example(case=([], {}, 100))
     def test_matches_union_and_scan(self, case):
         candidate, contents, n = case
-        assert find_uncovered(candidate, contents, n) == naive_find_uncovered(
+        assert find_uncovered(rows_of(candidate, contents), n) == naive_find_uncovered(
             candidate, contents, n
         )
 
@@ -180,9 +183,9 @@ class TestFindUncovered:
         # Past the window that holds the gap, a row may be read only by the
         # binary search's probes, one search per window passed.
         rows = rows_missing(4096, {gap}, 5, random.Random(gap))
-        contents = {s: ReadRecorder(row) for s, row in rows.items()}
-        assert find_uncovered(list(contents), contents, 4096) == gap
-        for row in contents.values():
+        recorders = [ReadRecorder(row) for row in rows.values()]
+        assert find_uncovered(recorders, 4096) == gap
+        for row in recorders:
             beyond = {i for i in row.read if i >= bisect_right(row.items, window_end)}
             assert len(beyond) <= passes * len(row).bit_length()
 

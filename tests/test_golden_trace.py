@@ -77,8 +77,8 @@ def test_epsnet_planted_4096_benchmark_instance():
     "alpha, expected",
     [
         # alpha 8 goes straight to the base case; alpha 2 finishes in one sampled round.
-        (8.0, "dfe5985cc0c16c0152c694f73bc105db90ef89dcbd83fce92a3837dfde2110ac"),
-        (2.0, "f336ff697507e1476ee584d6be275a3b6b89ca534533baf8c59c056134e630a7"),
+        (8.0, "07400b45439a34dc994c7ec7720ea3eee4fb5574769a63222e8767f5417f7dba"),
+        (2.0, "4274c5fb731d1af5be5709d0c242b95559503d64e2e72d62b70ad05aff2d27cf"),
     ],
     ids=["alpha8", "alpha2"],
 )
@@ -95,7 +95,7 @@ def test_discovery_statuses_order_er_100():
     result = run_network_discovery(LayeredGraphOracle(graph), alpha=8.0, rng_seed=1)
     statuses = [[u, v, s] for (u, v), s in result.statuses.items()]
     assert _sha256([statuses, result.to_json_dict()]) == (
-        "a2445701d408b90c4dbd7cfc339dd216724be44fbcfc90cf34dcc844f931ca0f"
+        "ee608b4901625ba73d6539b85129d7b76593eb22a2b22d6199483b56f48099ac"
     )
 
 
@@ -103,7 +103,7 @@ def test_discovery_er_60_benchmark_instance():
     # The instance of the discover-er benchmark workload; this seed runs one sampled round.
     graph = gen_graph("er-connected", n=60, p=0.1, seed=1)
     result = run_network_discovery(LayeredGraphOracle(graph), alpha=8.0, rng_seed=1)
-    assert _digest(result) == "bb1d9acaeb512a014be95ae41606dea62cfa005cca4faa59c2192b362cee5466"
+    assert _digest(result) == "e99909f5440358ea9fc6f911df8d7791e25303c5d8fae12e497be229bc8e03c4"
 
 
 @pytest.mark.parametrize(
@@ -165,8 +165,8 @@ def test_bench_planted_family_report():
 @pytest.mark.parametrize(
     "trials, expected",
     [
-        ("1", "bc6790ca67bad43309357e06513d1264db011c71fd9e230162d7a2bc1f750b91"),
-        ("3", "9aa4430c6f90147a879141f7d915bf5892e8694f77cee74eeeb37456aa7aad7d"),
+        ("1", "f057b7c65b817c8943b7a02f668c391232444641dab436836551cf100087392d"),
+        ("3", "4c4526eb7dfe42a0628970fb5648691fd20dd9bee6b785d01e93f7fb6fb12b5b"),
     ],
 )
 def test_cli_discover_stdout(trials, expected, tmp_path, monkeypatch, capsys):

@@ -182,6 +182,7 @@ class TestConcentration:
         [
             (math.inf, 20.0, 1024, "alpha must be finite and positive"),
             ("8", 20.0, 1024, "alpha must be finite and positive"),
+            (True, 20.0, 1024, "alpha must be finite and positive"),
             (8.0, math.nan, 1024, "log2_n_total must be finite and positive"),
             (8.0, -3.0, 1024, "log2_n_total must be finite and positive"),
             (8.0, 20.0, 0, "s_i must be a positive multiple of 8"),
@@ -189,8 +190,8 @@ class TestConcentration:
             # Each is finite, the threshold is not: it used to reach the report as inf.
             (1e300, 1e10, 1024, r"alpha \* log2_n_total must be finite"),
         ],
-        ids=["alpha-inf", "alpha-str", "log2-n-nan", "log2-n-negative", "s-zero", "s-float",
-             "product-overflow"],
+        ids=["alpha-inf", "alpha-str", "alpha-bool", "log2-n-nan", "log2-n-negative", "s-zero",
+             "s-float", "product-overflow"],
     )
     def test_constants_must_be_in_range(self, alpha, log2_n, s_i, message):
         with pytest.raises(ValueError, match=message):

@@ -65,3 +65,25 @@ def test_result_attributes_the_workloads_read(perfbench):
     assert missing == []
     assert len(greedy.cover) == len(greedy.cover.set_indices)
     assert len(epsnet.cover) == len(epsnet.cover.set_indices)
+
+
+def test_tracer_notes_still_read(perfbench):
+    # Tracer.call turns an IndexError or TypeError from a note into None, so a changed
+    # argument list or return shape would silently drop a per-layer metric.
+    tracing, _ = perfbench
+    tracer = tracing.Tracer()
+    # Two sampled rounds that accept sets, then the base case.
+    system, _ = gen_set_system("planted-cover", n=64, m=16, seed=1, k=4)
+    graph = gen_graph("er-connected", n=16, p=0.25, seed=1)
+    with tracing.Installed(tracer) as installed:
+        greedy = cs.run_pseudo_greedy(cs.CovertOracle(system), alpha=1.0, rng_seed=1)
+        cs.run_weighted_epsilon_net(cs.CovertOracle(system), rng_seed=1)
+        cs.run_network_discovery(cs.LayeredGraphOracle(graph), alpha=2.0, rng_seed=1)
+    assert installed.absent == []
+    assert greedy.base_case_entered and any(r.chosen for r in greedy.rounds if not r.base_case)
+    notes = {}
+    for name, _, _, _, _, note in tracer.spans:
+        notes.setdefault(name, []).append(note)
+    # A span that never ran counts as a dropped note too.
+    dropped = [name for name in tracing.NOTES if None in notes.get(name, [None])]
+    assert dropped == []

@@ -15,7 +15,6 @@ from covert_setcover.pseudo_greedy import (
     base_case_explicit,
     draw_round_sample,
     run_pseudo_greedy,
-    sample_probability,
     sequential_filter,
     shortlist_sets,
 )
@@ -28,34 +27,64 @@ from oracles import (
     harmonic,
     naive_base_case,
     naive_greedy,
+    naive_round_sample,
 )
 from strategies import coverable_families, families, random_system
+
+
+class ConstantDraws:
+    """A stand-in generator whose every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
 
 
 class TestSampling:
     def test_clip_to_one_takes_everything(self):
         rng = random.Random(0)
-        # s_i <= 4 * alpha * log2(N) forces p = 1
-        sample = draw_round_sample(range(1, 21), 20.0, 8.0, 2**10, rng)
+        # s_i <= 4 * threshold forces p = 1 (alpha = 8, N = 2^10: threshold 80)
+        sample = draw_round_sample(range(1, 21), 20.0, 80.0, rng)
         assert sample == list(range(1, 21))
 
     def test_expected_size_within_three_sigma(self):
-        # n_i = s_i = 1024, alpha = 8, N = 2^20: p = 640/1024, mean 640.
-        p = sample_probability(1024.0, 8.0, 2**20)
-        assert p == pytest.approx(0.625)
+        # n_i = s_i = 1024, alpha = 8, N = 2^20: threshold 160, p = 640/1024, mean 640.
+        p = 0.625
         rng = random.Random(123)
-        trials = 10_000
-        total = 0
-        for _ in range(trials):
-            total += sum(rng.random() < p for _ in range(1024))
+        trials = 2_000
+        total = sum(len(draw_round_sample(range(1, 1025), 1024.0, 160.0, rng))
+                    for _ in range(trials))
         mean = total / trials
         sigma = math.sqrt(1024 * p * (1 - p) / trials)
         assert abs(mean - 640.0) <= 3 * sigma
 
     def test_deterministic_per_seed(self):
-        a = draw_round_sample(range(1, 101), 100.0, 1.0, 2**10, random.Random(42))
-        b = draw_round_sample(range(1, 101), 100.0, 1.0, 2**10, random.Random(42))
+        a = draw_round_sample(range(1, 101), 100.0, 10.0, random.Random(42))
+        b = draw_round_sample(range(1, 101), 100.0, 10.0, random.Random(42))
         assert a == b
+
+    @settings(max_examples=200)
+    @given(alpha=st.floats(1e-6, 1e6), n_total=st.integers(2, 2**62),
+           n_0=st.integers(1, 2**40), i=st.integers(0, 40), seed=st.integers(0, 2**32),
+           population=st.sets(st.integers(1, 10_000), max_size=40))
+    def test_matches_paper_rate(self, alpha, n_total, n_0, i, seed, population):
+        # The engine passes threshold = alpha*log2(N); the reference draws at the
+        # paper's min(1, 4*alpha*log2(N)/s_i). Multiplying by 4.0 is exact, so
+        # 4*(alpha*L) == (4*alpha)*L for every normal alpha*L.
+        s_i = n_0 / 2**i  # the engine's scale before the min with n_i
+        threshold = alpha * math.log2(n_total)
+        assert draw_round_sample(population, s_i, threshold, random.Random(seed)) == (
+            naive_round_sample(population, s_i, alpha, n_total, random.Random(seed))
+        )
+        # p is bit-identical: a draw equal to the paper's p is rejected by both,
+        # and the next float below it is kept by both.
+        p = min(1.0, 4.0 * alpha * math.log2(n_total) / s_i)
+        for draw, expected in ((p, []), (math.nextafter(p, 0.0), sorted(population))):
+            assert draw_round_sample(population, s_i, threshold, ConstantDraws(draw)) == (
+                naive_round_sample(population, s_i, alpha, n_total, ConstantDraws(draw))
+            ) == expected
 
 
 class TestShortlist:
@@ -63,7 +92,7 @@ class TestShortlist:
         # alpha * log2(N) = 2 with alpha = .5, N = 16: sets need 2 sampled hits.
         system = build_set_system([[1, 2, 3], [3], [4, 5]], 5)
         oracle = CovertOracle(system)
-        shortlist, hits = shortlist_sets([1, 2, 3, 4, 5], oracle.hitting_query, 0.5, 16)
+        shortlist, hits = shortlist_sets([1, 2, 3, 4, 5], oracle.hitting_query, 2.0)
         assert shortlist == [1, 3]
         assert hits[1] == {1, 2, 3}
         assert oracle.ledger.hitting_queries == 5
@@ -71,7 +100,7 @@ class TestShortlist:
     def test_empty_when_no_set_reaches_threshold(self):
         system = build_set_system([[1], [2]], 2)
         oracle = CovertOracle(system)
-        shortlist, _ = shortlist_sets([1, 2], oracle.hitting_query, 8.0, 2**10)
+        shortlist, _ = shortlist_sets([1, 2], oracle.hitting_query, 80.0)
         assert shortlist == []
 
     def test_large_set_caught_under_bernoulli_sampling(self):
@@ -82,7 +111,7 @@ class TestShortlist:
         threshold = alpha * math.log2(n_total)
         caught = 0
         trials = 300
-        p = sample_probability(float(s_i), alpha, n_total)
+        p = min(1.0, 4.0 * threshold / s_i)
         for _ in range(trials):
             hits = sum(1 for _ in range(s_i // 2) if rng.random() < p)
             caught += hits >= threshold
@@ -102,13 +131,13 @@ class TestShortlist:
             probed.append(e)
             return oracle.hitting_query(e)
 
-        shortlist, hits = shortlist_sets(sample, probe, alpha, n_total)
+        threshold = alpha * math.log2(n_total)
+        shortlist, hits = shortlist_sets(sample, probe, threshold)
         naive: dict[int, set] = {}
         for e in sample:
             for j, members in enumerate(sets, start=1):
                 if e in members:
                     naive.setdefault(j, set()).add(e)
-        threshold = alpha * math.log2(n_total)
         assert shortlist == sorted(j for j, h in naive.items() if len(h) >= threshold)
         assert {s: hits[s] for s in shortlist} == {s: naive[s] for s in shortlist}
         assert probed == sample
@@ -119,8 +148,8 @@ class TestSequentialFilter:
     def test_disjoint_sets_both_accepted(self):
         system = build_set_system([[1, 2], [3, 4]], 4)
         oracle = CovertOracle(system)
-        _, hits = shortlist_sets([1, 2, 3, 4], oracle.hitting_query, 0.5, 16)
-        accepted, covered = sequential_filter([1, 2], hits, oracle.set_query, 0.5, 16)
+        _, hits = shortlist_sets([1, 2, 3, 4], oracle.hitting_query, 2.0)
+        accepted, covered = sequential_filter([1, 2], hits, oracle.set_query, 2.0)
         assert accepted == [1, 2]
         assert covered == {1, 2, 3, 4}
         assert oracle.ledger.set_queries == 2
@@ -128,8 +157,8 @@ class TestSequentialFilter:
     def test_contained_set_discarded(self):
         system = build_set_system([[1, 2, 3], [2, 3]], 3)
         oracle = CovertOracle(system)
-        _, hits = shortlist_sets([1, 2, 3], oracle.hitting_query, 0.5, 16)
-        accepted, _ = sequential_filter([1, 2], hits, oracle.set_query, 0.5, 16)
+        _, hits = shortlist_sets([1, 2, 3], oracle.hitting_query, 2.0)
+        accepted, _ = sequential_filter([1, 2], hits, oracle.set_query, 2.0)
         assert accepted == [1]
 
     def test_exact_residual_counting_with_full_sample(self):
@@ -137,8 +166,8 @@ class TestSequentialFilter:
         # at the set's turn.
         system = build_set_system([[1, 2, 3], [3, 4], [5, 6]], 6)
         oracle = CovertOracle(system)
-        _, hits = shortlist_sets([1, 2, 3, 4, 5, 6], oracle.hitting_query, 1.0, 4)
-        accepted, _ = sequential_filter([1, 2, 3], hits, oracle.set_query, 1.0, 4)
+        _, hits = shortlist_sets([1, 2, 3, 4, 5, 6], oracle.hitting_query, 2.0)
+        accepted, _ = sequential_filter([1, 2, 3], hits, oracle.set_query, 2.0)
         # threshold 2: set 2 keeps only {4} after set 1 claims {3}.
         assert accepted == [1, 3]
 

@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covert_setcover.discovery import (
+    DiscoveryResult,
+    LayeredGraphOracle,
+    competitive_ratio,
+    run_network_discovery,
+)
 from covert_setcover.errors import (
     BruteForceCapExceededError,
     InvalidCoverError,
     UncoverableInstanceError,
 )
+from covert_setcover.graphs import Graph
+from covert_setcover.oracle import CovertOracle, QueryLedger
+from covert_setcover.pseudo_greedy import run_pseudo_greedy
 from covert_setcover.setsystem import (
     Cover,
     brute_force_min_cover,
@@ -199,6 +208,8 @@ class TestBuild:
 
 
 SMALL = build_set_system([[1, 2], [2]], 2)
+PATH_3 = Graph.from_edges(3, [(1, 2), (2, 3)])
+REPORT = DiscoveryResult(statuses={}, query_set=[], ledger=QueryLedger())
 
 
 @pytest.mark.parametrize(
@@ -211,12 +222,21 @@ SMALL = build_set_system([[1, 2], [2]], 2)
         (lambda: Cover.from_indices(SMALL, 1), InvalidCoverError),
         (lambda: greedy_cover(SMALL, "a"), ValueError),
         (lambda: greedy_cover(SMALL, None), ValueError),
+        (lambda: greedy_cover(SMALL, True), ValueError),
+        (lambda: competitive_ratio(REPORT, "3"), ValueError),
+        (lambda: competitive_ratio(REPORT, True), ValueError),
+        (lambda: Graph.from_edges(3, None), ValueError),
+        (lambda: run_pseudo_greedy(CovertOracle(PATH_3)), ValueError),
+        (lambda: run_network_discovery(LayeredGraphOracle(SMALL)), ValueError),
     ],
     ids=["family-none", "rows-not-iterable", "unhashable-element", "cover-none",
-         "indices-not-iterable", "theta-string", "theta-none"],
+         "indices-not-iterable", "theta-string", "theta-none", "theta-bool",
+         "opt-size-string", "opt-size-bool", "edges-none", "covert-oracle-on-graph",
+         "layered-oracle-on-set-system"],
 )
 def test_wrong_type_raises_typed_error(call, error):
-    # Each of these ended in a bare TypeError from len, tuple, set or a comparison.
+    # Each of these ended in a bare TypeError from len, tuple, set or a comparison, in an
+    # AttributeError from an oracle over the wrong hidden type, or ran with a bool as 1.
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
