@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: gen-graph, gen-sets, setcover, discover, verify, lemma-test,
-bench. Output goes to stdout or --out as JSON (or CSV for trial reports);
-failures print a machine-readable JSON object on stderr and exit nonzero.
+bench. ``setcover`` and ``discover`` share one handler: each prints the
+``harness.run_experiment`` report of its file source (``--instance`` or
+``--graph``). Output goes to stdout or --out as JSON (or CSV for trial
+reports); failures print a machine-readable JSON object on stderr and exit
+nonzero.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .harness import (
     resolve_graph,
     resolve_system,
     run_experiment,
-    run_trials,
     sampling_concentration_test,
 )
 from .pseudo_greedy import DEFAULT_ALPHA
@@ -72,15 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--with-opt", action="store_true",
                    help="also brute-force the optimum for ratios (small instances)")
     _output_flags(c)
-    c.set_defaults(func=_cmd_setcover)
+    c.set_defaults(func=_cmd_experiment)
 
     d = sub.add_parser("discover", help="online network discovery on a graph file")
-    d.add_argument("--graph", required=True)
+    d.add_argument("--graph", required=True, dest="instance", metavar="GRAPH")
     d.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--trials", type=int, default=1)
     _output_flags(d)
-    d.set_defaults(func=_cmd_discover)
+    # The constants discovery does not read keep their config defaults.
+    d.set_defaults(func=_cmd_experiment, algo="discover", theta=1.0,
+                   alpha_net=DEFAULT_ALPHA_NET, with_opt=True)
 
     v = sub.add_parser("verify", help="offline verification query set for a known graph")
     v.add_argument("--graph", required=True)
@@ -126,7 +130,8 @@ def _cmd_gen_sets(args) -> dict:
     return to_json_dict(system, meta=meta)
 
 
-def _cmd_setcover(args) -> dict:
+def _cmd_experiment(args) -> dict:
+    """The ``run_experiment`` report of ``setcover`` or ``discover`` over the file source."""
     config = ExperimentConfig(
         algorithm=args.algo,
         seeds=list(range(args.seed, args.seed + args.trials)),
@@ -137,24 +142,6 @@ def _cmd_setcover(args) -> dict:
         compute_opt=args.with_opt,
     )
     return run_experiment(config)
-
-
-def _cmd_discover(args) -> dict:
-    config = ExperimentConfig(
-        algorithm="discover",
-        seeds=list(range(args.seed, args.seed + args.trials)),
-        source={"kind": "file", "path": args.graph},
-        alpha=args.alpha,
-        compute_opt=True,
-    )
-    trials = []
-    for record, result in run_trials(config):
-        doc = result.to_json_dict(competitive_ratio=record.get("competitive_ratio"))
-        doc["seed"] = record["seed"]
-        trials.append(doc)
-    if args.trials == 1 and args.format == "json":
-        return trials[0]
-    return {"graph": args.graph, "trials": trials}
 
 
 def _cmd_verify(args) -> dict:

@@ -94,7 +94,6 @@ class DiscoveryResult:
     query_set: list[int]
     ledger: QueryLedger
     rounds: list[RoundState] = field(default_factory=list)
-    base_case_entered: bool = False
 
     @property
     def edges(self) -> list[Pair]:
@@ -104,17 +103,14 @@ class DiscoveryResult:
     def non_edges(self) -> list[Pair]:
         return sorted(p for p, is_edge in self.statuses.items() if not is_edge)
 
-    def to_json_dict(self, competitive_ratio: float | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         """The report; every pair of ``all_pairs(n)`` not in its edges is a non-edge."""
-        doc = {
+        return {
             "edges": [list(p) for p in self.edges],
             "query_set": list(self.query_set),
             "ledger": self.ledger.to_json_dict(),
             "rounds": [r.to_json_dict() for r in self.rounds],
         }
-        if competitive_ratio is not None:
-            doc["competitive_ratio"] = competitive_ratio
-        return doc
 
 
 def run_network_discovery(
@@ -168,13 +164,8 @@ def run_network_discovery(
         oracle, lambda: unresolved, probe, accept,
         n_total=n * n, alpha=alpha, rng_seed=rng_seed,
     )
-    return DiscoveryResult(
-        statuses=statuses,
-        query_set=query_set,
-        ledger=oracle.ledger_snapshot(),
-        rounds=rounds,
-        base_case_entered=any(r.base_case for r in rounds),
-    )
+    return DiscoveryResult(statuses=statuses, query_set=query_set,
+                           ledger=oracle.ledger_snapshot(), rounds=rounds)
 
 
 def verification_system(graph: Graph):

@@ -1,9 +1,13 @@
 """Seeded experiment runner, statistical checks, and benchmark comparisons.
 
 Reports are plain dicts ready for JSON: a config echo, one record per
-trial (sorted by seed), and aggregates recomputable from the records.
-Wall-clock runtimes and the single timestamp field are the only
-nondeterministic entries, so golden-file comparisons drop exactly those.
+trial (sorted by seed), and aggregates recomputable from the records. A
+record is the result's own ``to_json_dict()`` (cover or query set, round
+trace, ledger) plus the seed, the algorithm, the wall time and the
+harness's judgements: post-hoc validity, the optimum and the ratio to it,
+and the algorithm's measured constant. Wall-clock runtimes and the single
+timestamp field are the only nondeterministic entries, so golden-file
+comparisons drop exactly those.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from .epsnet import DEFAULT_ALPHA_NET, run_weighted_epsilon_net
 from .errors import require_run_constants
 from .generators import gen_graph, gen_set_system
 from .graphs import Graph, graph_from_json_dict
-from .oracle import CovertOracle, QueryLedger
+from .oracle import CovertOracle
 from .pseudo_greedy import DEFAULT_ALPHA, run_pseudo_greedy
+from .results import CoverResult
 from .setsystem import (
     BRUTE_FORCE_SET_CAP,
     SetSystem,
@@ -114,89 +119,67 @@ def _discovery_optimum(graph: Graph) -> int | None:
     return offline_verification(graph, mode="exact")[1]
 
 
-def _queries(ledger: QueryLedger) -> dict:
-    return {**ledger.counts, "total": ledger.total}
-
-
-def _cover_record(
-    system: SetSystem, cover, ledger: QueryLedger, opt: int | None, **fields
-) -> dict:
-    """Size, indices, post-hoc validity and query bill of a cover, plus its ratio to ``opt``."""
-    record = {
-        "cover_size": len(cover),
-        "cover": list(cover.set_indices),
-        "valid": verify_cover(system, cover),
-        **fields,
-        "queries": _queries(ledger),
-    }
+def _cover_record(system: SetSystem, result: CoverResult, opt: int | None) -> dict:
+    """The result's report plus its post-hoc validity and its size's ratio to ``opt``."""
+    record = {**result.to_json_dict(), "valid": verify_cover(system, result.cover)}
     if opt:
         record["opt_size"] = opt
-        record["size_ratio"] = len(cover) / opt
+        record["size_ratio"] = len(result.cover) / opt
     return record
 
 
 def _pseudo_greedy_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
     result = run_pseudo_greedy(CovertOracle(system), alpha=config.alpha, rng_seed=seed)
-    record = _cover_record(system, result.cover, result.ledger, opt,
-                           failed=result.failed, rounds=len(result.rounds))
-    if record["cover_size"]:
+    record = _cover_record(system, result, opt)
+    if result.cover:
         # Measured constant of the total <= C * log2(N)^2 * |cover| bound.
         log2_n = math.log2(system.universe_size + system.n_sets)
-        record["query_bound_constant"] = record["queries"]["total"] / (
-            log2_n**2 * record["cover_size"]
-        )
-    return record, result
+        record["query_bound_constant"] = result.ledger.total / (log2_n**2 * len(result.cover))
+    return record
 
 
 def _epsnet_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
     result = run_weighted_epsilon_net(CovertOracle(system), alpha_net=config.alpha_net,
                                       rng_seed=seed)
-    record = _cover_record(system, result.cover, result.ledger, opt,
-                           failed=result.failed, rounds=len(result.rounds))
+    record = _cover_record(system, result, opt)
     successes = [t for t in result.rounds if t.succeeded]
     record["iterations_at_success"] = successes[0].iterations if successes else None
-    return record, result
+    return record
 
 
-def _greedy_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
-    cover = greedy_cover(system, theta=config.theta)
-    return _cover_record(system, cover, QueryLedger(), opt, failed=False), cover
-
-
-def _bruteforce_trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
-    cover = brute_force_min_cover(system)
-    return _cover_record(system, cover, QueryLedger(), opt, failed=False), cover
+def _offline_trial(solve):
+    """A trial of an offline algorithm ``solve(system, config) -> Cover``: no rounds, no bill."""
+    def trial(system: SetSystem, config: ExperimentConfig, seed: int, opt):
+        return _cover_record(system, CoverResult(cover=solve(system, config)), opt)
+    return trial
 
 
 def _discover_trial(graph: Graph, config: ExperimentConfig, seed: int, opt):
     result = run_network_discovery(LayeredGraphOracle(graph), alpha=config.alpha, rng_seed=seed)
-    record = {
-        "valid": result.edges == graph.edges(),
-        "query_set_size": len(result.query_set),
-        "rounds": len(result.rounds),
-        "queries": _queries(result.ledger),
-    }
+    record = {**result.to_json_dict(), "valid": result.edges == graph.edges()}
     if opt:
         record["opt_size"] = opt
         record["competitive_ratio"] = competitive_ratio(result, opt)
-    return record, result
+    return record
 
 
 # name -> (resolve the source to an instance, exact optimum or None, one trial).
-# A trial runs one seed on the instance and returns (record, result); the
-# record's validity is checked against the hidden instance, whatever the
-# algorithm believed.
+# A trial runs one seed on the instance and returns its record; the record's
+# validity is checked against the hidden instance, whatever the algorithm
+# believed.
 ALGORITHMS = {
     "pseudo-greedy": (resolve_system, _cover_optimum, _pseudo_greedy_trial),
     "epsnet": (resolve_system, _cover_optimum, _epsnet_trial),
-    "greedy": (resolve_system, _cover_optimum, _greedy_trial),
-    "bruteforce": (resolve_system, _cover_optimum, _bruteforce_trial),
+    "greedy": (resolve_system, _cover_optimum,
+               _offline_trial(lambda system, config: greedy_cover(system, theta=config.theta))),
+    "bruteforce": (resolve_system, _cover_optimum,
+                   _offline_trial(lambda system, config: brute_force_min_cover(system))),
     "discover": (resolve_graph, _discovery_optimum, _discover_trial),
 }
 
 
 def run_trials(config: ExperimentConfig):
-    """Yield (record, result) for each seed of a config, in sorted seed order.
+    """Yield the record of each seed of a config, in sorted seed order.
 
     The instance is resolved and, with ``compute_opt``, its optimum computed
     once; each record carries the seed, the algorithm and the trial's wall
@@ -208,14 +191,14 @@ def run_trials(config: ExperimentConfig):
     opt = optimum(instance) if config.compute_opt else None
     for seed in sorted(config.seeds):
         t0 = time.perf_counter()
-        record, result = trial(instance, config, seed, opt)
+        record = trial(instance, config, seed, opt)
         runtime = time.perf_counter() - t0
-        yield {"seed": seed, "algorithm": config.algorithm, **record, "runtime_s": runtime}, result
+        yield {"seed": seed, "algorithm": config.algorithm, **record, "runtime_s": runtime}
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute all trials of a config and assemble the report."""
-    trials = [record for record, _ in run_trials(config)]
+    trials = list(run_trials(config))
     return {
         "config": asdict(config),
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -230,15 +213,15 @@ def aggregate_cover_trials(trials: list[dict]) -> dict:
         return {}
     agg: dict = {"trials": len(trials)}
     agg["valid_fraction"] = sum(1 for t in trials if t.get("valid")) / len(trials)
-    for key in ("cover_size", "query_set_size"):
-        values = [t[key] for t in trials if key in t]
+    columns = {
+        "cover_size": [t["cover_size"] for t in trials if "cover_size" in t],
+        "query_set_size": [len(t["query_set"]) for t in trials if "query_set" in t],
+        "total_queries": [t["ledger"]["total"] for t in trials],
+    }
+    for key, values in columns.items():
         if values:
             agg[f"median_{key}"] = statistics.median(values)
             agg[f"p95_{key}"] = _p95(values)
-    totals = [t["queries"]["total"] for t in trials if "queries" in t]
-    if totals:
-        agg["median_total_queries"] = statistics.median(totals)
-        agg["p95_total_queries"] = _p95(totals)
     optional = ("size_ratio", "competitive_ratio", "query_bound_constant", "iterations_at_success")
     for key in optional:
         values = [t[key] for t in trials if t.get(key) is not None]
@@ -355,13 +338,13 @@ def bench_planted_family(
             opt = _cover_optimum(system)
             for name, runs in records.items():
                 _, _, trial = ALGORITHMS[name]
-                runs.append(trial(system, config, seed, opt)[0])
+                runs.append(trial(system, config, seed, opt))
         opt_sizes = [r["opt_size"] for r in records["greedy"] if "opt_size" in r]
 
         def medians(name):
             runs = records[name]
             return {
-                "median_queries": statistics.median(r["queries"]["total"] for r in runs),
+                "median_queries": statistics.median(r["ledger"]["total"] for r in runs),
                 "median_cover_size": statistics.median(r["cover_size"] for r in runs),
             }
 

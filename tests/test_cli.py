@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -64,7 +66,7 @@ class TestSetcover:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 trials
         assert "cover_size" in lines[0]
-        assert "queries.total" in lines[0]
+        assert "ledger.total" in lines[0]
 
     def test_missing_instance_file(self, capsys):
         code, _, err = run_cli(capsys, "setcover", "--algo", "greedy",
@@ -106,9 +108,9 @@ class TestGraphCommands:
         code, out, _ = run_cli(capsys, "discover", "--graph", str(graph_file),
                                "--seed", "3")
         assert code == 0
-        doc = json.loads(out)
-        assert doc["edges"] == [[1, 2], [1, 3], [3, 4], [3, 5], [4, 6], [5, 6]]
-        assert doc["competitive_ratio"] >= 1.0
+        trial = json.loads(out)["trials"][0]
+        assert trial["edges"] == [[1, 2], [1, 3], [3, 4], [3, 5], [4, 6], [5, 6]]
+        assert trial["competitive_ratio"] >= 1.0
 
     def test_discover_csv_single_trial(self, graph_file, capsys):
         # At the default --trials 1 a CSV report still gets one row per trial.
@@ -232,3 +234,21 @@ class TestStats:
                                "--format", "csv")
         assert code == 1
         assert "trials" in json.loads(err)["error"]
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The argv of every ``covertsc`` line in the README's CLI block, comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv and argv[0] == "covertsc"]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # In order: the generator lines write the files the later lines read.
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    for argv in lines:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -212,10 +212,8 @@ class TestDiscovery:
 
     def test_report_json_shape(self, g6):
         result = run_network_discovery(LayeredGraphOracle(g6), alpha=8.0, rng_seed=0)
-        doc = result.to_json_dict(competitive_ratio=3.0)
-        assert set(doc) == {
-            "edges", "query_set", "ledger", "rounds", "competitive_ratio",
-        }
+        doc = result.to_json_dict()
+        assert set(doc) == {"edges", "query_set", "ledger", "rounds"}
         # The non-edges are the complement of the edges over all pairs; the report
         # leaves them out and the result still derives them.
         assert [list(p) for p in result.non_edges] == [

@@ -11,8 +11,9 @@ The generator digests pin the ``to_json_dict`` form of each set model at
 n = m = 600, where the drawn elements go above CPython's small-int cache.
 The experiment-path digests pin what the harness and the CLI report: a
 ``run_experiment`` report without its timestamp and runtimes, a
-``bench_planted_family`` report, and the stdout bytes of ``covertsc
-discover`` and of ``covertsc gen-sets`` (an instance file). A refactor that changes any of them must say why and update the
+``bench_planted_family`` report, the same report printed by ``covertsc
+discover``, and the stdout bytes of ``covertsc gen-sets`` (an instance
+file). A refactor that changes any of them must say why and update the
 value here.
 """
 
@@ -112,6 +113,7 @@ def test_discovery_er_60_benchmark_instance():
         (1.0, "aecb54ee09f40a12d592d2e33070d4bf25fd190b09d9aed87c78523ca56de39b"),
         (0.5, "634d7b237ed7fad0aa002afe43343998f84146617a5d0ddb24d4affd2d5dbae6"),
     ],
+    ids=["1.0", "0.5"],
 )
 def test_greedy_cover_sparse_1024_picks(theta, expected):
     # The instance of the greedy-sparse benchmark workload: 152 picks at theta 1, 192 at 0.5.
@@ -125,6 +127,7 @@ def test_greedy_cover_sparse_1024_picks(theta, expected):
         (1.0, "b17f028dd1e57bbcd1c6aee5e036bb38779ca2bd6679d193c20bf5e19406651a"),
         (0.5, "666ebf1cb8e54d1fd7aff718149b34e5049874aa9f4842e6ddf20834603f64f9"),
     ],
+    ids=["1.0", "0.5"],
 )
 def test_greedy_cover_planted_512_picks(theta, expected):
     # Four picks: (76, 394, 361, 48) at theta 1 and (76, 48, 361, 394) at 0.5.
@@ -139,12 +142,13 @@ ER_8 = {"kind": "generate", "model": "er-connected", "n": 8, "p": 0.3, "seed": 2
 @pytest.mark.parametrize(
     "algorithm, expected",
     [
-        ("pseudo-greedy", "80ba6c82492fa69d4ff399490c54202f36827ac7d4bd93fcc6ae1cb699942565"),
-        ("epsnet", "4bf0a856ce25aafc5a169b0040ee9509232a5a66664e6a11b7c3bb091e9bde14"),
-        ("greedy", "9882cb0adf49ee0e0e8d609562d52c7fdc234131fa51eea341da1a04de0b5118"),
-        ("bruteforce", "3f893b5a018cc2ed4a238b11a6383bdc5cbbf19fb54a083b97f8c253a747e408"),
-        ("discover", "748610991ba799bf8cc33d73157aed7f01d8e323071f5002b186b125d079f162"),
+        ("pseudo-greedy", "5a12890eacf3e2ad8e17e1d8ff6d5db33009a989e7387bd82729c0baa60516d7"),
+        ("epsnet", "e99b20352396463667c0998d76c7269d2130716f621d0fd97e7a557479b549c9"),
+        ("greedy", "8e80610520b59d65453180ccbd2e50b39121a6e2286c7e6427af92bd27da707e"),
+        ("bruteforce", "547460db568ace71b551949afbc94ad3285f96f908d83b6ce0dfea6076f85720"),
+        ("discover", "1d0f18a2fbab2422285760ba492a528555be9ae964cf6f1bac311a788b21d3fb"),
     ],
+    ids=["pseudo-greedy", "epsnet", "greedy", "bruteforce", "discover"],
 )
 def test_experiment_report(algorithm, expected):
     source = dict(ER_8 if algorithm == "discover" else PLANTED)
@@ -165,17 +169,22 @@ def test_bench_planted_family_report():
 @pytest.mark.parametrize(
     "trials, expected",
     [
-        ("1", "f057b7c65b817c8943b7a02f668c391232444641dab436836551cf100087392d"),
-        ("3", "4c4526eb7dfe42a0628970fb5648691fd20dd9bee6b785d01e93f7fb6fb12b5b"),
+        ("1", "e29e46cd2a4c1833fa44da0fcbf5161ae26cff2808d4a8e5f9fe28296a837ea3"),
+        ("3", "b60aae323d4f4aed885d9b0c084ec322fb01f7a9b0c5add4cf4acc44d70e1a76"),
     ],
+    ids=["1", "3"],
 )
 def test_cli_discover_stdout(trials, expected, tmp_path, monkeypatch, capsys):
-    # A relative path keeps the stdout of a multi-trial run, which echoes it, fixed.
+    # A relative path keeps the config echo of the report fixed.
     monkeypatch.chdir(tmp_path)
     graph = gen_graph("er-connected", n=8, p=0.3, seed=2)  # the ER_8 instance
     (tmp_path / "g.json").write_text(json.dumps(graph_to_json_dict(graph)))
     assert main(["discover", "--graph", "g.json", "--seed", "3", "--trials", trials]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timestamp")
+    for trial in report["trials"]:
+        trial.pop("runtime_s")
+    assert _sha256(report) == expected
 
 
 def test_cli_gen_sets_stdout(capsys):

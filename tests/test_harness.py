@@ -56,8 +56,9 @@ class TestRunExperiment:
         assert len(report["trials"]) == 3
         for trial in report["trials"]:
             assert trial["valid"]
-            assert trial["queries"]["total"] == (
-                trial["queries"]["hitting"] + trial["queries"]["set"] + trial["queries"]["layered"]
+            ledger = trial["ledger"]
+            assert ledger["total"] == (
+                ledger["hitting_queries"] + ledger["set_queries"] + ledger["layered_queries"]
             )
             assert trial["size_ratio"] >= 1.0
             assert trial["query_bound_constant"] > 0
@@ -162,6 +163,54 @@ class TestRunExperiment:
     def test_generator_source_with_non_integer_value(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
             resolve_system(planted_source(n=n))
+
+
+def er_source(n, p, seed):
+    return {"kind": "generate", "model": "er-connected", "n": n, "p": p, "seed": seed}
+
+
+def audit_bill(record):
+    """Rebuild a trial record's query bill from its own rounds, as a report reader can."""
+    ledger, rounds = record["ledger"], record["rounds"]
+    for kind in ("hitting", "set", "layered"):
+        assert sum(r["ledger_delta"][kind] for r in rounds) == ledger[f"{kind}_queries"]
+        assert sum(p[kind] for p in ledger["phases"].values()) == ledger[f"{kind}_queries"]
+    if record["algorithm"] not in ("pseudo-greedy", "discover"):
+        return
+    sampled = [r for r in rounds if not r["base_case"]]
+    base_n_i = sum(r["n_i"] for r in rounds if r["base_case"])
+    if record["algorithm"] == "pseudo-greedy":
+        # One hitting query per sampled or residual element, one set query per acceptance.
+        assert ledger["hitting_queries"] == sum(r["sample_size"] for r in sampled) + base_n_i
+        assert ledger["set_queries"] == sum(len(r["chosen"]) for r in sampled)
+    else:
+        # Two layered queries per probed pair, one per accepted vertex.
+        assert ledger["layered_queries"] == sum(
+            2 * r["sample_size"] + len(r["chosen"]) for r in sampled
+        ) + 2 * base_n_i
+
+
+@pytest.mark.parametrize(
+    "algorithm, source, alpha, base_case",  # base_case: whether every run enters it
+    [
+        ("pseudo-greedy", planted_source(n=128, m=32, k=4, seed=1), 2.0, True),
+        ("pseudo-greedy", planted_source(n=512, m=64, k=4, seed=1), 2.0, False),
+        ("pseudo-greedy", planted_source(), 8.0, True),
+        ("discover", er_source(8, 0.3, 2), 8.0, True),
+        ("discover", er_source(10, 0.3, 1), 8.0, True),
+        ("discover", er_source(16, 0.25, 1), 2.0, False),
+        ("epsnet", planted_source(), 8.0, None),
+    ],
+    ids=["pg-rounds-then-base", "pg-rounds-only", "pg-base-only", "discover-er8-base",
+         "discover-er10-base", "discover-er16-rounds", "epsnet"],
+)
+def test_report_audits_its_own_bill(algorithm, source, alpha, base_case):
+    config = ExperimentConfig(algorithm=algorithm, seeds=list(range(60)), source=source,
+                              alpha=alpha)
+    for record in run_experiment(config)["trials"]:
+        audit_bill(record)
+        if base_case is not None:
+            assert any(r["base_case"] for r in record["rounds"]) == base_case
 
 
 class TestConcentration:
