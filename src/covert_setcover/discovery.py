@@ -17,6 +17,7 @@ from itertools import compress, count, filterfalse
 from operator import ne
 from typing import IO
 
+from .errors import require_oracle
 from .oracle import MeteredOracle, QueryLedger
 # draw_round_sample is kept in this namespace as the sampler of discovery
 # rounds; perfbench/tracing.py wraps it under this name.
@@ -134,6 +135,7 @@ def run_network_discovery(
     ``statuses`` in lexicographic order. Each update rebinds it to a new
     list, so the list a round was handed at its boundary stays unchanged.
     """
+    require_oracle(oracle, LayeredGraphOracle)
     n = oracle.n_vertices
     statuses: dict[Pair, bool] = {}
     unresolved: list[Pair] = list(all_pairs(n))

@@ -16,7 +16,9 @@ import random
 from bisect import bisect_right
 from typing import Sequence
 
-from .errors import UncoverableInstanceError, _require_ints, require_run_constants
+from .errors import (
+    UncoverableInstanceError, _require_ints, require_oracle, require_run_constants,
+)
 from .oracle import CovertOracle
 from .results import CoverResult, GuessTrace
 from .setsystem import Cover
@@ -105,6 +107,7 @@ def run_weighted_epsilon_net(
     no set, yields a failed result. ``alpha_net`` must be a finite positive
     real and ``rng_seed`` an int.
     """
+    require_oracle(oracle, CovertOracle)
     _require_ints(rng_seed=rng_seed)
     require_run_constants(alpha_net=alpha_net)
     rng = random.Random(rng_seed)

@@ -43,3 +43,13 @@ def require_run_constants(**constants) -> None:
         real = isinstance(value, Real) and not isinstance(value, bool)
         _require(real and math.isfinite(value) and value > 0,
                  f"{name} must be finite and positive, got {value!r}")
+
+
+def require_oracle(oracle, oracle_type: type) -> None:
+    """Raise ``ValueError`` unless ``oracle`` is an ``oracle_type`` (a subclass counts).
+
+    The algorithms' entry points check before anything else, so a wrong
+    argument never ends in an ``AttributeError`` part-way through.
+    """
+    _require(isinstance(oracle, oracle_type),
+             f"oracle must be a {oracle_type.__name__}, got {type(oracle).__name__}")

@@ -26,7 +26,9 @@ from collections import Counter
 from itertools import chain
 from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
-from .errors import UncoverableInstanceError, _require_ints, require_run_constants
+from .errors import (
+    UncoverableInstanceError, _require_ints, require_oracle, require_run_constants,
+)
 from .oracle import CovertOracle, MeteredOracle
 from .results import CoverResult, RoundState
 from .setsystem import Cover, SetSystem, build_set_system, greedy_cover
@@ -72,8 +74,9 @@ def shortlist_sets(
     shortlist = sorted(s for s, count in counts.items() if count >= threshold)
     hits: dict[int, set] = {s: set() for s in shortlist}
     if hits:
+        short = set(hits)
         for e, answer in zip(sample, answers):
-            for s in hits.keys() & answer:
+            for s in short.intersection(answer):
                 hits[s].add(e)
     return shortlist, hits
 
@@ -139,6 +142,16 @@ def sampled_greedy(
     round is a ledger phase traced as a :class:`RoundState`. ``alpha`` must
     be a finite positive real and ``rng_seed`` an int.
 
+    Once p clips to 1, a round that shortlists nothing leaves the residue as
+    it is, so each later round draws the same sample until the scale reaches
+    the base case. Such a repeated round (its sample equals that of the last
+    round that shortlisted nothing) still probes every sampled element in
+    sample order, so its queries are charged and logged as before, but skips
+    :func:`shortlist_sets`: the static instance gives the same answers, so the
+    tally would shortlist nothing again. No other round can repeat, since a
+    round that shortlists a set accepts at least the first, and its sampled
+    elements leave ``remaining()``.
+
     Returns (chosen set indices in order, the round trace, the element the
     base case found in no set, or None).
     """
@@ -150,6 +163,7 @@ def sampled_greedy(
     chosen: list[int] = []
     rounds: list[RoundState] = []
     witness = None
+    empty_sample = None  # the sample of the last round that shortlisted nothing
 
     i = 0
     while uncovered := remaining():
@@ -169,10 +183,15 @@ def sampled_greedy(
         else:
             oracle.mark_phase(f"round-{i}")
             sample = draw_round_sample(uncovered, s_i, threshold, rng)
-            if sample:
+            if sample == empty_sample:
+                for e in sample:  # charged and logged as before; the tally would be empty again
+                    probe(e)
+            elif sample:
                 shortlist, hits = shortlist_sets(sample, probe, threshold)
                 if shortlist:
                     picks, _ = sequential_filter(shortlist, hits, accept, threshold)
+                else:
+                    empty_sample = sample
         rounds.append(
             RoundState(
                 i=i,
@@ -206,6 +225,7 @@ def run_pseudo_greedy(
     On an uncoverable instance the base case flags failure and the result
     carries the witness element and the partial cover accepted so far.
     """
+    require_oracle(oracle, CovertOracle)
     uncovered = set(range(1, oracle.n_elements + 1))
 
     def accept(s: int) -> tuple[int, ...]:

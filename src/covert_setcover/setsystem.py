@@ -202,7 +202,8 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
 
     The uncovered counts are kept exactly and updated incrementally: they
     start at the set sizes, and each newly covered element decrements the
-    count of every set containing it, O(sum of set sizes) over the whole run.
+    count of every set containing it, O(sum of set sizes) over the whole run;
+    the last pick's decrements are skipped, since nothing reads them.
     Counts only fall, so while n_max holds, every set before the last one
     found at n_max is below it and every set before the last pick is below
     the bar ceil(theta * n_max) (an int count reaches theta * n_max exactly
@@ -237,6 +238,8 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
             chosen.append(numbers[s - 1])
             new = uncovered.intersection(sets[s - 1])
             uncovered -= new
+            if not uncovered:  # the last pick: its decrements would never be read
+                break
             for e in new:
                 for t in containing[e - 1]:
                     counts[t] -= 1

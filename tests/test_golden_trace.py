@@ -50,6 +50,15 @@ def test_pseudo_greedy_planted_512():
     assert _digest(result) == "fd3141ab2d2fdbff5b0cdb05bb8a0871de7a77c0de9d84ff06e4d23059fae7bd"
 
 
+def test_pseudo_greedy_planted_1024_repeated_round():
+    # Rounds 2 and 3 both sample the same 274 elements and shortlist nothing, so
+    # round 3 repeats round 2: its probes are charged and logged, its tally skipped.
+    system, _ = gen_set_system("planted-cover", n=1024, m=1024, seed=1, k=8)
+    result = run_pseudo_greedy(CovertOracle(system), alpha=8.0, rng_seed=1)
+    assert result.rounds[2].sample == result.rounds[3].sample
+    assert _digest(result) == "92f9b8cdd8eda36878f5c6c131f8de4b352471b8ddf3f29f9aa4f5e8aceea68a"
+
+
 @pytest.mark.parametrize(
     "model, params, expected",
     [
@@ -77,7 +86,8 @@ def test_epsnet_planted_4096_benchmark_instance():
 @pytest.mark.parametrize(
     "alpha, expected",
     [
-        # alpha 8 goes straight to the base case; alpha 2 finishes in one sampled round.
+        # Each finishes in one sampled round and never reaches the base case;
+        # alpha 8 samples all 120 pairs.
         (8.0, "07400b45439a34dc994c7ec7720ea3eee4fb5574769a63222e8767f5417f7dba"),
         (2.0, "4274c5fb731d1af5be5709d0c242b95559503d64e2e72d62b70ad05aff2d27cf"),
     ],

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +13,7 @@ from covert_setcover.epsnet import run_weighted_epsilon_net
 from covert_setcover.errors import UncoverableInstanceError
 from covert_setcover.graphs import Graph
 from covert_setcover.oracle import CovertOracle
+from covert_setcover import pseudo_greedy
 from covert_setcover.pseudo_greedy import (
     base_case_explicit,
     draw_round_sample,
@@ -142,6 +145,42 @@ class TestShortlist:
         assert {s: hits[s] for s in shortlist} == {s: naive[s] for s in shortlist}
         assert probed == sample
         assert oracle.ledger.hitting_queries == len(sample)
+
+
+class TestRepeatedRound:
+    # Planted n = m = 512, k = 16: round 0 samples 323 elements and shortlists nothing,
+    # then p clips to 1 and rounds 1 and 2 both sample all 512 and shortlist nothing.
+    def _run(self, monkeypatch):
+        tallied = []
+        shortlist = pseudo_greedy.shortlist_sets
+
+        def counted(sample, probe, threshold):
+            tallied.append(len(sample))
+            return shortlist(sample, probe, threshold)
+
+        monkeypatch.setattr(pseudo_greedy, "shortlist_sets", counted)
+        system, _ = gen_set_system("planted-cover", n=512, m=512, seed=1, k=16)
+        log = io.StringIO()
+        result = run_pseudo_greedy(CovertOracle(system, log_stream=log), alpha=8.0, rng_seed=1)
+        return result, tallied, [json.loads(line) for line in log.getvalue().splitlines()]
+
+    def test_a_repeated_round_skips_the_tally(self, monkeypatch):
+        result, tallied, _ = self._run(monkeypatch)
+        assert [len(r.sample) for r in result.rounds[:3]] == [323, 512, 512]
+        assert result.rounds[1].sample == result.rounds[2].sample
+        assert tallied == [323, 512]
+        assert all(r.shortlist == () for r in result.rounds)
+
+    def test_a_repeated_round_charges_and_logs_its_probes(self, monkeypatch):
+        result, _, log = self._run(monkeypatch)
+        assert result.ledger.phase_counts["round-2"] == {"hitting": 512, "set": 0, "layered": 0}
+
+        def queries(phase):
+            return [{k: v for k, v in q.items() if k != "phase"} for q in log
+                    if q["phase"] == phase]
+
+        assert len(queries("round-1")) == 512
+        assert queries("round-2") == queries("round-1")
 
 
 class TestSequentialFilter:
@@ -288,23 +327,58 @@ class TestRun:
             ("epsnet", {"rng_seed": "1"}, "rng_seed must be an integer"),
             ("discovery", {"rng_seed": None}, "rng_seed must be an integer"),
             ("pseudo-greedy", {"rng_seed": 1.0}, "rng_seed must be an integer"),
+            ("pseudo-greedy", {"oracle": None}, "oracle must be a CovertOracle, got NoneType"),
+            ("epsnet", {"oracle": "x"}, "oracle must be a CovertOracle, got str"),
+            ("discovery", {"oracle": 3}, "oracle must be a LayeredGraphOracle, got int"),
+            ("discovery", {"oracle": CovertOracle(build_set_system([[1, 2]], 2))},
+             "oracle must be a LayeredGraphOracle, got CovertOracle"),
+            ("pseudo-greedy",
+             {"oracle": LayeredGraphOracle(Graph.from_edges(3, [(1, 2), (2, 3)]))},
+             "oracle must be a CovertOracle, got LayeredGraphOracle"),
         ],
         ids=["pg-alpha-str", "discovery-alpha-str", "epsnet-alpha-net-str", "pg-alpha-bool",
              "pg-seed-list", "discovery-seed-list", "epsnet-seed-list", "pg-seed-bool",
-             "epsnet-seed-str", "discovery-seed-none", "pg-seed-float"],
+             "epsnet-seed-str", "discovery-seed-none", "pg-seed-float", "pg-oracle-none",
+             "epsnet-oracle-str", "discovery-oracle-int", "discovery-covert-oracle",
+             "pg-layered-oracle"],
     )
     def test_entry_points_reject_a_wrong_type(self, entry, kwargs, message):
         # A str seed or None would run (random.Random takes both); a list or a str alpha
-        # would end in a bare TypeError. Each is a ValueError naming the parameter.
+        # would end in a bare TypeError, and a non-oracle in an AttributeError. Each is a
+        # ValueError naming the parameter, raised before any query.
         if entry == "discovery":
             oracle = LayeredGraphOracle(Graph.from_edges(3, [(1, 2), (2, 3)]))
             run = run_network_discovery
         else:
             oracle = CovertOracle(build_set_system([[1, 2], [3]], 3))
             run = run_pseudo_greedy if entry == "pseudo-greedy" else run_weighted_epsilon_net
+        kwargs = {"oracle": oracle, **kwargs}
         with pytest.raises(ValueError, match=message):
-            run(oracle, **kwargs)
+            run(**kwargs)
         assert oracle.ledger.total == 0
+
+    @pytest.mark.parametrize("entry", ["pseudo-greedy", "epsnet", "discovery"])
+    def test_entry_points_take_an_oracle_subclass(self, entry):
+        # The check is isinstance, so a subclass that wraps the queries (a tracing
+        # oracle, say) runs as its base does.
+        def counting(base):
+            class Counting(base):
+                calls = 0
+
+                def _charge(self, *args):
+                    self.calls += 1
+                    super()._charge(*args)
+
+            return Counting
+
+        if entry == "discovery":
+            oracle = counting(LayeredGraphOracle)(Graph.from_edges(3, [(1, 2), (2, 3)]))
+            result = run_network_discovery(oracle, rng_seed=1)
+        else:
+            oracle = counting(CovertOracle)(build_set_system([[1, 2], [3]], 3))
+            run = run_pseudo_greedy if entry == "pseudo-greedy" else run_weighted_epsilon_net
+            result = run(oracle, rng_seed=1)
+        assert oracle.calls == result.ledger.total > 0
 
     def test_single_set_instance_base_cases_immediately(self):
         system = build_set_system([list(range(1, 9))], 8)
