@@ -17,7 +17,7 @@ from itertools import compress, count, filterfalse
 from operator import ne
 from typing import IO
 
-from .errors import require_oracle
+from .errors import require_instance
 from .oracle import MeteredOracle, QueryLedger
 # draw_round_sample is kept in this namespace as the sampler of discovery
 # rounds; perfbench/tracing.py wraps it under this name.
@@ -135,7 +135,7 @@ def run_network_discovery(
     ``statuses`` in lexicographic order. Each update rebinds it to a new
     list, so the list a round was handed at its boundary stays unchanged.
     """
-    require_oracle(oracle, LayeredGraphOracle)
+    require_instance("oracle", oracle, LayeredGraphOracle)
     n = oracle.n_vertices
     statuses: dict[Pair, bool] = {}
     unresolved: list[Pair] = list(all_pairs(n))
@@ -190,6 +190,7 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
     runs the classic greedy cover. Nothing here touches a ledger. Returns
     (vertex list, its size).
     """
+    require_instance("graph", graph, Graph)
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     if mode == "exact" and graph.n > EXACT_VERIFICATION_VERTEX_CAP:

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from typing import Sequence
 
 from .errors import (
-    UncoverableInstanceError, _require_ints, require_oracle, require_run_constants,
+    UncoverableInstanceError, _require, _require_ints, require_instance, require_run_constants,
 )
 from .oracle import CovertOracle
 from .results import CoverResult, GuessTrace
@@ -29,6 +29,8 @@ NET_SIZE_CONST = 4.0
 ITER_CAP_CONST = 4.0
 # The first window of find_uncovered; a typical missed element lies below it.
 _FIRST_WINDOW = 64
+# The most draws the first guess's candidate may take; alpha_net beyond it is rejected.
+MAX_NET_DRAWS = 2**24
 
 
 def sample_weighted_net(weights: list[int], size: int, rng: random.Random) -> tuple[int, ...]:
@@ -105,13 +107,20 @@ def run_weighted_epsilon_net(
     and either return the covering candidate or double the weights along a
     missed element. Exhausting every guess, or a missed element contained in
     no set, yields a failed result. ``alpha_net`` must be a finite positive
-    real and ``rng_seed`` an int.
+    real, small enough that the first candidate takes at most MAX_NET_DRAWS
+    draws, and ``rng_seed`` an int.
     """
-    require_oracle(oracle, CovertOracle)
+    require_instance("oracle", oracle, CovertOracle)
     _require_ints(rng_seed=rng_seed)
     require_run_constants(alpha_net=alpha_net)
-    rng = random.Random(rng_seed)
     n_prime, m_prime = oracle.n_elements, oracle.n_sets
+    # net_size(1, ...) exceeds the bound exactly when its unrounded size does; an
+    # overflow to inf is rejected too, where math.ceil would raise OverflowError.
+    first_size = alpha_net * math.log(m_prime) * NET_SIZE_CONST
+    _require(first_size <= MAX_NET_DRAWS,
+             f"alpha_net={alpha_net!r} asks for {first_size:.3g} draws per candidate"
+             f" over {m_prime} sets; at most {MAX_NET_DRAWS} are allowed")
+    rng = random.Random(rng_seed)
     guess_limit = 1
     while guess_limit < m_prime:
         guess_limit *= 2

@@ -45,11 +45,12 @@ def require_run_constants(**constants) -> None:
                  f"{name} must be finite and positive, got {value!r}")
 
 
-def require_oracle(oracle, oracle_type: type) -> None:
-    """Raise ``ValueError`` unless ``oracle`` is an ``oracle_type`` (a subclass counts).
+def require_instance(name: str, value, kind: type) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a ``kind`` (a subclass counts).
 
-    The algorithms' entry points check before anything else, so a wrong
-    argument never ends in an ``AttributeError`` part-way through.
+    The entry points that take an oracle, a system, a graph or an answer check
+    before anything else, so a wrong argument never ends in an
+    ``AttributeError`` part-way through.
     """
-    _require(isinstance(oracle, oracle_type),
-             f"oracle must be a {oracle_type.__name__}, got {type(oracle).__name__}")
+    _require(isinstance(value, kind),
+             f"{name} must be a {kind.__name__}, got {type(value).__name__}")

@@ -7,6 +7,11 @@ Every generator is deterministic per (model, params, seed): one
 from __future__ import annotations
 
 import random
+from functools import partial
+from itertools import repeat
+from math import ceil, log
+from operator import getitem, gt
+from typing import Sequence
 
 from .errors import _require, _require_ints
 from .graphs import Graph, all_pairs
@@ -73,6 +78,31 @@ def _require_probability(name: str, value) -> None:
     _require(number and 0.0 <= value <= 1.0, f"{name} must be a number in [0, 1], got {value!r}")
 
 
+def _sorted_sample(population: Sequence[int], k: int, rng: random.Random) -> list[int]:
+    """``sorted(rng.sample(population, k))``, with the same draws from ``rng``'s stream.
+
+    ``random.sample`` (CPython 3.11) draws from a shrinking pool when
+    ``len(population) <= setsize``; that branch, and every error, is left to it.
+    Otherwise it keeps drawing ``getrandbits(n.bit_length())``, dropping a value
+    that is >= n or already selected, until it holds k positions. Here the draws
+    come in chunks of ``need = k - len(selected)``: a chunk adds at most ``need``
+    new positions, so the k-th one is always the last draw of its chunk and no
+    further value is taken from the stream. Values, not positions, are sorted.
+    """
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize or not 0 <= k <= n:
+        return sorted(rng.sample(population, k))
+    below_n = partial(gt, n)
+    bits = n.bit_length()
+    selected: set[int] = set()
+    while (need := k - len(selected)) > 0:
+        selected.update(filter(below_n, map(rng.getrandbits, repeat(bits, need))))
+    return sorted(map(getitem, repeat(population), selected))
+
+
 def gen_set_system(
     model: str,
     n: int,
@@ -101,7 +131,10 @@ def gen_set_system(
     entry. The draws are the same as from the range: ``random.sample`` chooses
     positions from the population's length alone and then reads
     ``population[j]``, so the tuple yields the same values from the same
-    random stream, and every set, digest and trace is unchanged.
+    random stream, and every set, digest and trace is unchanged. The decoys and
+    the skewed sets are drawn by :func:`_sorted_sample`, which picks the same
+    positions as ``sorted(rng.sample(universe, k))`` from the same random
+    stream, without a Python-level call per pick.
     """
     _require_ints(n=n, m=m, seed=seed, k=k)
     _require_probability("density", density)
@@ -127,8 +160,7 @@ def gen_set_system(
             prev = cut
         decoy_cap = max(1, n // (2 * k))
         decoys = [
-            sorted(rng.sample(universe, rng.randint(1, decoy_cap)))
-            for _ in range(m - k)
+            _sorted_sample(universe, rng.randint(1, decoy_cap), rng) for _ in range(m - k)
         ]
         sets = blocks + decoys
         order = list(range(m))
@@ -142,7 +174,7 @@ def gen_set_system(
         for _ in range(m):
             scale = rng.randint(0, max(0, n.bit_length() - 1))
             sizes.append(max(1, n >> scale))
-        sets = [sorted(rng.sample(universe, size)) for size in sizes]
+        sets = [_sorted_sample(universe, size, rng) for size in sizes]
 
     system = build_set_system(sets, universe_size=n)
     meta["coverable"] = all(system.element_to_sets)

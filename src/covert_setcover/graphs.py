@@ -16,6 +16,8 @@ from functools import lru_cache
 from itertools import compress
 from operator import itemgetter, ne
 
+from .errors import require_instance
+
 Pair = tuple[int, int]
 
 
@@ -54,7 +56,10 @@ class Graph:
             raise ValueError(f"edges must be an iterable of vertex pairs, got {edges!r}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for edge in edges:
-            u, v = edge
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edges must hold vertex pairs, got {edge!r}") from None
             # type() rather than isinstance(): True is an int instance but not a vertex.
             if not (type(u) is int and type(v) is int and 1 <= u <= n and 1 <= v <= n):
                 raise ValueError(
@@ -111,6 +116,7 @@ class LayeredAnswer:
 
 def layered_answer(graph: Graph, v: int) -> LayeredAnswer:
     """Compute the layered answer at ``v`` (offline; nothing is metered here)."""
+    require_instance("graph", graph, Graph)
     if type(v) is not int:
         raise ValueError(f"vertex {v!r} is not an integer")
     if not 1 <= v <= graph.n:
@@ -141,6 +147,7 @@ def certified_pairs(answer: LayeredAnswer, pairs: Sequence[Pair] | None = None) 
     pairs (including any two distance-1 neighbors of the source) are left out.
     The keys are the tuples of ``pairs`` themselves, in their order.
     """
+    require_instance("answer", answer, LayeredAnswer)
     if pairs is None:
         pairs = all_pairs(len(answer.dist))
     level = (None, *answer.dist)

@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
-    UncoverableInstanceError, _require_ints, require_oracle, require_run_constants,
+    UncoverableInstanceError, _require_ints, require_instance, require_run_constants,
 )
 from .oracle import CovertOracle, MeteredOracle
 from .results import CoverResult, RoundState
@@ -225,7 +225,7 @@ def run_pseudo_greedy(
     On an uncoverable instance the base case flags failure and the result
     carries the witness element and the partial cover accepted so far.
     """
-    require_oracle(oracle, CovertOracle)
+    require_instance("oracle", oracle, CovertOracle)
     uncovered = set(range(1, oracle.n_elements + 1))
 
     def accept(s: int) -> tuple[int, ...]:

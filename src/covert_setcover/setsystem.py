@@ -24,6 +24,7 @@ from .errors import (
     BruteForceCapExceededError,
     InvalidCoverError,
     UncoverableInstanceError,
+    require_instance,
 )
 
 BRUTE_FORCE_SET_CAP = 20
@@ -91,15 +92,16 @@ def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSy
                     " or not an integer"
                 )
         rows.append(tuple(sorted(unique)))  # a non-int equal to a kept int: True in [1, True]
-    # Sets are visited in index order, so each inverse list comes out sorted.
-    containing: list[list[int]] = [[] for _ in range(universe_size)]
+    # Sets are visited in index order, so each inverse list comes out sorted. Slot 0
+    # pads the index, so ``containing[e]`` makes no ``e - 1`` int per entry.
+    containing: list[list[int]] = [[] for _ in range(universe_size + 1)]
     for idx, row in enumerate(rows, start=1):
         for e in row:
-            containing[e - 1].append(idx)
+            containing[e].append(idx)
     return SetSystem(
         universe_size=universe_size,
         sets=tuple(rows),
-        element_to_sets=tuple(map(tuple, containing)),
+        element_to_sets=tuple(map(tuple, islice(containing, 1, None))),
     )
 
 
@@ -175,6 +177,7 @@ def _check_index(system: SetSystem, s) -> None:
 
 def verify_cover(system: SetSystem, cover: Cover | Iterable[int]) -> bool:
     """True iff the listed sets cover the universe; a bad set index raises InvalidCoverError."""
+    require_instance("system", system, SetSystem)
     indices = cover.set_indices if isinstance(cover, Cover) else _index_tuple(cover)
     covered: set[int] = set()
     for s in indices:
@@ -213,6 +216,7 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     Raises :class:`UncoverableInstanceError` naming an uncovered element if
     the family cannot cover the universe.
     """
+    require_instance("system", system, SetSystem)
     if not (isinstance(theta, Real) and not isinstance(theta, bool) and 0.0 < theta <= 1.0):
         raise ValueError(f"theta must be a number in (0, 1], got {theta!r}")
     sets, containing = system.sets, system.element_to_sets
@@ -253,6 +257,7 @@ def brute_force_min_cover(system: SetSystem) -> Cover:
     sequence. Refuses instances with more than BRUTE_FORCE_SET_CAP sets
     (20; 2^20 subsets is the tractability line at desk scale).
     """
+    require_instance("system", system, SetSystem)
     m = system.n_sets
     if m > BRUTE_FORCE_SET_CAP:
         raise BruteForceCapExceededError(

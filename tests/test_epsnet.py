@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from bisect import bisect_right
 from collections.abc import Sequence
 
@@ -197,6 +198,17 @@ class TestRun:
         oracle = CovertOracle(build_set_system([[1, 2, 3]], 3))
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             run_weighted_epsilon_net(oracle, **{name: value})
+        assert oracle.ledger.total == 0
+
+    @pytest.mark.parametrize("alpha_net, size", [(1e12, "8.32e+12"), (1e308, "inf")])
+    def test_candidate_size_is_bounded(self, alpha_net, size):
+        # At alpha_net = 1e12 the first candidate would be 8.3e12 draws over 8 sets,
+        # a list that rng.choices would build until memory ran out; at 1e308 the
+        # size overflows to inf, which math.ceil in net_size cannot round.
+        oracle = CovertOracle(build_set_system([[e] for e in range(1, 9)], 8))
+        message = re.escape(f"alpha_net={alpha_net!r} asks for {size} draws")
+        with pytest.raises(ValueError, match=message):
+            run_weighted_epsilon_net(oracle, alpha_net=alpha_net)
         assert oracle.ledger.total == 0
 
     def test_single_universe_set(self):

@@ -1,9 +1,10 @@
 import json
 import math
+import random
 
 import pytest
 
-from covert_setcover.generators import SET_MODELS, gen_graph, gen_set_system
+from covert_setcover.generators import SET_MODELS, _sorted_sample, gen_graph, gen_set_system
 from covert_setcover.setsystem import from_json_dict, to_json_dict, verify_cover
 
 
@@ -95,6 +96,32 @@ class TestSetModels:
         assert loaded == system
         for built in (system, loaded):
             assert len({id(e) for row in built.sets for e in row}) <= built.universe_size
+
+
+class TestSortedSample:
+    # random.sample switches from its pool branch to its set branch where n first
+    # exceeds 21 (k <= 5) or 21 + 4 ** ceil(log(3k, 4)) (k > 5): 85 for k = 6, 277 for
+    # k in 22..85. k = n - 1 and k = n always take the pool branch; at n = 8192,
+    # k = n // 6 takes the set branch with many repeated positions, as the decoys do.
+    @pytest.mark.parametrize("n", [1, 21, 22, 85, 86, 276, 277, 278, 600, 4096, 8192])
+    def test_same_values_and_stream_as_random_sample(self, n):
+        increasing = tuple(range(1, n + 1))
+        decreasing = increasing[::-1]  # sorting positions instead of values would show here
+        for k in sorted({k for k in (0, 1, 5, 6, 22, 85, n // 6, n - 1, n) if 0 <= k <= n}):
+            for seed in range(3):
+                for population in (increasing, decreasing):
+                    ours, theirs = random.Random(seed), random.Random(seed)
+                    assert _sorted_sample(population, k, ours) == sorted(
+                        theirs.sample(population, k)), (n, k, seed)
+                    assert ours.getstate() == theirs.getstate(), (n, k, seed)
+
+    @pytest.mark.parametrize("k", [-1, 601])
+    def test_out_of_range_k_raises_as_random_sample(self, k):
+        population = tuple(range(1, 601))
+        with pytest.raises(ValueError) as theirs:
+            random.Random(0).sample(population, k)
+        with pytest.raises(ValueError, match=str(theirs.value)):
+            _sorted_sample(population, k, random.Random(0))
 
 
 class TestParameterChecks:

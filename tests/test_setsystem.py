@@ -9,6 +9,7 @@ from covert_setcover.discovery import (
     DiscoveryResult,
     LayeredGraphOracle,
     competitive_ratio,
+    offline_verification,
     run_network_discovery,
 )
 from covert_setcover.errors import (
@@ -16,7 +17,7 @@ from covert_setcover.errors import (
     InvalidCoverError,
     UncoverableInstanceError,
 )
-from covert_setcover.graphs import Graph
+from covert_setcover.graphs import Graph, certified_pairs, layered_answer
 from covert_setcover.oracle import CovertOracle, QueryLedger
 from covert_setcover.pseudo_greedy import run_pseudo_greedy
 from covert_setcover.setsystem import (
@@ -213,31 +214,43 @@ REPORT = DiscoveryResult(statuses={}, query_set=[], ledger=QueryLedger())
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
-        (lambda: build_set_system(None, 3), ValueError),
-        (lambda: build_set_system([1, 2], 3), ValueError),
-        (lambda: build_set_system([[1], [[2]]], 3), ValueError),
-        (lambda: verify_cover(SMALL, None), InvalidCoverError),
-        (lambda: Cover.from_indices(SMALL, 1), InvalidCoverError),
-        (lambda: greedy_cover(SMALL, "a"), ValueError),
-        (lambda: greedy_cover(SMALL, None), ValueError),
-        (lambda: greedy_cover(SMALL, True), ValueError),
-        (lambda: competitive_ratio(REPORT, "3"), ValueError),
-        (lambda: competitive_ratio(REPORT, True), ValueError),
-        (lambda: Graph.from_edges(3, None), ValueError),
-        (lambda: run_pseudo_greedy(CovertOracle(PATH_3)), ValueError),
-        (lambda: run_network_discovery(LayeredGraphOracle(SMALL)), ValueError),
+        (lambda: build_set_system(None, 3), ValueError, "the set family must be a sequence"),
+        (lambda: build_set_system([1, 2], 3), ValueError, "set 1 is not an iterable"),
+        (lambda: build_set_system([[1], [[2]]], 3), ValueError, "set 2 holds an unhashable"),
+        (lambda: verify_cover(SMALL, None), InvalidCoverError, "set indices must be"),
+        (lambda: Cover.from_indices(SMALL, 1), InvalidCoverError, "set indices must be"),
+        (lambda: greedy_cover(SMALL, "a"), ValueError, "theta must be"),
+        (lambda: greedy_cover(SMALL, None), ValueError, "theta must be"),
+        (lambda: greedy_cover(SMALL, True), ValueError, "theta must be"),
+        (lambda: competitive_ratio(REPORT, "3"), ValueError, "opt_size must be"),
+        (lambda: competitive_ratio(REPORT, True), ValueError, "opt_size must be"),
+        (lambda: Graph.from_edges(3, None), ValueError, "edges must be"),
+        (lambda: run_pseudo_greedy(CovertOracle(PATH_3)), ValueError, "cannot hide a Graph"),
+        (lambda: run_network_discovery(LayeredGraphOracle(SMALL)), ValueError,
+         "cannot hide a SetSystem"),
+        (lambda: greedy_cover(None), ValueError, "system must be a SetSystem, got NoneType"),
+        (lambda: verify_cover(None, [1]), ValueError, "system must be a SetSystem"),
+        (lambda: brute_force_min_cover(None), ValueError, "system must be a SetSystem"),
+        (lambda: Graph.from_edges(3, [1]), ValueError, "edges must hold vertex pairs, got 1"),
+        (lambda: offline_verification("x"), ValueError, "graph must be a Graph, got str"),
+        (lambda: layered_answer(None, 1), ValueError, "graph must be a Graph, got NoneType"),
+        (lambda: certified_pairs(None), ValueError, "answer must be a LayeredAnswer"),
     ],
     ids=["family-none", "rows-not-iterable", "unhashable-element", "cover-none",
          "indices-not-iterable", "theta-string", "theta-none", "theta-bool",
          "opt-size-string", "opt-size-bool", "edges-none", "covert-oracle-on-graph",
-         "layered-oracle-on-set-system"],
+         "layered-oracle-on-set-system", "greedy-system-none", "verify-system-none",
+         "brute-force-system-none", "edge-not-a-pair", "offline-graph-string",
+         "layered-graph-none", "certified-answer-none"],
 )
-def test_wrong_type_raises_typed_error(call, error):
-    # Each of these ended in a bare TypeError from len, tuple, set or a comparison, in an
-    # AttributeError from an oracle over the wrong hidden type, or ran with a bool as 1.
-    with pytest.raises(error) as info:
+def test_wrong_type_raises_typed_error(call, error, message):
+    # Each of these ended in a bare TypeError from len, tuple, set, a comparison or an
+    # unpacking, in an AttributeError from a missing system, graph or answer or from an
+    # oracle over the wrong hidden type, or ran with a bool as 1. The error names the
+    # argument.
+    with pytest.raises(error, match=message) as info:
         call()
     assert type(info.value) is error
 
