@@ -178,17 +178,14 @@ ALGORITHMS = {
 }
 
 
-def run_trials(config: ExperimentConfig):
-    """Yield the record of each seed of a config, in sorted seed order.
+def run_trials(config: ExperimentConfig, instance, opt):
+    """Yield the record of each seed of a config on its resolved instance, in sorted seed order.
 
-    The instance is resolved and, with ``compute_opt``, its optimum computed
-    once; each record carries the seed, the algorithm and the trial's wall
-    time next to what the algorithm's trial put in it.
+    ``opt`` is the instance's exact optimum, or None; each record carries the
+    seed, the algorithm and the trial's wall time next to what the
+    algorithm's trial put in it.
     """
-    config.validate()
-    resolve, optimum, trial = ALGORITHMS[config.algorithm]
-    instance = resolve(config.source)
-    opt = optimum(instance) if config.compute_opt else None
+    trial = ALGORITHMS[config.algorithm][2]
     for seed in sorted(config.seeds):
         t0 = time.perf_counter()
         record = trial(instance, config, seed, opt)
@@ -197,8 +194,16 @@ def run_trials(config: ExperimentConfig):
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute all trials of a config and assemble the report."""
-    trials = list(run_trials(config))
+    """Execute all trials of a config and assemble the report.
+
+    The instance is resolved and, with ``compute_opt``, its optimum computed
+    once, then shared by every seed's trial.
+    """
+    config.validate()
+    resolve, optimum, _ = ALGORITHMS[config.algorithm]
+    instance = resolve(config.source)
+    opt = optimum(instance) if config.compute_opt else None
+    trials = list(run_trials(config, instance, opt))
     return {
         "config": asdict(config),
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -316,46 +321,37 @@ def bench_planted_family(
 ) -> dict:
     """Head-to-head query growth of the two covert algorithms on planted instances.
 
-    For each planted optimum k, generates each seed's instance once, runs the
-    table's pseudo-greedy, epsnet and greedy trials on it, and reports median
-    query totals plus the fitted exponent of queries in k. The explicit
-    greedy size (and the exact optimum when the family is small enough) ride
-    along as references; ``all_valid`` covers every trial. The exponents
-    need at least two distinct k values and at least one seed.
+    For each planted optimum k, generates each seed's instance and its exact
+    optimum once and runs one single-seed config per algorithm (pseudo-greedy,
+    epsnet, greedy) on it through :func:`run_trials`. Each ``per_k`` entry
+    holds each algorithm's ``aggregate_cover_trials`` over the seeds, plus
+    the median optimum when every instance has one; the exponents are fitted
+    on median total queries and need a list of at least two distinct k
+    values and a nonempty list of seeds.
     """
+    for name, value in (("k_values", k_values), ("seeds", seeds)):
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list, got {value!r}")
     if len(set(k_values)) < 2:
         raise ValueError(f"need at least two distinct k values to fit an exponent, got {k_values}")
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    # The trials read only the constants; each is called by name below.
-    config = ExperimentConfig(algorithm="pseudo-greedy", seeds=list(seeds),
-                              alpha=alpha, alpha_net=alpha_net)
     per_k = []
     for k in k_values:
-        records = {"pseudo-greedy": [], "epsnet": [], "greedy": []}
+        trials = {"pseudo-greedy": [], "epsnet": [], "greedy": []}
+        opt_sizes = []
         for seed in seeds:
-            system, _ = gen_set_system("planted-cover", n=n, m=m, seed=seed, k=k)
+            source = {"kind": "generate", "model": "planted-cover", "n": n, "m": m, "k": k,
+                      "seed": seed}
+            system = resolve_system(source)
             opt = _cover_optimum(system)
-            for name, runs in records.items():
-                _, _, trial = ALGORITHMS[name]
-                runs.append(trial(system, config, seed, opt))
-        opt_sizes = [r["opt_size"] for r in records["greedy"] if "opt_size" in r]
-
-        def medians(name):
-            runs = records[name]
-            return {
-                "median_queries": statistics.median(r["ledger"]["total"] for r in runs),
-                "median_cover_size": statistics.median(r["cover_size"] for r in runs),
-            }
-
-        entry = {
-            "k": k,
-            "all_valid": all(r["valid"] for runs in records.values() for r in runs),
-            "pseudo_greedy": medians("pseudo-greedy"),
-            "epsnet": medians("epsnet"),
-            "greedy_median_size": statistics.median(r["cover_size"] for r in records["greedy"]),
-        }
-        if opt_sizes:
+            opt_sizes.append(opt)
+            for name, runs in trials.items():
+                config = ExperimentConfig(name, [seed], source, alpha=alpha, alpha_net=alpha_net,
+                                          compute_opt=True)
+                runs.extend(run_trials(config, system, opt))
+        entry = {"k": k, **{name: aggregate_cover_trials(runs) for name, runs in trials.items()}}
+        if None not in opt_sizes:
             entry["opt_median_size"] = statistics.median(opt_sizes)
         per_k.append(entry)
     return {
@@ -365,9 +361,9 @@ def bench_planted_family(
         "seeds": list(seeds),
         "per_k": per_k,
         "pseudo_greedy_exponent": fitted_query_exponent(
-            k_values, [e["pseudo_greedy"]["median_queries"] for e in per_k]
+            k_values, [e["pseudo-greedy"]["median_total_queries"] for e in per_k]
         ),
         "epsnet_exponent": fitted_query_exponent(
-            k_values, [e["epsnet"]["median_queries"] for e in per_k]
+            k_values, [e["epsnet"]["median_total_queries"] for e in per_k]
         ),
     }

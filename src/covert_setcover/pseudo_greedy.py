@@ -242,7 +242,6 @@ def run_pseudo_greedy(
         cover=Cover(set_indices=tuple(chosen)),
         rounds=rounds,
         ledger=oracle.ledger_snapshot(),
-        base_case_entered=any(r.base_case for r in rounds),
         failed=witness is not None,
         uncovered_element=witness,
     )

@@ -67,7 +67,6 @@ class CoverResult:
     cover: Cover
     rounds: list = field(default_factory=list)
     ledger: QueryLedger = field(default_factory=QueryLedger)
-    base_case_entered: bool = False
     failed: bool = False
     uncovered_element: int | None = None
 
@@ -77,7 +76,6 @@ class CoverResult:
             "cover_size": len(self.cover),
             "rounds": [r.to_json_dict() for r in self.rounds],
             "ledger": self.ledger.to_json_dict(),
-            "base_case_entered": self.base_case_entered,
             "failed": self.failed,
             "uncovered_element": self.uncovered_element,
         }

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covert_setcover import harness
 from covert_setcover.generators import gen_set_system
 from covert_setcover.harness import (
     ExperimentConfig,
@@ -275,8 +276,11 @@ class TestBench:
             ([1], [0], "at least two distinct k values"),
             ([2, 2], [0], "at least two distinct k values"),
             ([1, 2], [], "seeds must be nonempty"),
+            (None, [0], "k_values must be a list"),
+            (3, [0], "k_values must be a list"),
+            ([1, 2], 3, "seeds must be a list"),
         ],
-        ids=["one-k", "repeated-k", "no-seeds"],
+        ids=["one-k", "repeated-k", "no-seeds", "k-none", "k-int", "seeds-int"],
     )
     def test_rejects_what_cannot_fit_an_exponent(self, k_values, seeds, message):
         with pytest.raises(ValueError, match=message):
@@ -286,7 +290,29 @@ class TestBench:
         report = bench_planted_family([1, 2], seeds=[0, 1], n=64, m=16)
         assert [entry["k"] for entry in report["per_k"]] == [1, 2]
         for entry in report["per_k"]:
-            assert entry["all_valid"]
+            for name in ("pseudo-greedy", "epsnet", "greedy"):
+                assert entry[name]["valid_fraction"] == 1.0
             assert entry["opt_median_size"] <= entry["k"]
         assert "pseudo_greedy_exponent" in report
         assert "epsnet_exponent" in report
+
+    def test_entries_are_the_experiment_aggregates(self):
+        # Bench runs each algorithm through the trial loop of run_experiment, so a
+        # one-seed bench entry is that experiment's aggregates, field for field.
+        report = bench_planted_family([1, 2], seeds=[3], n=64, m=16)
+        for entry in report["per_k"]:
+            source = {"kind": "generate", "model": "planted-cover", "n": 64, "m": 16,
+                      "k": entry["k"], "seed": 3}
+            for name in ("pseudo-greedy", "epsnet", "greedy"):
+                config = ExperimentConfig(name, [3], source, compute_opt=True)
+                assert entry[name] == run_experiment(config)["aggregates"]
+
+    def test_each_instance_and_optimum_made_once(self, monkeypatch):
+        calls = {"gen_set_system": 0, "_cover_optimum": 0}
+        for name in calls:
+            def counted(*args, _wrapped=getattr(harness, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _wrapped(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counted)
+        bench_planted_family([1, 2], seeds=[0, 1], n=64, m=16)
+        assert calls == {"gen_set_system": 4, "_cover_optimum": 4}

@@ -80,7 +80,7 @@ def test_tracer_notes_still_read(perfbench):
         cs.run_weighted_epsilon_net(cs.CovertOracle(system), rng_seed=1)
         cs.run_network_discovery(cs.LayeredGraphOracle(graph), alpha=2.0, rng_seed=1)
     assert installed.absent == []
-    assert greedy.base_case_entered and any(r.chosen for r in greedy.rounds if not r.base_case)
+    assert greedy.rounds[-1].base_case and any(r.chosen for r in greedy.rounds if not r.base_case)
     notes = {}
     for name, _, _, _, _, note in tracer.spans:
         notes.setdefault(name, []).append(note)

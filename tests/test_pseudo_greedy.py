@@ -384,7 +384,6 @@ class TestRun:
         system = build_set_system([list(range(1, 9))], 8)
         result = run_pseudo_greedy(CovertOracle(system), alpha=8.0, rng_seed=3)
         assert result.cover.set_indices == (1,)
-        assert result.base_case_entered
         assert len(result.rounds) == 1 and result.rounds[0].base_case
 
     def test_small_instance_equals_explicit_greedy(self):
