@@ -3,9 +3,9 @@
 Subcommands: gen-graph, gen-sets, setcover, discover, verify, lemma-test,
 bench. ``setcover`` and ``discover`` share one handler: each prints the
 ``harness.run_experiment`` report of its file source (``--instance`` or
-``--graph``). Output goes to stdout or --out as JSON (or CSV for trial
-reports); failures print a machine-readable JSON object on stderr and exit
-nonzero.
+``--graph``). Output goes to stdout or --out as JSON, or for those two as
+CSV with one row per trial (``--format csv``); failures print a
+machine-readable JSON object on stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     # The constants discovery does not read keep their config defaults.
     d.set_defaults(func=_cmd_experiment, algo="discover", theta=1.0,
                    alpha_net=DEFAULT_ALPHA_NET, with_opt=True)
+    for p in (c, d):  # only a trial report flattens to CSV rows
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     v = sub.add_parser("verify", help="offline verification query set for a known graph")
     v.add_argument("--graph", required=True)
@@ -115,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _cmd_gen_graph(args) -> dict:
@@ -166,7 +167,7 @@ def _cmd_bench(args) -> dict:
 def _emit(payload: dict, args) -> None:
     # Serialized in either format, so a NaN or an infinity is an error, never output.
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if args.format == "csv":
+    if getattr(args, "format", "json") == "csv":
         text = _to_csv(payload)
     if args.out:
         with open(args.out, "w") as fh:
@@ -176,10 +177,7 @@ def _emit(payload: dict, args) -> None:
 
 
 def _to_csv(payload: dict) -> str:
-    rows = payload.get("trials")
-    if not isinstance(rows, list):
-        raise ValueError("csv output needs a trial report; this payload has no trials")
-    flat_rows = [_flatten(row) for row in rows]
+    flat_rows = [_flatten(row) for row in payload["trials"]]
     sorted_fields = sorted({k for row in flat_rows for k in row})
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=sorted_fields)

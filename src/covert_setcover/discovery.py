@@ -64,7 +64,7 @@ class LayeredGraphOracle(MeteredOracle):
         if answer is None:
             # layered_answer rejects an out-of-range vertex before anything is stored.
             answer = self._answers[v] = layered_answer(self._hidden, v)
-        self._charge("layered", "layered", v, answer.dist)
+        self._charge("layered", v, answer.dist)
         return answer
 
 
@@ -79,6 +79,7 @@ def hitting_set_H(
     information. u and v always belong to H, so the pair itself is
     certified by either answer.
     """
+    require_instance("oracle", oracle, LayeredGraphOracle)
     if u == v:
         raise ValueError(f"pair endpoints must differ, got ({u}, {v})")
     ans_u = oracle.layered_query(u)
@@ -141,15 +142,14 @@ def run_network_discovery(
     unresolved: list[Pair] = list(all_pairs(n))
     learned: set[int] = set()
 
-    def learn(answer: LayeredAnswer) -> dict[Pair, bool]:
+    def learn(answer: LayeredAnswer) -> None:
         nonlocal unresolved
         if answer.source in learned:
-            return {}
+            return
         learned.add(answer.source)
         certified = certified_pairs(answer, unresolved)
         statuses.update(certified)
         unresolved = list(filterfalse(certified.__contains__, unresolved))
-        return certified
 
     def probe(pair: Pair) -> frozenset[int]:
         hset, (ans_u, ans_v) = hitting_set_H(oracle, *pair)
@@ -157,8 +157,8 @@ def run_network_discovery(
         learn(ans_v)
         return hset
 
-    def accept(x: int) -> dict[Pair, bool]:
-        return learn(oracle.layered_query(x))
+    def accept(x: int) -> None:
+        learn(oracle.layered_query(x))
 
     # x is in H(u, v) exactly when a query at x certifies {u, v}, so no
     # vertex is chosen twice: Q is the engine's pick list as it stands.
@@ -207,6 +207,7 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
 
 def competitive_ratio(result: DiscoveryResult, opt_size: int) -> float:
     """Layered queries spent online divided by the offline optimum."""
+    require_instance("result", result, DiscoveryResult)
     if type(opt_size) is not int or opt_size < 1:
         raise ValueError(f"opt_size must be an integer >= 1, got {opt_size!r}")
     return result.ledger.layered_queries / opt_size

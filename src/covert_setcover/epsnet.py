@@ -82,14 +82,14 @@ def reweight_on_miss(weights: list[int], x: int, oracle: CovertOracle) -> tuple[
     return containing
 
 
-def net_size(k: int, m_prime: int, alpha_net: float, size_const: float) -> int:
-    """Candidate size ceil(alpha_net * k * ln(m') * size_const), at least 1."""
-    return max(1, math.ceil(alpha_net * k * math.log(m_prime) * size_const))
+def net_size(k: int, m_prime: int, alpha_net: float) -> int:
+    """Candidate size ceil(alpha_net * k * ln(m') * NET_SIZE_CONST), at least 1."""
+    return max(1, math.ceil(alpha_net * k * math.log(m_prime) * NET_SIZE_CONST))
 
 
-def iteration_cap(k: int, m_prime: int, cap_const: float) -> int:
-    """Per-guess budget ceil(cap_const * k * log2(m'/k + 2))."""
-    return math.ceil(cap_const * k * math.log2(m_prime / k + 2))
+def iteration_cap(k: int, m_prime: int) -> int:
+    """Per-guess budget ceil(ITER_CAP_CONST * k * log2(m'/k + 2))."""
+    return math.ceil(ITER_CAP_CONST * k * math.log2(m_prime / k + 2))
 
 
 def run_weighted_epsilon_net(
@@ -129,8 +129,8 @@ def run_weighted_epsilon_net(
     k = 1
     while True:
         weights = [1] * m_prime
-        size = net_size(k, m_prime, alpha_net, NET_SIZE_CONST)
-        cap = iteration_cap(k, m_prime, ITER_CAP_CONST)
+        size = net_size(k, m_prime, alpha_net)
+        cap = iteration_cap(k, m_prime)
         oracle.mark_phase(f"guess-{k}")
         before = oracle.ledger_snapshot()
         iterations, cover, witness = cap, None, None

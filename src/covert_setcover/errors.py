@@ -11,9 +11,9 @@ class CovertSetCoverError(Exception):
 class UncoverableInstanceError(CovertSetCoverError):
     """The family cannot cover the universe; carries a witness element."""
 
-    def __init__(self, element, message=None):
+    def __init__(self, element):
         self.element = element
-        super().__init__(message or f"element {element} is not contained in any set")
+        super().__init__(f"element {element} is not contained in any set")
 
 
 class InvalidCoverError(CovertSetCoverError):

@@ -145,13 +145,17 @@ def certified_pairs(answer: LayeredAnswer, pairs: Sequence[Pair] | None = None) 
     for an answer of :func:`layered_answer` that is an edge exactly at
     consecutive levels and a non-edge across a gap of two or more. Equal-level
     pairs (including any two distance-1 neighbors of the source) are left out.
-    The keys are the tuples of ``pairs`` themselves, in their order.
+    The keys are the tuples of ``pairs`` themselves, in their order; an item
+    that is not a pair of vertex numbers raises ``ValueError``.
     """
     require_instance("answer", answer, LayeredAnswer)
     if pairs is None:
         pairs = all_pairs(len(answer.dist))
     level = (None, *answer.dist)
-    u_levels = map(level.__getitem__, map(itemgetter(0), pairs))
-    w_levels = map(level.__getitem__, map(itemgetter(1), pairs))
-    resolved = list(compress(pairs, map(ne, u_levels, w_levels)))
+    try:
+        u_levels = map(level.__getitem__, map(itemgetter(0), pairs))
+        w_levels = map(level.__getitem__, map(itemgetter(1), pairs))
+        resolved = list(compress(pairs, map(ne, u_levels, w_levels)))
+    except (TypeError, IndexError):
+        raise ValueError("pairs must hold vertex pairs of the answer's graph") from None
     return dict(zip(resolved, map(answer.shortest_path_edges.__contains__, resolved)))

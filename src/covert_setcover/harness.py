@@ -77,14 +77,14 @@ class ExperimentConfig:
 def _resolve(source: dict, parse, generate):
     """Materialize the instance a config points at: a JSON file or a generator call.
 
-    A file source needs a "path"; a generator source passes its keys other
-    than "kind" to ``generate`` as keyword arguments. A missing, unknown or
-    misspelled key raises ``ValueError`` naming it.
+    A file source needs a str "path" (``open`` takes an int as a descriptor);
+    a generator source passes its keys other than "kind" to ``generate`` as
+    keyword arguments. A bad, missing, unknown or misspelled key raises ``ValueError``.
     """
     kind = source.get("kind")
     if kind == "file":
-        if "path" not in source:
-            raise ValueError(f'a file instance source needs a "path" key, got {source!r}')
+        if not isinstance(source.get("path"), str):
+            raise ValueError(f'a file instance source needs a str "path", got {source!r}')
         with open(source["path"]) as fh:
             return parse(json.load(fh))
     if kind == "generate":

@@ -76,7 +76,8 @@ class MeteredOracle:
     then calls :meth:`_charge`, so a rejected query costs nothing and leaves
     no log line. ``log_stream``, when given, receives one JSON line per
     charged query: {"kind": ..., "arg": id, "answer": [...], "phase": label}.
-    A hidden instance that is not a ``hidden_type`` raises ``ValueError``.
+    A hidden instance that is not a ``hidden_type`` raises ``ValueError``, as
+    does a log stream with no ``write``.
     """
 
     hidden_type: type = object
@@ -84,6 +85,8 @@ class MeteredOracle:
     def __init__(self, hidden, log_stream: IO[str] | None = None):
         if not isinstance(hidden, self.hidden_type):
             raise ValueError(f"{type(self).__name__} cannot hide a {type(hidden).__name__}")
+        if log_stream is not None and not callable(getattr(log_stream, "write", None)):
+            raise ValueError(f"log_stream must have a write method, got {log_stream!r}")
         self._hidden = hidden
         self.ledger = QueryLedger()
         self._phase = "init"
@@ -96,14 +99,12 @@ class MeteredOracle:
     def ledger_snapshot(self) -> QueryLedger:
         return self.ledger.snapshot()
 
-    def _charge(self, kind: str, log_kind: str, arg: int, answer: Sequence[int]) -> None:
-        """Count one query of ``kind`` and log it as ``log_kind``."""
+    def _charge(self, kind: str, arg: int, answer: Sequence[int]) -> None:
+        """Count one query of ``kind`` and log it under the same kind."""
         self.ledger.record(kind, self._phase)
         if self._log is not None:
             self._log.write(
-                json.dumps(
-                    {"kind": log_kind, "arg": arg, "answer": list(answer), "phase": self._phase}
-                )
+                json.dumps({"kind": kind, "arg": arg, "answer": list(answer), "phase": self._phase})
                 + "\n"
             )
 
@@ -114,7 +115,7 @@ class CovertOracle(MeteredOracle):
     Algorithms should treat the hidden system as unreachable except through
     :meth:`hitting_query` and :meth:`set_query`; tests audit that covert
     runs only ever use set indices that appeared in some logged answer.
-    Queries are logged with kind "hit" or "set". An answer is the hidden
+    Queries are logged with kind "hitting" or "set". An answer is the hidden
     system's stored increasing tuple itself, returned with no sort or copy.
     """
 
@@ -140,7 +141,7 @@ class CovertOracle(MeteredOracle):
                 f"element {e} outside [1, {self._hidden.universe_size}]"
             )
         answer = self._hidden.element_to_sets[e - 1]
-        self._charge("hitting", "hit", e, answer)
+        self._charge("hitting", e, answer)
         return answer
 
     def set_query(self, s: int) -> tuple[int, ...]:
@@ -150,5 +151,5 @@ class CovertOracle(MeteredOracle):
         if not 1 <= s <= self._hidden.n_sets:
             raise ValueError(f"set index {s} outside [1, {self._hidden.n_sets}]")
         answer = self._hidden.sets[s - 1]
-        self._charge("set", "set", s, answer)
+        self._charge("set", s, answer)
         return answer

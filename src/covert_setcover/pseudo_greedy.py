@@ -37,10 +37,8 @@ DEFAULT_ALPHA = 8.0
 
 # probe(e): the sets containing element e, one charged query.
 Probe = Callable[[Hashable], Iterable[int]]
-# accept(s): fetch set s, one charged query, and record what it covers. It returns
-# the elements it covers, or an empty collection if the caller had recorded them
-# already; sequential_filter unions what it returns, and sampled_greedy discards that.
-Accept = Callable[[int], Iterable[Hashable]]
+# accept(s): fetch set s, one charged query, and record what it covers.
+Accept = Callable[[int], None]
 
 
 def draw_round_sample(uncovered, s_i: float, threshold: float, rng: random.Random) -> list:
@@ -87,19 +85,18 @@ def sequential_filter(
     """Walk the shortlist in order, accepting sets that still own enough samples.
 
     A set is accepted iff its sampled elements outside those claimed by
-    earlier acceptances still number >= ``threshold``. Acceptance fetches the
-    set (one charged query); the returned union of what the accepted sets
-    cover costs nothing extra.
+    earlier acceptances still number >= ``threshold``. Acceptance calls
+    ``accept(s)`` (one charged query). Returns (accepted sets in order, the
+    sampled elements they claimed).
     """
     accepted: list[int] = []
     claimed: set = set()
-    newly_covered: set = set()
     for s in shortlist:
         if len(sample_hits[s] - claimed) >= threshold:
             accepted.append(s)
-            newly_covered.update(accept(s))
+            accept(s)
             claimed |= sample_hits[s]
-    return accepted, newly_covered
+    return accepted, claimed
 
 
 def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable]) -> list[int]:
@@ -228,11 +225,9 @@ def run_pseudo_greedy(
     require_instance("oracle", oracle, CovertOracle)
     uncovered = set(range(1, oracle.n_elements + 1))
 
-    def accept(s: int) -> tuple[int, ...]:
+    def accept(s: int) -> None:
         # Shrinking mid-round is safe: the round has already drawn its sample.
-        members = oracle.set_query(s)
-        uncovered.difference_update(members)
-        return members
+        uncovered.difference_update(oracle.set_query(s))
 
     chosen, rounds, witness = sampled_greedy(
         oracle, lambda: uncovered, oracle.hitting_query, accept,

@@ -316,7 +316,7 @@ def test_criterion_11_epsnet_baseline():
         result = run_weighted_epsilon_net(CovertOracle(system), rng_seed=seed)
         all_valid &= (not result.failed) and verify_cover(system, result.cover)
         caps_respected &= all(
-            t.iterations <= t.iteration_cap == iteration_cap(t.k, 8, 4.0)
+            t.iterations <= t.iteration_cap == iteration_cap(t.k, 8)
             for t in result.rounds
         )
     bench = bench_planted_family([1, 2, 4, 8], seeds=[0, 1, 2, 3, 4], n=512, m=512)

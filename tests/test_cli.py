@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -122,6 +123,18 @@ class TestGraphCommands:
         assert rows[0]["seed"] == "3"
         assert json.loads(rows[0]["edges"]) == [[1, 2], [1, 3], [3, 4], [3, 5], [4, 6], [5, 6]]
 
+    @pytest.mark.parametrize("argv", [["discover"], ["verify"]], ids=["discover", "verify"])
+    def test_one_vertex_graph(self, argv, tmp_path, capsys):
+        path = tmp_path / "g1.json"
+        path.write_text(json.dumps({"n": 1, "edges": []}))
+        code, out, err = run_cli(capsys, *argv, "--graph", str(path))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        if argv == ["verify"]:
+            assert doc == {"mode": "exact", "query_set": [], "size": 0}
+        else:
+            assert doc["trials"][0]["edges"] == [] and doc["trials"][0]["valid"]
+
     def test_disconnected_graph_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 4, "edges": [[1, 2], [3, 4]]}))
@@ -231,10 +244,54 @@ class TestStats:
         assert len(doc["per_k"]) == 2
 
     def test_csv_rejected_without_trials(self, capsys):
-        code, _, err = run_cli(capsys, "gen-graph", "--model", "path", "--n", "4",
-                               "--format", "csv")
-        assert code == 1
-        assert "trials" in json.loads(err)["error"]
+        # Only setcover and discover print trials, so only they take --format.
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-graph", "--model", "path", "--n", "4", "--format", "csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --format" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-sets", "--model", "skewed", "--n", "8", "--m", "4"],
+            ["verify", "--graph", "g.json"],
+            ["lemma-test"],
+            ["bench", "--k", "1,2", "--n", "16", "--m", "8", "--trials", "1"],
+        ],
+        ids=["gen-sets", "verify", "lemma-test", "bench"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_is_only_on_setcover_and_discover(self, argv, fmt, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", fmt])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def csv_digest(text: str) -> str:
+    """sha256 of a CSV report's rows with the wall times blanked."""
+    rows = list(csv.reader(io.StringIO(text)))
+    col = rows[0].index("runtime_s")
+    for row in rows[1:]:
+        row[col] = ""
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_trial_reports_print_the_same_csv(tmp_path, capsys):
+    sets, graph = tmp_path / "s.json", tmp_path / "g.json"
+    run_cli(capsys, "gen-sets", "--model", "planted-cover", "--n", "24", "--m", "8", "--k", "3",
+            "--seed", "4", "--out", str(sets))
+    graph.write_text(json.dumps({"n": 6, "edges": [[1, 2], [1, 3], [3, 4], [3, 5], [4, 6],
+                                                   [5, 6]]}))
+    code, out, _ = run_cli(capsys, "setcover", "--algo", "pseudo-greedy", "--instance", str(sets),
+                           "--trials", "3", "--format", "csv")
+    assert code == 0
+    assert csv_digest(out) == "3b7f8fa861adf3168861ac30cee72adb32a5bae1838a899249c278f8b55032f6"
+    code, out, _ = run_cli(capsys, "discover", "--graph", str(graph), "--seed", "3",
+                           "--trials", "2", "--format", "csv")
+    assert code == 0
+    assert csv_digest(out) == "f827d2195e961b83fd7e052c0dca29951c5fbcd9d093ce0db40fec925a7be1f5"
 
 
 def readme_cli_lines() -> list[list[str]]:

@@ -258,6 +258,10 @@ class TestOfflineVerification:
             _, size = offline_verification(graph, mode="exact")
             assert size == len(expected)
 
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    def test_one_vertex_graph_needs_no_query(self, mode):
+        assert offline_verification(Graph.from_edges(1, []), mode=mode) == ([], 0)
+
     def test_exact_cap(self):
         with pytest.raises(ValueError, match="cap"):
             offline_verification(gen_graph("path", n=13), mode="exact")

@@ -231,7 +231,7 @@ class TestRun:
             result = run_weighted_epsilon_net(CovertOracle(system), rng_seed=seed)
             for trace in result.rounds:
                 assert trace.iterations <= trace.iteration_cap
-                assert trace.iteration_cap == iteration_cap(trace.k, 8, 4.0)
+                assert trace.iteration_cap == iteration_cap(trace.k, 8)
 
     def test_uncoverable_instance_fails_with_witness(self):
         system = build_set_system([[2, 3], [3]], 3)
@@ -264,8 +264,8 @@ class TestRun:
 
 class TestConstants:
     def test_net_size_floor(self):
-        assert net_size(1, 1, 2.0, 4.0) == 1  # ln(1) = 0 still yields one draw
-        assert net_size(2, 8, 2.0, 4.0) == 34
+        assert net_size(1, 1, 2.0) == 1  # ln(1) = 0 still yields one draw
+        assert net_size(2, 8, 2.0) == 34
 
     def test_iteration_cap_formula(self):
-        assert iteration_cap(1, 8, 4.0) == 14  # ceil(4 * log2(10))
+        assert iteration_cap(1, 8) == 14  # ceil(4 * log2(10))

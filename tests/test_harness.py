@@ -1,6 +1,10 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -154,6 +158,50 @@ class TestRunExperiment:
     def test_bad_source_raises_value_error_naming_key(self, resolve, source, key):
         with pytest.raises(ValueError, match=key):
             resolve(source)
+
+    @pytest.mark.parametrize("resolve", [resolve_system, resolve_graph])
+    def test_unsupported_source_kind(self, resolve):
+        with pytest.raises(ValueError, match="unsupported instance source"):
+            resolve({"kind": "url"})
+
+    def test_file_source_path_must_be_a_str(self):
+        # open() takes an int or a bool as a file descriptor: 0 would read stdin, and 1
+        # (or True) would read stdout and then close it, so every later print fails.
+        # Run in a child with stdin from /dev/null, so neither can touch this process;
+        # the child's last print checks that its stdout still works.
+        script = textwrap.dedent("""
+            import json
+            from covert_setcover.harness import ExperimentConfig, run_experiment
+            messages = []
+            for path in (True, 1, 0, 2.5, None, ["a"]):
+                try:
+                    run_experiment(ExperimentConfig("greedy", [0], {"kind": "file", "path": path}))
+                except ValueError as exc:
+                    messages.append(str(exc))
+            print(json.dumps(messages))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        child = subprocess.run(
+            [sys.executable, "-c", script], stdin=subprocess.DEVNULL, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        messages = json.loads(child.stdout)
+        assert len(messages) == 6
+        assert all('str "path"' in message for message in messages)
+
+    def test_discover_above_the_exact_cap_has_no_optimum(self):
+        # Exact verification stops at 12 vertices, so compute_opt leaves no ratio to report.
+        config = ExperimentConfig(
+            algorithm="discover", seeds=[0],
+            source={"kind": "generate", "model": "er-connected", "n": 13, "p": 0.3, "seed": 1},
+            compute_opt=True,
+        )
+        report = run_experiment(config)
+        trial = report["trials"][0]
+        assert trial["valid"]
+        assert "opt_size" not in trial and "competitive_ratio" not in trial
+        assert "median_competitive_ratio" not in report["aggregates"]
 
     def test_bad_source_through_run_experiment(self):
         config = ExperimentConfig(algorithm="greedy", seeds=[0], source=planted_source(kk=3))

@@ -2,11 +2,13 @@ import hashlib
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from covert_setcover.discovery import LayeredGraphOracle, run_network_discovery
 from covert_setcover.epsnet import run_weighted_epsilon_net
-from covert_setcover.generators import gen_set_system
+from covert_setcover.generators import gen_graph, gen_set_system
 from covert_setcover.oracle import KINDS, CovertOracle, QueryLedger
 from covert_setcover.pseudo_greedy import run_pseudo_greedy
 from covert_setcover.setsystem import build_set_system
@@ -96,7 +98,7 @@ class TestStoredAnswers:
         run_pseudo_greedy(CovertOracle(system, log_stream=stream), alpha=8.0, rng_seed=1)
         run_weighted_epsilon_net(CovertOracle(system, log_stream=stream), alpha_net=2.0, rng_seed=1)
         digest = hashlib.sha256(stream.getvalue().encode()).hexdigest()
-        assert digest == "7c579800c0b53f96de08032977072fcad73b5ddd021337627b127392fbdd86a6"
+        assert digest == "e6851881cf1ddecce76f5ccab45d67f4b4b87b8f65676524318064608d5461ae"
 
 
 class TestLedger:
@@ -168,7 +170,7 @@ class TestQueryLog:
         oracle.set_query(1)
         lines = [json.loads(line) for line in stream.getvalue().splitlines()]
         assert lines == [
-            {"kind": "hit", "arg": 2, "answer": [1, 2], "phase": "probe"},
+            {"kind": "hitting", "arg": 2, "answer": [1, 2], "phase": "probe"},
             {"kind": "set", "arg": 1, "answer": [1, 2], "phase": "probe"},
         ]
 
@@ -184,6 +186,23 @@ class TestQueryLog:
             seen_in_hits = set()
             for line in stream.getvalue().splitlines():
                 entry = json.loads(line)
-                if entry["kind"] == "hit":
+                if entry["kind"] == "hitting":
                     seen_in_hits.update(entry["answer"])
             assert set(result.cover.set_indices) <= seen_in_hits
+
+    @pytest.mark.parametrize("algorithm", ["pseudo-greedy", "epsnet", "discover"])
+    def test_log_kinds_are_the_ledger_kinds(self, algorithm):
+        # The log names each query as the ledger counts it, one line per charged query.
+        stream = io.StringIO()
+        if algorithm == "discover":
+            graph = gen_graph("er-connected", n=16, p=0.25, seed=1)
+            oracle = LayeredGraphOracle(graph, log_stream=stream)
+            ledger = run_network_discovery(oracle, alpha=2.0, rng_seed=1).ledger
+        else:
+            system, _ = gen_set_system("planted-cover", n=128, m=32, seed=1, k=4)
+            run = run_pseudo_greedy if algorithm == "pseudo-greedy" else run_weighted_epsilon_net
+            ledger = run(CovertOracle(system, log_stream=stream), rng_seed=0).ledger
+        kinds = Counter(json.loads(line)["kind"] for line in stream.getvalue().splitlines())
+        assert set(kinds) <= set(KINDS)
+        assert {kind: kinds[kind] for kind in KINDS} == ledger.counts
+        assert ledger.total > 0

@@ -188,9 +188,9 @@ class TestSequentialFilter:
         system = build_set_system([[1, 2], [3, 4]], 4)
         oracle = CovertOracle(system)
         _, hits = shortlist_sets([1, 2, 3, 4], oracle.hitting_query, 2.0)
-        accepted, covered = sequential_filter([1, 2], hits, oracle.set_query, 2.0)
+        accepted, claimed = sequential_filter([1, 2], hits, oracle.set_query, 2.0)
         assert accepted == [1, 2]
-        assert covered == {1, 2, 3, 4}
+        assert claimed == {1, 2, 3, 4}
         assert oracle.ledger.set_queries == 2
 
     def test_contained_set_discarded(self):
@@ -209,6 +209,16 @@ class TestSequentialFilter:
         accepted, _ = sequential_filter([1, 2, 3], hits, oracle.set_query, 2.0)
         # threshold 2: set 2 keeps only {4} after set 1 claims {3}.
         assert accepted == [1, 3]
+
+    def test_accept_returning_none(self):
+        # accept only records; the filter reads nothing it returns.
+        system = build_set_system([[1, 2, 3], [3, 4], [5, 6]], 6)
+        oracle = CovertOracle(system)
+        _, hits = shortlist_sets([1, 2, 3, 4, 5, 6], oracle.hitting_query, 2.0)
+        fetched = []
+        accepted, claimed = sequential_filter([1, 2, 3], hits, fetched.append, 2.0)
+        assert accepted == fetched == [1, 3]
+        assert claimed == {1, 2, 3, 5, 6}
 
 
 class TestBaseCase:
