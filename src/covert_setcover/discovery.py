@@ -4,10 +4,10 @@ Discovery is the covert cover problem in disguise: the unresolved vertex
 pairs are the elements, each vertex v is the set of pairs its layered
 query certifies, and probing a pair (u, v) with two layered queries yields
 the dual set H(u, v) = { x : d(u, x) != d(v, x) } of vertices whose query
-would certify it. The sampled rounds are those of the abstract algorithm
-(:func:`.pseudo_greedy.sampled_greedy`) with N = n^2; every certificate
-obtained along the way is recorded immediately, but the unresolved count
-is refreshed only at round boundaries.
+would certify it, as an increasing tuple. The sampled rounds are those of
+the abstract algorithm (:func:`.pseudo_greedy.sampled_greedy`) with
+N = n^2; every certificate obtained along the way is recorded immediately,
+but the unresolved count is refreshed only at round boundaries.
 """
 
 from __future__ import annotations
@@ -70,12 +70,13 @@ class LayeredGraphOracle(MeteredOracle):
 
 def hitting_set_H(
     oracle: LayeredGraphOracle, u: int, v: int
-) -> tuple[frozenset[int], tuple[LayeredAnswer, LayeredAnswer]]:
+) -> tuple[tuple[int, ...], tuple[LayeredAnswer, LayeredAnswer]]:
     """Vertices whose query certifies the pair {u, v}, via two layered queries.
 
     Queries both endpoints (ledger +2) and returns H = the vertices at
-    different distances from u and v, together with the two answers
-    (ans_u, ans_v), whose certificates the caller may record as side
+    different distances from u and v, as a strictly increasing tuple (the
+    answer form the round engine's filter bisects), together with the two
+    answers (ans_u, ans_v), whose certificates the caller may record as side
     information. u and v always belong to H, so the pair itself is
     certified by either answer.
     """
@@ -84,7 +85,7 @@ def hitting_set_H(
         raise ValueError(f"pair endpoints must differ, got ({u}, {v})")
     ans_u = oracle.layered_query(u)
     ans_v = oracle.layered_query(v)
-    hset = frozenset(compress(count(1), map(ne, ans_u.dist, ans_v.dist)))
+    hset = tuple(compress(count(1), map(ne, ans_u.dist, ans_v.dist)))
     return hset, (ans_u, ans_v)
 
 
@@ -151,7 +152,7 @@ def run_network_discovery(
         statuses.update(certified)
         unresolved = list(filterfalse(certified.__contains__, unresolved))
 
-    def probe(pair: Pair) -> frozenset[int]:
+    def probe(pair: Pair) -> tuple[int, ...]:
         hset, (ans_u, ans_v) = hitting_set_H(oracle, *pair)
         learn(ans_u)
         learn(ans_v)

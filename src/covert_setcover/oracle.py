@@ -93,7 +93,13 @@ class MeteredOracle:
         self._log = log_stream
 
     def mark_phase(self, label: str) -> None:
-        """Attribute subsequent query counts to ``label``."""
+        """Attribute subsequent query counts to ``label``, which must be a str.
+
+        Any other label raises ``ValueError``: it would key the ledger's
+        per-phase counts and be written to the log.
+        """
+        if not isinstance(label, str):
+            raise ValueError(f"phase label must be a str, got {label!r}")
         self._phase = label
 
     def ledger_snapshot(self) -> QueryLedger:

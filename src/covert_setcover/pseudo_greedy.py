@@ -15,16 +15,21 @@ round, so the base case is reached within ceil(log2 n') + 1 rounds.
 
 :func:`sampled_greedy` is the round engine. It sees the instance only
 through three callables, so network discovery (:mod:`.discovery`) runs the
-same rounds with vertex pairs as elements and vertices as sets.
+same rounds with vertex pairs as elements and vertices as sets. A probe
+answers with the indices of the sets holding an element as a strictly
+increasing tuple of ints (the filter bisects answers), as
+:meth:`.CovertOracle.hitting_query` and :func:`.discovery.hitting_set_H` do.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import chain
-from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
+from itertools import chain, compress, repeat
+from operator import not_, sub
+from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from .errors import (
     UncoverableInstanceError, _require_ints, require_instance, require_run_constants,
@@ -35,10 +40,14 @@ from .setsystem import Cover, SetSystem, build_set_system, greedy_cover
 
 DEFAULT_ALPHA = 8.0
 
-# probe(e): the sets containing element e, one charged query.
-Probe = Callable[[Hashable], Iterable[int]]
+# probe(e): the sets containing element e as a strictly increasing tuple of
+# ints, one charged query.
+Probe = Callable[[Hashable], tuple[int, ...]]
 # accept(s): fetch set s, one charged query, and record what it covers.
 Accept = Callable[[int], None]
+# A round's tally: the sample, the probe answers in sample order and the
+# number of sampled elements each set holds.
+Tally = tuple[Sequence[Hashable], list[tuple[int, ...]], Counter]
 
 
 def draw_round_sample(uncovered, s_i: float, threshold: float, rng: random.Random) -> list:
@@ -56,31 +65,30 @@ def draw_round_sample(uncovered, s_i: float, threshold: float, rng: random.Rando
 
 def shortlist_sets(
     sample: Sequence[Hashable], probe: Probe, threshold: float
-) -> tuple[list[int], dict[int, set]]:
+) -> tuple[list[int], Tally]:
     """Probe every sampled element and keep the sets hit at least ``threshold`` times.
 
-    Returns the shortlist in canonical order together with the tally of the
-    shortlisted sets (set index -> sampled elements it contains), which the
-    sequential filter reuses so no element is ever charged twice in a round.
-    Each sampled element is probed once, in sample order; the hits of every
-    set are counted in one pass over the answers, and only the shortlisted
-    sets get their element sets (the sample has no repeats, so a count is the
-    size of that set).
+    Returns the shortlist in canonical order together with the round's tally
+    (the sample, its answers in sample order and the Counter of hits per
+    set), which the sequential filter reuses so no element is ever charged
+    twice in a round. Each sampled element is probed once, in sample order;
+    the hits of every set are counted in one pass over the answers. The
+    sample has no repeats, so a set's count is the number of sampled
+    elements it holds.
     """
     answers = [probe(e) for e in sample]
     counts = Counter(chain.from_iterable(answers))
     shortlist = sorted(s for s, count in counts.items() if count >= threshold)
-    hits: dict[int, set] = {s: set() for s in shortlist}
-    if hits:
-        short = set(hits)
-        for e, answer in zip(sample, answers):
-            for s in short.intersection(answer):
-                hits[s].add(e)
-    return shortlist, hits
+    return shortlist, (sample, answers, counts)
+
+
+def _held(answers: Iterable[tuple[int, ...]], s: int) -> Iterable[int]:
+    """1 for each answer holding ``s``, else 0; answers are strictly increasing."""
+    return map(sub, map(bisect_right, answers, repeat(s)), map(bisect_left, answers, repeat(s)))
 
 
 def sequential_filter(
-    shortlist: Sequence[int], sample_hits: Mapping[int, set], accept: Accept, threshold: float
+    shortlist: Sequence[int], tally: Tally, accept: Accept, threshold: float
 ) -> tuple[list[int], set]:
     """Walk the shortlist in order, accepting sets that still own enough samples.
 
@@ -88,14 +96,28 @@ def sequential_filter(
     earlier acceptances still number >= ``threshold``. Acceptance calls
     ``accept(s)`` (one charged query). Returns (accepted sets in order, the
     sampled elements they claimed).
+
+    The first shortlisted set is accepted on its tally count. A later set's
+    unclaimed hits are counted by bisecting the answers of the unclaimed
+    sample (each a strictly increasing tuple of ints); only accepted sets
+    have their sampled elements looked up. The walk stops once fewer than
+    ``threshold`` samples are unclaimed, since no later set can then qualify.
     """
+    sample, answers, _ = tally
     accepted: list[int] = []
     claimed: set = set()
     for s in shortlist:
-        if len(sample_hits[s] - claimed) >= threshold:
-            accepted.append(s)
-            accept(s)
-            claimed |= sample_hits[s]
+        if len(sample) < threshold:
+            break
+        if accepted and sum(_held(answers, s)) < threshold:
+            continue
+        accepted.append(s)
+        accept(s)
+        held = list(_held(answers, s))
+        claimed.update(compress(sample, held))
+        unheld = list(map(not_, held))
+        sample = list(compress(sample, unheld))
+        answers = list(compress(answers, unheld))
     return accepted, claimed
 
 
@@ -131,8 +153,9 @@ def sampled_greedy(
     """The sampled greedy rounds, over any instance behind a metered oracle.
 
     ``remaining()`` gives the uncovered elements at each round boundary;
-    ``probe`` and ``accept`` are the two charged queries. Round i has scale
-    s_i = min(n_0/2^i, n_i), n_0 = len(remaining()) at the start. One
+    ``probe`` and ``accept`` are the two charged queries, and ``probe``
+    answers with a strictly increasing tuple of set indices. Round i has
+    scale s_i = min(n_0/2^i, n_i), n_0 = len(remaining()) at the start. One
     threshold alpha*log2(n_total) sets every cut: the sampling rate, the
     shortlist and filter cuts, and the base-case entry s_i <= threshold, where
     the residue goes to :func:`base_case_explicit` and the run ends. Each
@@ -184,9 +207,9 @@ def sampled_greedy(
                 for e in sample:  # charged and logged as before; the tally would be empty again
                     probe(e)
             elif sample:
-                shortlist, hits = shortlist_sets(sample, probe, threshold)
+                shortlist, tally = shortlist_sets(sample, probe, threshold)
                 if shortlist:
-                    picks, _ = sequential_filter(shortlist, hits, accept, threshold)
+                    picks, _ = sequential_filter(shortlist, tally, accept, threshold)
                 else:
                     empty_sample = sample
         rounds.append(

@@ -174,6 +174,31 @@ def naive_base_case(probe, uncovered):
     return [touched[j - 1] for j in picks]
 
 
+def eager_round_filter(sample, probe, threshold):
+    """One round's tally and sequential filter with every set's hits built up front.
+
+    Probes each sampled element once, in sample order, and collects for every
+    set the sampled elements it holds; shortlists the sets holding at least
+    ``threshold`` of them, in index order; then walks the shortlist and
+    accepts a set when its hits outside those claimed by earlier acceptances
+    still number at least ``threshold``. The rule ``shortlist_sets`` and
+    ``sequential_filter`` must follow together. Returns (shortlist, accepted
+    sets in order, claimed elements).
+    """
+    hits = {}
+    for e in sample:
+        for s in probe(e):
+            hits.setdefault(s, set()).add(e)
+    shortlist = sorted(s for s, held in hits.items() if len(held) >= threshold)
+    accepted = []
+    claimed = set()
+    for s in shortlist:
+        if len(hits[s] - claimed) >= threshold:
+            accepted.append(s)
+            claimed |= hits[s]
+    return shortlist, accepted, claimed
+
+
 def naive_round_sample(uncovered, s_i, alpha, n_total, rng):
     """Bernoulli sample at the paper's rate p = min(1, 4*alpha*log2(N)/s_i).
 

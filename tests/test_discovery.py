@@ -62,7 +62,7 @@ class TestHittingSet:
     def test_g6_pair_2_3(self, g6):
         oracle = LayeredGraphOracle(g6)
         hset, (ans_u, ans_v) = hitting_set_H(oracle, 2, 3)
-        assert hset == {2, 3, 4, 5, 6}
+        assert hset == (2, 3, 4, 5, 6)
         assert oracle.ledger.layered_queries == 2
         assert (ans_u.source, ans_v.source) == (2, 3)
         assert certified_pairs(ans_u)[(2, 3)] is False  # the probed pair certifies itself
@@ -80,7 +80,7 @@ class TestHittingSet:
         for n in (4, 6):
             oracle = LayeredGraphOracle(gen_graph("complete", n=n))
             hset, _ = hitting_set_H(oracle, 2, 3)
-            assert hset == {2, 3}
+            assert hset == (2, 3)
 
     def test_same_vertex_rejected(self, g6):
         with pytest.raises(ValueError):

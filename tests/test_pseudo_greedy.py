@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covert_setcover.discovery import LayeredGraphOracle, run_network_discovery
+from covert_setcover.discovery import LayeredGraphOracle, hitting_set_H, run_network_discovery
 from covert_setcover.epsnet import run_weighted_epsilon_net
 from covert_setcover.errors import UncoverableInstanceError
-from covert_setcover.graphs import Graph
+from covert_setcover.graphs import Graph, all_pairs
 from covert_setcover.oracle import CovertOracle
 from covert_setcover import pseudo_greedy
 from covert_setcover.pseudo_greedy import (
@@ -25,6 +25,7 @@ from covert_setcover.generators import gen_set_system
 from covert_setcover.setsystem import build_set_system, greedy_cover, verify_cover
 
 from oracles import (
+    eager_round_filter,
     exhaustive_min_cover,
     full_info_cover_trace,
     harmonic,
@@ -32,7 +33,7 @@ from oracles import (
     naive_greedy,
     naive_round_sample,
 )
-from strategies import coverable_families, families, random_system
+from strategies import connected_graphs, coverable_families, families, random_system
 
 
 class ConstantDraws:
@@ -95,9 +96,12 @@ class TestShortlist:
         # alpha * log2(N) = 2 with alpha = .5, N = 16: sets need 2 sampled hits.
         system = build_set_system([[1, 2, 3], [3], [4, 5]], 5)
         oracle = CovertOracle(system)
-        shortlist, hits = shortlist_sets([1, 2, 3, 4, 5], oracle.hitting_query, 2.0)
+        shortlist, (sample, answers, counts) = shortlist_sets(
+            [1, 2, 3, 4, 5], oracle.hitting_query, 2.0)
         assert shortlist == [1, 3]
-        assert hits[1] == {1, 2, 3}
+        assert sample == [1, 2, 3, 4, 5]
+        assert answers == [(1,), (1,), (1, 2), (3,), (3,)]
+        assert counts == {1: 3, 2: 1, 3: 2}
         assert oracle.ledger.hitting_queries == 5
 
     def test_empty_when_no_set_reaches_threshold(self):
@@ -135,14 +139,17 @@ class TestShortlist:
             return oracle.hitting_query(e)
 
         threshold = alpha * math.log2(n_total)
-        shortlist, hits = shortlist_sets(sample, probe, threshold)
+        shortlist, (tallied, answers, counts) = shortlist_sets(sample, probe, threshold)
         naive: dict[int, set] = {}
         for e in sample:
             for j, members in enumerate(sets, start=1):
                 if e in members:
                     naive.setdefault(j, set()).add(e)
         assert shortlist == sorted(j for j, h in naive.items() if len(h) >= threshold)
-        assert {s: hits[s] for s in shortlist} == {s: naive[s] for s in shortlist}
+        assert counts == {s: len(naive[s]) for s in naive}
+        assert list(tallied) == sample
+        assert answers == [tuple(j for j, members in enumerate(sets, start=1) if e in members)
+                           for e in sample]
         assert probed == sample
         assert oracle.ledger.hitting_queries == len(sample)
 
@@ -219,6 +226,39 @@ class TestSequentialFilter:
         accepted, claimed = sequential_filter([1, 2, 3], hits, fetched.append, 2.0)
         assert accepted == fetched == [1, 3]
         assert claimed == {1, 2, 3, 5, 6}
+
+
+class TestFilterMatchesEagerReference:
+    """Tally plus filter against the eager per-set hit sets, on both kinds of answers."""
+
+    @staticmethod
+    def _check(sample, answer, threshold):
+        probed, fetched = [], []
+
+        def probe(e):
+            probed.append(e)
+            return answer(e)
+
+        shortlist, tally = shortlist_sets(sample, probe, threshold)
+        accepted, claimed = sequential_filter(shortlist, tally, fetched.append, threshold)
+        assert (shortlist, accepted, claimed) == eager_round_filter(sample, answer, threshold)
+        assert probed == sample
+        assert fetched == accepted
+
+    @settings(max_examples=200)
+    @given(family=families(max_n=30, max_m=10), threshold=st.floats(0.25, 8.0), data=st.data())
+    def test_covert_oracle_answers(self, family, threshold, data):
+        n, sets = family
+        sample = data.draw(st.lists(st.integers(1, n), unique=True))
+        oracle = CovertOracle(build_set_system(sets, n))
+        self._check(sample, oracle.hitting_query, threshold)
+
+    @settings(max_examples=200)
+    @given(graph=connected_graphs(), threshold=st.floats(0.25, 8.0), data=st.data())
+    def test_discovery_hitting_sets(self, graph, threshold, data):
+        sample = data.draw(st.lists(st.sampled_from(all_pairs(graph.n)), unique=True))
+        oracle = LayeredGraphOracle(graph)
+        self._check(sample, lambda pair: hitting_set_H(oracle, *pair)[0], threshold)
 
 
 class TestBaseCase:

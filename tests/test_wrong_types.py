@@ -5,11 +5,12 @@ replaces one argument by one of ``BAD_VALUES`` and accepts only a normal return
 or one of the errors ``covertsc`` catches and prints as JSON (``CATCHABLE``):
 anything else would be a traceback at the command line. The table covers the
 functions of ``covert_setcover.__all__``, the oracles' constructors and
-queries, ``Graph.from_edges``, ``run_experiment`` (each config field, and each
-key of a file and of a generator source), ``bench_planted_family``,
-``sampling_concentration_test``, both generators and both JSON parsers (the
-document and each of its fields). The plain result dataclasses hold what they
-are given and check nothing, so they are not in it.
+queries, a phase label followed by a query, ``Graph.from_edges``,
+``run_experiment`` (each config field, and each key of a file and of a
+generator source), ``bench_planted_family``, ``sampling_concentration_test``,
+both generators and both JSON parsers (the document and each of its fields).
+The plain result dataclasses hold what they are given and check nothing, so
+they are not in it.
 """
 
 import json
@@ -93,6 +94,10 @@ def entry_points(instance_path):
         "CovertOracle.set_query": (
             _with_oracle(CovertOracle, CovertOracle.set_query),
             {"hidden": system, "log_stream": None, "arg": 1}),
+        "MeteredOracle.mark_phase": (
+            _with_oracle(CovertOracle, lambda oracle, label: (oracle.mark_phase(label),
+                                                              oracle.hitting_query(2))),
+            {"hidden": system, "log_stream": None, "arg": "round-0"}),
         "LayeredGraphOracle.layered_query": (
             _with_oracle(LayeredGraphOracle, LayeredGraphOracle.layered_query),
             {"hidden": graph, "log_stream": None, "arg": 1}),
