@@ -3,6 +3,12 @@
 import math
 from numbers import Real
 
+# The most elements, sets, vertices or vertex pairs one instance may have (a
+# graph of at most 1448 vertices). Every way in checks its sizes against it
+# before it allocates anything, so an absurd size is a ValueError, not a
+# MemoryError part-way through.
+MAX_INSTANCE_SIZE = 2**20
+
 
 class CovertSetCoverError(Exception):
     """Base class for all package-specific errors."""
@@ -32,6 +38,12 @@ def _require(condition: bool, message: str) -> None:
 def _require_ints(**values) -> None:
     for name, value in values.items():
         _require(type(value) is int, f"{name} must be an integer, got {value!r}")
+
+
+def require_size(what: str, size: int) -> None:
+    """Raise ``ValueError`` unless ``size`` is at most :data:`MAX_INSTANCE_SIZE`."""
+    _require(size <= MAX_INSTANCE_SIZE,
+             f"{what} is {size}; at most {MAX_INSTANCE_SIZE} are allowed")
 
 
 def require_run_constants(**constants) -> None:

@@ -13,7 +13,7 @@ from math import ceil, log
 from operator import getitem, gt
 from typing import Sequence
 
-from .errors import _require, _require_ints
+from .errors import _require, _require_ints, require_size
 from .graphs import Graph, all_pairs
 from .setsystem import SetSystem, build_set_system
 
@@ -29,9 +29,12 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
 
     ``er-connected`` resamples an Erdos-Renyi graph until it is connected
     (at most ER_RETRY_BUDGET attempts, then ValueError); ``grid`` takes rows x cols with
-    vertices numbered row-major. Every parameter is checked, whatever the model.
+    vertices numbered row-major. Every parameter is checked, whatever the model,
+    and the vertex count may be at most ``MAX_INSTANCE_SIZE``.
     """
     _require_ints(n=n, seed=seed, rows=rows, cols=cols)
+    require_size("n", n)
+    require_size("rows*cols", rows * cols)
     _require_probability("p", p)
     if model == "path":
         _require(n >= 2, "path needs n >= 2")
@@ -123,7 +126,8 @@ def gen_set_system(
 
     Returns (system, meta); meta records the model, parameters, whether the
     family covers the universe, and for planted-cover the planted indices.
-    Every parameter is checked, whatever the model.
+    Every parameter is checked, whatever the model; n and m may be at most
+    ``MAX_INSTANCE_SIZE``.
 
     Every model draws its elements from one ``universe = tuple(range(1, n + 1))``,
     so the system holds one int object per element value: indexing a ``range``
@@ -140,6 +144,8 @@ def gen_set_system(
     _require_probability("density", density)
     _require(n >= 1, "need n >= 1 elements")
     _require(m >= 1, "need m >= 1 sets")
+    require_size("n", n)
+    require_size("m", m)
     _require(model in SET_MODELS, f"unknown set model {model!r}; choose from {SET_MODELS}")
     rng = random.Random(seed)
     meta: dict = {"model": model, "n": n, "m": m, "seed": seed}

@@ -13,10 +13,10 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, ne
 
-from .errors import require_instance
+from .errors import require_instance, require_size
 
 Pair = tuple[int, int]
 
@@ -27,8 +27,10 @@ def all_pairs(n: int) -> tuple[Pair, ...]:
 
     Cached per ``n``, so every caller shares the same pair objects: a run's
     pair statuses, round samples and edge lists then hold references to
-    them instead of fresh tuples.
+    them instead of fresh tuples. More than ``MAX_INSTANCE_SIZE`` pairs raise
+    ``ValueError`` before any is made.
     """
+    require_size(f"the number of vertex pairs of {n} vertices", n * (n - 1) // 2)
     return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
 
 
@@ -49,9 +51,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build and validate: integer in-range endpoints, no self-loops, connected."""
+        """Build and validate: n capped, endpoints in [1, n], no self-loops, connected."""
         if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be an integer >= 1, got {n!r}")
+        require_size("the vertex count", n)
         if not isinstance(edges, Iterable):
             raise ValueError(f"edges must be an iterable of vertex pairs, got {edges!r}")
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -146,13 +149,16 @@ def certified_pairs(answer: LayeredAnswer, pairs: Sequence[Pair] | None = None) 
     consecutive levels and a non-edge across a gap of two or more. Equal-level
     pairs (including any two distance-1 neighbors of the source) are left out.
     The keys are the tuples of ``pairs`` themselves, in their order; an item
-    that is not a pair of vertex numbers raises ``ValueError``.
+    that is not a pair of vertex numbers in [1, n] raises ``ValueError``.
     """
     require_instance("answer", answer, LayeredAnswer)
     if pairs is None:
         pairs = all_pairs(len(answer.dist))
     level = (None, *answer.dist)
     try:
+        # level[0] is padding and a negative index reads from the end, so neither raises.
+        if min(chain.from_iterable(pairs), default=1) < 1:
+            raise IndexError
         u_levels = map(level.__getitem__, map(itemgetter(0), pairs))
         w_levels = map(level.__getitem__, map(itemgetter(1), pairs))
         resolved = list(compress(pairs, map(ne, u_levels, w_levels)))

@@ -6,8 +6,9 @@ and issuing one hitting query per sampled element; sets holding at least
 alpha*log2(N) sampled elements are shortlisted, then filtered sequentially
 in canonical order so that each accepted set still holds a threshold worth
 of not-yet-claimed samples. Accepted sets are the only ones whose contents
-are ever fetched. Once the round scale drops to alpha*log2(N) the residue
-is reconstructed outright (one hitting query per remaining element) and
+are ever fetched. Once the round scale drops to alpha*log2(N), or a round
+that sampled the whole residue shortlists nothing, the residue is rebuilt
+(one hitting query per remaining element, or that round's answers) and
 finished with the explicit greedy algorithm.
 
 N = n' + m' throughout, and log means log2: the scale s_i halves per
@@ -162,15 +163,11 @@ def sampled_greedy(
     round is a ledger phase traced as a :class:`RoundState`. ``alpha`` must
     be a finite positive real and ``rng_seed`` an int.
 
-    Once p clips to 1, a round that shortlists nothing leaves the residue as
-    it is, so each later round draws the same sample until the scale reaches
-    the base case. Such a repeated round (its sample equals that of the last
-    round that shortlisted nothing) still probes every sampled element in
-    sample order, so its queries are charged and logged as before, but skips
-    :func:`shortlist_sets`: the static instance gives the same answers, so the
-    tally would shortlist nothing again. No other round can repeat, since a
-    round that shortlists a set accepts at least the first, and its sampled
-    elements leave ``remaining()``.
+    A round that samples the whole residue (``len(sample) == n_i``, and
+    ``remaining()`` unchanged by its probes) and shortlists nothing is the
+    base case, since no later round could shortlist a set from that residue:
+    :func:`base_case_explicit` reads its answers with no new probe. It keeps
+    its i, n_i, s_i and ``round-i`` phase, and is traced with base_case True.
 
     Returns (chosen set indices in order, the round trace, the element the
     base case found in no set, or None).
@@ -183,7 +180,6 @@ def sampled_greedy(
     chosen: list[int] = []
     rounds: list[RoundState] = []
     witness = None
-    empty_sample = None  # the sample of the last round that shortlisted nothing
 
     i = 0
     while uncovered := remaining():
@@ -193,25 +189,25 @@ def sampled_greedy(
         sample: list = []
         shortlist: list[int] = []
         picks: list[int] = []
-        base_case = s_i <= threshold
-        if base_case:
+        finish = None  # (probe, residue) when this round is the base case
+        if s_i <= threshold:
             oracle.mark_phase("base-case")
-            try:
-                picks = base_case_explicit(probe, uncovered)
-            except UncoverableInstanceError as exc:
-                witness = exc.element
+            finish = probe, uncovered
         else:
             oracle.mark_phase(f"round-{i}")
             sample = draw_round_sample(uncovered, s_i, threshold, rng)
-            if sample == empty_sample:
-                for e in sample:  # charged and logged as before; the tally would be empty again
-                    probe(e)
-            elif sample:
+            if sample:
                 shortlist, tally = shortlist_sets(sample, probe, threshold)
                 if shortlist:
                     picks, _ = sequential_filter(shortlist, tally, accept, threshold)
-                else:
-                    empty_sample = sample
+                elif len(sample) == n_i == len(remaining()):
+                    finish = dict(zip(sample, tally[1])).__getitem__, sample
+                    sample = []
+        if finish:
+            try:
+                picks = base_case_explicit(*finish)
+            except UncoverableInstanceError as exc:
+                witness = exc.element
         rounds.append(
             RoundState(
                 i=i,
@@ -221,11 +217,11 @@ def sampled_greedy(
                 shortlist=tuple(shortlist),
                 chosen=tuple(picks),
                 ledger_delta=oracle.ledger.delta_since(before),
-                base_case=base_case,
+                base_case=bool(finish),
             )
         )
         chosen.extend(picks)
-        if base_case:
+        if finish:
             break
         i += 1
     return chosen, rounds, witness
@@ -240,7 +236,8 @@ def run_pseudo_greedy(
     entry); the run is fully reproducible from (rng_seed, alpha, instance).
     Returns a :class:`CoverResult` whose per-round trace reconstructs the
     ledger exactly: hitting queries = sum of sample sizes + base-case n_i,
-    set queries = number of accepted sets.
+    set queries = number of accepted sets. A round that samples the whole
+    residue and shortlists nothing is the base case (:func:`sampled_greedy`).
 
     On an uncoverable instance the base case flags failure and the result
     carries the witness element and the partial cover accepted so far.

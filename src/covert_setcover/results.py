@@ -15,6 +15,8 @@ class RoundState:
     ``s_i`` is the scale min(n'/2^i, n_i); ``sample`` the drawn uncovered
     elements; ``shortlist`` and ``chosen`` are in canonical index order.
     A base-case round records an empty sample/shortlist and the final picks.
+    Its s_i may exceed alpha*log2(N) when it sampled the whole residue and
+    shortlisted nothing (see :func:`.pseudo_greedy.sampled_greedy`).
     """
 
     i: int

@@ -25,6 +25,7 @@ from .errors import (
     InvalidCoverError,
     UncoverableInstanceError,
     require_instance,
+    require_size,
 )
 
 BRUTE_FORCE_SET_CAP = 20
@@ -57,11 +58,12 @@ def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSy
 
     Raises ``ValueError`` if the family is empty or not a sequence, a set is
     not an iterable of hashable values, ``universe_size`` is not an integer
-    >= 1, or any listed element is not an integer in ``[1, universe_size]``
-    (a float or a bool is not an element).
+    in [1, ``MAX_INSTANCE_SIZE``], or any listed element is not an integer in
+    ``[1, universe_size]`` (a float or a bool is not an element).
     """
     if type(universe_size) is not int or universe_size < 1:
         raise ValueError(f"universe_size must be an integer >= 1, got {universe_size!r}")
+    require_size("universe_size", universe_size)
     try:
         n_rows = len(sets)
     except TypeError:
@@ -117,7 +119,7 @@ def to_json_dict(system: SetSystem, meta: dict | None = None) -> dict:
 
 
 def from_json_dict(doc: dict) -> SetSystem:
-    """Parse the interchange form; a malformed document raises ValueError."""
+    """Parse the interchange form; a malformed or oversized document raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a set system must be a JSON object, got {type(doc).__name__}")
     for key in ("universe_size", "sets"):
@@ -131,6 +133,7 @@ def from_json_dict(doc: dict) -> SetSystem:
         raise ValueError('set system "sets" must be a list of lists of integers')
     n = doc["universe_size"]
     if type(n) is int and n >= 1:
+        require_size("universe_size", n)
         # json.load makes a fresh int per entry; mapping each in-range row through one
         # shared tuple leaves one int object per element value. A row holding 0, -1 or
         # n + 1 is passed on as it is, so build_set_system names the bad element.

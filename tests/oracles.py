@@ -270,9 +270,11 @@ def full_info_cover_trace(sets, n, alpha):
     uncovered population as the sample: shortlist every set holding at
     least alpha*log2(N) uncovered elements, then accept shortlisted sets in
     index order while their not-yet-claimed holdings stay above the same
-    threshold. The final round (scale at or below the threshold) runs a
-    plain max-pick greedy on the residue. Returns (per-round records,
-    flat cover) for exact comparison against recorded traces.
+    threshold. The final round (scale at or below the threshold, or the
+    first round that shortlists nothing, since no later round could then
+    shortlist a set) runs a plain max-pick greedy on the residue. Returns
+    (per-round records, flat cover) for exact comparison against recorded
+    traces.
     """
     m = len(sets)
     family = [set(s) for s in sets]
@@ -285,7 +287,13 @@ def full_info_cover_trace(sets, n, alpha):
     while uncovered:
         n_i = len(uncovered)
         s_i = min(n / 2**i, n_i)
-        if s_i <= threshold:
+        # The probability min(1, 4*alpha*log2(N)/s_i) must clip to 1 for
+        # this reference to model the randomized rounds.
+        assert 4.0 * alpha * math.log2(n_total) >= s_i, "sample would not clip to 1"
+        shortlist = [
+            j + 1 for j in range(m) if len(family[j] & uncovered) >= threshold
+        ]
+        if s_i <= threshold or not shortlist:
             picks = _reference_greedy(family, uncovered)
             rounds.append(
                 {
@@ -300,13 +308,7 @@ def full_info_cover_trace(sets, n, alpha):
             )
             cover.extend(picks)
             break
-        # The probability min(1, 4*alpha*log2(N)/s_i) must clip to 1 for
-        # this reference to model the randomized rounds.
-        assert 4.0 * alpha * math.log2(n_total) >= s_i, "sample would not clip to 1"
         sample = tuple(sorted(uncovered))
-        shortlist = [
-            j + 1 for j in range(m) if len(family[j] & uncovered) >= threshold
-        ]
         accepted = []
         remaining = set(uncovered)
         for idx in shortlist:

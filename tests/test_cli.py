@@ -143,6 +143,49 @@ class TestGraphCommands:
         assert "not connected" in json.loads(err)["error"]
 
 
+class TestSizeCap:
+    """A size of 10**9 in a file or a flag is one JSON error and exit 1, before any allocation."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen-sets", "--model", "planted-cover", "--n", "1000000000", "--m", "4", "--k", "2"],
+             "n is 1000000000; at most 1048576 are allowed"),
+            (["gen-sets", "--model", "uniform-random", "--n", "4", "--m", "1000000000"],
+             "m is 1000000000; at most 1048576 are allowed"),
+            (["gen-graph", "--model", "er-connected", "--n", "1000000000"],
+             "n is 1000000000; at most 1048576 are allowed"),
+            (["gen-graph", "--model", "complete", "--n", "2000"],
+             "the number of vertex pairs of 2000 vertices is 1999000"),
+        ],
+        ids=["gen-sets-n", "gen-sets-m", "gen-graph-n", "gen-graph-pairs"],
+    )
+    def test_generator_size(self, argv, message, bounded_memory, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "ValueError" and message in error["error"]
+
+    @pytest.mark.parametrize(
+        "command, flag, text, message",
+        [
+            ("setcover", "--instance", '{"universe_size": 1000000000, "sets": [[1]]}',
+             "universe_size is 1000000000; at most 1048576 are allowed"),
+            ("discover", "--graph", '{"n": 1000000000, "edges": [[1, 2]]}',
+             "the vertex count is 1000000000; at most 1048576 are allowed"),
+        ],
+        ids=["instance", "graph"],
+    )
+    def test_file_size(self, command, flag, text, message, bounded_memory, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        extra = ["--algo", "greedy"] if command == "setcover" else []
+        code, out, err = run_cli(capsys, command, flag, str(path), *extra)
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "ValueError" and message in error["error"]
+
+
 class TestMalformedInput:
     """Bad files and constants end in one JSON error line and exit 1, not a traceback."""
 

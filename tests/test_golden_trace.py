@@ -47,16 +47,18 @@ def _digest(result) -> str:
 def test_pseudo_greedy_planted_512():
     system, _ = gen_set_system("planted-cover", n=512, m=512, seed=1, k=4)
     result = run_pseudo_greedy(CovertOracle(system), alpha=8.0, rng_seed=1)
-    assert _digest(result) == "d79165c06f3474aeda2a6c815b7bbb5a61e1a9c30077cc94798f1585459bec58"
+    assert _digest(result) == "fa1a803074f0eb12d31b6fc49b871ddfa2dab75e0f1651dfcced919e5edad364"
 
 
 def test_pseudo_greedy_planted_1024_repeated_round():
-    # Rounds 2 and 3 both sample the same 274 elements and shortlist nothing, so
-    # round 3 repeats round 2: its probes are charged and logged, its tally skipped.
+    # Round 2 samples its whole residue of 274 elements and shortlists nothing, so
+    # every later round would redraw that sample: it ends the run as the base case,
+    # finished from its own 274 answers.
     system, _ = gen_set_system("planted-cover", n=1024, m=1024, seed=1, k=8)
     result = run_pseudo_greedy(CovertOracle(system), alpha=8.0, rng_seed=1)
-    assert result.rounds[2].sample == result.rounds[3].sample
-    assert _digest(result) == "5feba4c886b0c1308b1390616a6cd699f4944f06cb3d38da5919e308ad5036c6"
+    last = result.rounds[-1]
+    assert (last.i, last.n_i, last.base_case, last.ledger_delta["hitting"]) == (2, 274, True, 274)
+    assert _digest(result) == "4cc0bff9ba0a62d32989279b61d22788e27021042682abde118f5940947c9af0"
 
 
 @pytest.mark.parametrize(
@@ -117,6 +119,21 @@ def test_discovery_er_60_benchmark_instance():
     assert _digest(result) == "e99909f5440358ea9fc6f911df8d7791e25303c5d8fae12e497be229bc8e03c4"
 
 
+def test_discovery_er_grid():
+    # sampled_greedy ends the run at a full-sample round that shortlists nothing only if
+    # the round's probes left len(remaining()) as it was. Discovery's side certificates
+    # shrink the residue inside a round, so its reports must not change; without that
+    # check Q grows on two of these runs (n = 8, alpha 4, seeds 1 and 2).
+    reports = []
+    for n, p in ((8, 0.3), (16, 0.25), (30, 0.15), (60, 0.1)):
+        for alpha in (1.0, 2.0, 4.0, 8.0):
+            for seed in range(3):
+                graph = gen_graph("er-connected", n=n, p=p, seed=seed)
+                result = run_network_discovery(LayeredGraphOracle(graph), alpha=alpha, rng_seed=seed)
+                reports.append(result.to_json_dict())
+    assert _sha256(reports) == "b0af1a4d3aa9b4311098aefc258f57f97aac02a6383726e1c3c8a62bcde5e725"
+
+
 @pytest.mark.parametrize(
     "theta, expected",
     [
@@ -173,7 +190,7 @@ def test_experiment_report(algorithm, expected):
 
 def test_bench_planted_family_report():
     report = bench_planted_family([1, 2], seeds=[0, 1], n=64, m=16)
-    assert _sha256(report) == "f4577b7383785dfe3cb7581a6e3e4842e3dea98721b0644c72c7ea560265cce6"
+    assert _sha256(report) == "962454f82f098a4f80958003d96d7fb149879b9de222b1b7a4abbcd5eb056903"
 
 
 @pytest.mark.parametrize(

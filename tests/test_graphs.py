@@ -145,6 +145,18 @@ class TestCertifiedPairs:
         assert set(statuses) == {(1, 2), (1, 3), (1, 4)}
         assert all(statuses.values())
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(0, 2)], [(-1, 1)], [(2, 0)], [(1, 2), (3, -3)], [(1, 4)], [(1, "2")], [3]],
+        ids=["zero", "negative", "zero-second", "negative-later", "above-n", "str", "int"],
+    )
+    def test_a_pair_outside_the_graph_is_rejected(self, pairs):
+        # Path 1-2-3 answered at vertex 1: vertex 0 would read the padding level and
+        # vertex -1 the last level, and either pair would come back a certified non-edge.
+        answer = layered_answer(gen_graph("path", n=3), 1)
+        with pytest.raises(ValueError, match="pairs must hold vertex pairs of the answer's graph"):
+            certified_pairs(answer, pairs)
+
     def test_equivalence_with_distance_rule(self):
         # The listed-edges derivation must agree with certifying every
         # different-distance pair straight from the hidden adjacency.

@@ -98,7 +98,7 @@ class TestStoredAnswers:
         run_pseudo_greedy(CovertOracle(system, log_stream=stream), alpha=8.0, rng_seed=1)
         run_weighted_epsilon_net(CovertOracle(system, log_stream=stream), alpha_net=2.0, rng_seed=1)
         digest = hashlib.sha256(stream.getvalue().encode()).hexdigest()
-        assert digest == "e6851881cf1ddecce76f5ccab45d67f4b4b87b8f65676524318064608d5461ae"
+        assert digest == "e8ba2ceb0e33a7f96841f1bbb11464f4f26458fc11088d7816192af24494a30e"
 
 
 class TestLedger:

@@ -13,7 +13,6 @@ from covert_setcover.epsnet import run_weighted_epsilon_net
 from covert_setcover.errors import UncoverableInstanceError
 from covert_setcover.graphs import Graph, all_pairs
 from covert_setcover.oracle import CovertOracle
-from covert_setcover import pseudo_greedy
 from covert_setcover.pseudo_greedy import (
     base_case_explicit,
     draw_round_sample,
@@ -154,40 +153,51 @@ class TestShortlist:
         assert oracle.ledger.hitting_queries == len(sample)
 
 
-class TestRepeatedRound:
+class TestEarlyFinish:
     # Planted n = m = 512, k = 16: round 0 samples 323 elements and shortlists nothing,
-    # then p clips to 1 and rounds 1 and 2 both sample all 512 and shortlist nothing.
-    def _run(self, monkeypatch):
-        tallied = []
-        shortlist = pseudo_greedy.shortlist_sets
-
-        def counted(sample, probe, threshold):
-            tallied.append(len(sample))
-            return shortlist(sample, probe, threshold)
-
-        monkeypatch.setattr(pseudo_greedy, "shortlist_sets", counted)
+    # then p clips to 1 and round 1 samples all 512 and shortlists nothing, so no later
+    # round could shortlist a set and round 1 is the base case.
+    def _run(self):
         system, _ = gen_set_system("planted-cover", n=512, m=512, seed=1, k=16)
         log = io.StringIO()
         result = run_pseudo_greedy(CovertOracle(system, log_stream=log), alpha=8.0, rng_seed=1)
-        return result, tallied, [json.loads(line) for line in log.getvalue().splitlines()]
+        return system, result, [json.loads(line) for line in log.getvalue().splitlines()]
 
-    def test_a_repeated_round_skips_the_tally(self, monkeypatch):
-        result, tallied, _ = self._run(monkeypatch)
-        assert [len(r.sample) for r in result.rounds[:3]] == [323, 512, 512]
-        assert result.rounds[1].sample == result.rounds[2].sample
-        assert tallied == [323, 512]
-        assert all(r.shortlist == () for r in result.rounds)
+    def test_the_run_ends_at_the_empty_full_sample_round(self):
+        system, result, _ = self._run()
+        first, last = result.rounds
+        # A partial sample that shortlists nothing does not end the run.
+        assert (len(first.sample), first.shortlist, first.base_case) == (323, (), False)
+        assert (last.i, last.n_i, last.s_i, last.base_case) == (1, 512, 256.0, True)
+        assert (last.sample, last.shortlist) == ((), ())
+        assert last.chosen == result.cover.set_indices
+        assert verify_cover(system, result.cover)
+        assert list(result.ledger.phase_counts) == ["round-0", "round-1"]
 
-    def test_a_repeated_round_charges_and_logs_its_probes(self, monkeypatch):
-        result, _, log = self._run(monkeypatch)
-        assert result.ledger.phase_counts["round-2"] == {"hitting": 512, "set": 0, "layered": 0}
+    def test_the_final_phase_probes_each_residue_element_once(self):
+        _, result, log = self._run()
+        final = [q for q in log if q["phase"] == "round-1"]
+        assert [q["kind"] for q in final] == ["hitting"] * 512
+        assert [q["arg"] for q in final] == list(range(1, 513))
+        assert log[-1] is final[-1]
 
-        def queries(phase):
-            return [{k: v for k, v in q.items() if k != "phase"} for q in log
-                    if q["phase"] == phase]
+    def test_the_ledger_reconstructs_from_the_trace(self):
+        _, result, _ = self._run()
+        hitting = sum(r.n_i if r.base_case else len(r.sample) for r in result.rounds)
+        set_q = sum(0 if r.base_case else len(r.chosen) for r in result.rounds)
+        ledger = result.ledger
+        assert (ledger.hitting_queries, ledger.set_queries) == (hitting, set_q) == (835, 0)
+        assert ledger.total == hitting + set_q
 
-        assert len(queries("round-1")) == 512
-        assert queries("round-2") == queries("round-1")
+    def test_an_element_in_no_set_is_the_witness(self):
+        # N = 66 puts the threshold at 8*log2(66) ~ 48.4 < 64 = s_0, and p clips to 1;
+        # neither set holds 48 elements, so round 0 is the base case and element 64,
+        # in no set, is found from its answers.
+        system = build_set_system([range(1, 41), range(41, 64)], 64)
+        result = run_pseudo_greedy(CovertOracle(system), alpha=8.0, rng_seed=0)
+        assert (result.failed, result.uncovered_element, result.cover.set_indices) == (True, 64, ())
+        assert [(r.i, r.base_case) for r in result.rounds] == [(0, True)]
+        assert result.ledger.phase_counts == {"round-0": {"hitting": 64, "set": 0, "layered": 0}}
 
 
 class TestSequentialFilter:

@@ -14,6 +14,7 @@ from covert_setcover.discovery import (
 )
 from covert_setcover.errors import (
     BruteForceCapExceededError,
+    MAX_INSTANCE_SIZE,
     InvalidCoverError,
     UncoverableInstanceError,
 )
@@ -166,6 +167,11 @@ class TestBuild:
     def test_bad_universe_size(self):
         with pytest.raises(ValueError):
             build_set_system([[1]], 0)
+
+    @pytest.mark.parametrize("size", [MAX_INSTANCE_SIZE + 1, 10**9])
+    def test_universe_size_above_the_cap(self, size, bounded_memory):
+        with pytest.raises(ValueError, match=f"universe_size is {size}; at most"):
+            build_set_system([[1]], size)
 
     @pytest.mark.parametrize("element", [True, 1.0], ids=["bool", "float"])
     def test_non_integer_element_rejected(self, element):
