@@ -18,7 +18,7 @@ import sys
 
 from .discovery import offline_verification
 from .epsnet import DEFAULT_ALPHA_NET
-from .errors import CovertSetCoverError
+from .errors import CovertSetCoverError, require_size
 from .generators import GRAPH_MODELS, SET_MODELS, gen_graph, gen_set_system
 from .graphs import graph_to_json_dict
 from .harness import (
@@ -135,7 +135,7 @@ def _cmd_experiment(args) -> dict:
     """The ``run_experiment`` report of ``setcover`` or ``discover`` over the file source."""
     config = ExperimentConfig(
         algorithm=args.algo,
-        seeds=list(range(args.seed, args.seed + args.trials)),
+        seeds=_seeds(args),
         source={"kind": "file", "path": args.instance},
         alpha=args.alpha,
         theta=args.theta,
@@ -143,6 +143,12 @@ def _cmd_experiment(args) -> dict:
         compute_opt=args.with_opt,
     )
     return run_experiment(config)
+
+
+def _seeds(args) -> list[int]:
+    """seed, ..., seed + trials - 1; the trial count is checked before the list is made."""
+    require_size("trials", args.trials)
+    return list(range(args.seed, args.seed + args.trials))
 
 
 def _cmd_verify(args) -> dict:
@@ -157,9 +163,8 @@ def _cmd_lemma_test(args) -> dict:
 
 def _cmd_bench(args) -> dict:
     k_values = [int(x) for x in args.k.split(",") if x.strip()]
-    seeds = list(range(args.seed, args.seed + args.trials))
     return bench_planted_family(
-        k_values, seeds, n=args.n, m=args.m,
+        k_values, _seeds(args), n=args.n, m=args.m,
         alpha=args.alpha, alpha_net=args.alpha_net,
     )
 

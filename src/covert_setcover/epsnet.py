@@ -105,10 +105,12 @@ def run_weighted_epsilon_net(
     candidate's contents (one set query per distinct candidate set, charged
     on every iteration because each coverage test is a fresh verification),
     and either return the covering candidate or double the weights along a
-    missed element. Exhausting every guess, or a missed element contained in
-    no set, yields a failed result. ``alpha_net`` must be a finite positive
-    real, small enough that the first candidate takes at most MAX_NET_DRAWS
-    draws, and ``rng_seed`` an int.
+    missed element. A guess whose weights outgrow a float (over a thousand
+    doublings, possible only when its candidates are tiny) ends there, as if
+    its budget were spent. Exhausting every guess, or a missed element
+    contained in no set, yields a failed result. ``alpha_net`` must be a
+    finite positive real, small enough that the first candidate takes at most
+    MAX_NET_DRAWS draws, and ``rng_seed`` an int.
     """
     require_instance("oracle", oracle, CovertOracle)
     _require_ints(rng_seed=rng_seed)
@@ -135,7 +137,11 @@ def run_weighted_epsilon_net(
         before = oracle.ledger_snapshot()
         iterations, cover, witness = cap, None, None
         for iteration in range(1, cap + 1):
-            candidate = sample_weighted_net(weights, size, rng)
+            try:
+                candidate = sample_weighted_net(weights, size, rng)
+            except OverflowError:  # the weights' sum outgrew a float: no draw can be made
+                iterations = iteration - 1
+                break
             missed = find_uncovered([oracle.set_query(s) for s in candidate], n_prime)
             if missed is None:
                 iterations, cover = iteration, Cover(set_indices=candidate)

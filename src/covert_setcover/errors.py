@@ -8,6 +8,10 @@ from numbers import Real
 # before it allocates anything, so an absurd size is a ValueError, not a
 # MemoryError part-way through.
 MAX_INSTANCE_SIZE = 2**20
+# The most set entries a generated family may have, checked as n * m before any
+# draw: it bounds every model's entries and uniform-random's draws, and admits
+# planted n = m = 2**14.
+MAX_INSTANCE_ENTRIES = 2**28
 
 
 class CovertSetCoverError(Exception):
@@ -40,10 +44,9 @@ def _require_ints(**values) -> None:
         _require(type(value) is int, f"{name} must be an integer, got {value!r}")
 
 
-def require_size(what: str, size: int) -> None:
-    """Raise ``ValueError`` unless ``size`` is at most :data:`MAX_INSTANCE_SIZE`."""
-    _require(size <= MAX_INSTANCE_SIZE,
-             f"{what} is {size}; at most {MAX_INSTANCE_SIZE} are allowed")
+def require_size(what: str, size: int, limit: int = MAX_INSTANCE_SIZE) -> None:
+    """Raise ``ValueError`` unless ``size`` is at most ``limit``."""
+    _require(size <= limit, f"{what} is {size}; at most {limit} are allowed")
 
 
 def require_run_constants(**constants) -> None:

@@ -13,7 +13,7 @@ from math import ceil, log
 from operator import getitem, gt
 from typing import Sequence
 
-from .errors import _require, _require_ints, require_size
+from .errors import MAX_INSTANCE_ENTRIES, _require, _require_ints, require_size
 from .graphs import Graph, all_pairs
 from .setsystem import SetSystem, build_set_system
 
@@ -127,7 +127,7 @@ def gen_set_system(
     Returns (system, meta); meta records the model, parameters, whether the
     family covers the universe, and for planted-cover the planted indices.
     Every parameter is checked, whatever the model; n and m may be at most
-    ``MAX_INSTANCE_SIZE``.
+    ``MAX_INSTANCE_SIZE`` and n * m at most ``MAX_INSTANCE_ENTRIES``.
 
     Every model draws its elements from one ``universe = tuple(range(1, n + 1))``,
     so the system holds one int object per element value: indexing a ``range``
@@ -139,6 +139,10 @@ def gen_set_system(
     the skewed sets are drawn by :func:`_sorted_sample`, which picks the same
     positions as ``sorted(rng.sample(universe, k))`` from the same random
     stream, without a Python-level call per pick.
+
+    Every row reaches :func:`.build_set_system` as a sorted tuple, which it
+    keeps instead of copying, and the list a row was built in is freed as soon
+    as its tuple exists: the instance is never held twice while it is built.
     """
     _require_ints(n=n, m=m, seed=seed, k=k)
     _require_probability("density", density)
@@ -146,13 +150,14 @@ def gen_set_system(
     _require(m >= 1, "need m >= 1 sets")
     require_size("n", n)
     require_size("m", m)
+    require_size("n*m", n * m, MAX_INSTANCE_ENTRIES)
     _require(model in SET_MODELS, f"unknown set model {model!r}; choose from {SET_MODELS}")
     rng = random.Random(seed)
     meta: dict = {"model": model, "n": n, "m": m, "seed": seed}
     universe = tuple(range(1, n + 1))
 
     if model == "uniform-random":
-        sets = [[e for e in universe if rng.random() < density] for _ in range(m)]
+        sets = [tuple([e for e in universe if rng.random() < density]) for _ in range(m)]
         meta["density"] = density
     elif model == "planted-cover":
         _require(1 <= k <= min(n, m), "planted-cover needs 1 <= k <= min(n, m)")
@@ -162,11 +167,11 @@ def gen_set_system(
         blocks = []
         prev = 0
         for cut in cuts + [n]:
-            blocks.append(sorted(elements[prev:cut]))
+            blocks.append(tuple(sorted(elements[prev:cut])))
             prev = cut
         decoy_cap = max(1, n // (2 * k))
         decoys = [
-            _sorted_sample(universe, rng.randint(1, decoy_cap), rng) for _ in range(m - k)
+            tuple(_sorted_sample(universe, rng.randint(1, decoy_cap), rng)) for _ in range(m - k)
         ]
         sets = blocks + decoys
         order = list(range(m))
@@ -180,7 +185,7 @@ def gen_set_system(
         for _ in range(m):
             scale = rng.randint(0, max(0, n.bit_length() - 1))
             sizes.append(max(1, n >> scale))
-        sets = [_sorted_sample(universe, size, rng) for size in sizes]
+        sets = [tuple(_sorted_sample(universe, size, rng)) for size in sizes]
 
     system = build_set_system(sets, universe_size=n)
     meta["coverable"] = all(system.element_to_sets)

@@ -79,14 +79,19 @@ def _resolve(source: dict, parse, generate):
 
     A file source needs a str "path" (``open`` takes an int as a descriptor);
     a generator source passes its keys other than "kind" to ``generate`` as
-    keyword arguments. A bad, missing, unknown or misspelled key raises ``ValueError``.
+    keyword arguments. A bad, missing, unknown or misspelled key, or a file
+    nested too deeply for ``json.load``, raises ``ValueError``.
     """
     kind = source.get("kind")
     if kind == "file":
         if not isinstance(source.get("path"), str):
             raise ValueError(f'a file instance source needs a str "path", got {source!r}')
         with open(source["path"]) as fh:
-            return parse(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{source['path']} is nested too deeply to parse") from None
+        return parse(doc)
     if kind == "generate":
         params = {key: value for key, value in source.items() if key != "kind"}
         try:

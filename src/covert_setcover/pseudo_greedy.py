@@ -37,7 +37,7 @@ from .errors import (
 )
 from .oracle import CovertOracle, MeteredOracle
 from .results import CoverResult, RoundState
-from .setsystem import Cover, SetSystem, build_set_system, greedy_cover
+from .setsystem import Cover, SetSystem, _numbers, build_set_system, greedy_cover
 
 DEFAULT_ALPHA = 8.0
 
@@ -241,9 +241,13 @@ def run_pseudo_greedy(
 
     On an uncoverable instance the base case flags failure and the result
     carries the witness element and the partial cover accepted so far.
+
+    The uncovered set starts from the shared ``(1, ..., n)`` tuple of
+    :func:`.setsystem._numbers`, so every run on an n-element instance samples
+    the same int object per element value, and a kept result holds no copies.
     """
     require_instance("oracle", oracle, CovertOracle)
-    uncovered = set(range(1, oracle.n_elements + 1))
+    uncovered = set(_numbers(oracle.n_elements))
 
     def accept(s: int) -> None:
         # Shrinking mid-round is safe: the round has already drawn its sample.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, count, islice
+from itertools import combinations, compress, count, islice, repeat
 from math import ceil
 from numbers import Real
 from operator import lt
@@ -60,6 +60,11 @@ def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSy
     not an iterable of hashable values, ``universe_size`` is not an integer
     in [1, ``MAX_INSTANCE_SIZE``], or any listed element is not an integer in
     ``[1, universe_size]`` (a float or a bool is not an element).
+
+    A tuple row that is already a strictly increasing run of in-range ints is
+    stored as the same object, so a caller that passes tuples is not copied.
+    Only one copy of each index is live at a time: the inverse index is
+    filled as lists, and each list is freed as soon as its tuple is built.
     """
     if type(universe_size) is not int or universe_size < 1:
         raise ValueError(f"universe_size must be an integer >= 1, got {universe_size!r}")
@@ -100,10 +105,14 @@ def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSy
     for idx, row in enumerate(rows, start=1):
         for e in row:
             containing[e].append(idx)
+    # Popped from the end, each list is freed as soon as its tuple is built, so the
+    # inverse index never exists twice; the pad at slot 0 is left behind.
+    inverse = list(map(tuple, map(containing.pop, repeat(-1, universe_size))))
+    inverse.reverse()
     return SetSystem(
         universe_size=universe_size,
         sets=tuple(rows),
-        element_to_sets=tuple(map(tuple, islice(containing, 1, None))),
+        element_to_sets=tuple(inverse),
     )
 
 
@@ -190,8 +199,8 @@ def verify_cover(system: SetSystem, cover: Cover | Iterable[int]) -> bool:
 
 
 @lru_cache(maxsize=4)
-def _set_numbers(m: int) -> tuple[int, ...]:
-    """(1, ..., m), shared so that the covers of every m-set family reuse one int per index."""
+def _numbers(m: int) -> tuple[int, ...]:
+    """(1, ..., m), shared so that covers and covert runs reuse one int per index or element."""
     return tuple(range(1, m + 1))
 
 
@@ -223,7 +232,7 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     if not (isinstance(theta, Real) and not isinstance(theta, bool) and 0.0 < theta <= 1.0):
         raise ValueError(f"theta must be a number in (0, 1], got {theta!r}")
     sets, containing = system.sets, system.element_to_sets
-    numbers = _set_numbers(len(sets))
+    numbers = _numbers(len(sets))
     counts = [0, *map(len, sets)]  # counts[s] for set s; the pad at 0 never reaches a bar >= 1
     uncovered = set(range(1, system.universe_size + 1))
     chosen: list[int] = []

@@ -153,12 +153,16 @@ class TestSizeCap:
              "n is 1000000000; at most 1048576 are allowed"),
             (["gen-sets", "--model", "uniform-random", "--n", "4", "--m", "1000000000"],
              "m is 1000000000; at most 1048576 are allowed"),
+            (["gen-sets", "--model", "uniform-random", "--n", "1048576", "--m", "1048576"],
+             "n*m is 1099511627776; at most 268435456 are allowed"),
             (["gen-graph", "--model", "er-connected", "--n", "1000000000"],
              "n is 1000000000; at most 1048576 are allowed"),
             (["gen-graph", "--model", "complete", "--n", "2000"],
              "the number of vertex pairs of 2000 vertices is 1999000"),
+            (["bench", "--trials", "1000000000"], "trials is 1000000000; at most 1048576"),
         ],
-        ids=["gen-sets-n", "gen-sets-m", "gen-graph-n", "gen-graph-pairs"],
+        ids=["gen-sets-n", "gen-sets-m", "gen-sets-entries", "gen-graph-n", "gen-graph-pairs",
+             "bench-trials"],
     )
     def test_generator_size(self, argv, message, bounded_memory, capsys):
         code, out, err = run_cli(capsys, *argv)
@@ -184,6 +188,18 @@ class TestSizeCap:
         assert code == 1 and out == ""
         error = json.loads(err)
         assert error["kind"] == "ValueError" and message in error["error"]
+
+    @pytest.mark.parametrize("command, flag", [("setcover", "--instance"), ("discover", "--graph")])
+    def test_trial_count(self, command, flag, bounded_memory, tmp_path, capsys):
+        path = tmp_path / "small.json"
+        path.write_text('{"universe_size": 2, "sets": [[1, 2]], "n": 2, "edges": [[1, 2]]}')
+        extra = ["--algo", "greedy"] if command == "setcover" else []
+        code, out, err = run_cli(capsys, command, flag, str(path), *extra,
+                                 "--trials", "1000000000")
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error == {"error": "trials is 1000000000; at most 1048576 are allowed",
+                         "kind": "ValueError"}
 
 
 class TestMalformedInput:
@@ -213,6 +229,17 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         error = json.loads(err)
         assert error["kind"] == "ValueError" and message in error["error"]
+
+    @pytest.mark.parametrize("command, flag", [("setcover", "--instance"), ("discover", "--graph"),
+                                               ("verify", "--graph")])
+    def test_deeply_nested_file(self, command, flag, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        extra = ["--algo", "greedy"] if command == "setcover" else []
+        code, out, err = run_cli(capsys, command, flag, str(path), *extra)
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "ValueError" and "nested too deeply" in error["error"]
 
     @pytest.fixture
     def instance(self, tmp_path):

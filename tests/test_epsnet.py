@@ -233,6 +233,15 @@ class TestRun:
                 assert trace.iterations <= trace.iteration_cap
                 assert trace.iteration_cap == iteration_cap(trace.k, 8)
 
+    def test_guess_ends_when_its_weights_outgrow_a_float(self):
+        # One-draw candidates keep missing, so from guess 256 on a set's weight passes
+        # 2**1024 before the budget is spent and random.choices cannot total the weights.
+        system, _ = gen_set_system("planted-cover", n=512, m=512, seed=0, k=2)
+        result = run_weighted_epsilon_net(CovertOracle(system), alpha_net=1e-300)
+        assert result.failed and result.uncovered_element is None
+        assert [g.k for g in result.rounds if g.iterations < g.iteration_cap] == [256, 512]
+        assert not any(g.succeeded for g in result.rounds)
+
     def test_uncoverable_instance_fails_with_witness(self):
         system = build_set_system([[2, 3], [3]], 3)
         result = run_weighted_epsilon_net(CovertOracle(system), rng_seed=4)

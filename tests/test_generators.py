@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -98,6 +99,19 @@ class TestSetModels:
             assert len({id(e) for row in built.sets for e in row}) <= built.universe_size
 
 
+class TestPeakMemory:
+    def test_generation_peaks_near_its_settled_size(self):
+        # A second live copy of the rows or of the inverse index while the instance is
+        # built would read about twice its settled size.
+        tracemalloc.start()
+        try:
+            system, _ = gen_set_system("planted-cover", n=2048, m=2048, seed=1, k=8)
+            settled, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.n_sets == 2048 and peak <= 1.3 * settled, (peak, settled)
+
+
 class TestSortedSample:
     # random.sample switches from its pool branch to its set branch where n first
     # exceeds 21 (k <= 5) or 21 + 4 ** ceil(log(3k, 4)) (k > 5): 85 for k = 6, 277 for
@@ -144,6 +158,14 @@ class TestParameterChecks:
     def test_set_system(self, params, message):
         with pytest.raises(ValueError, match=message):
             gen_set_system("uniform-random", **params)
+
+    def test_entry_cap_admits_planted_16384(self):
+        # n * m = 2**28 passes the entry cap, so the k check is the first to fail;
+        # one more set does not.
+        with pytest.raises(ValueError, match="planted-cover needs 1 <= k"):
+            gen_set_system("planted-cover", n=16384, m=16384, k=0)
+        with pytest.raises(ValueError, match="n[*]m is 268451840; at most 268435456"):
+            gen_set_system("planted-cover", n=16384, m=16385, k=8)
 
     @pytest.mark.parametrize(
         "model, params, message",

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -532,6 +533,15 @@ class TestRun:
         assert a.cover == b.cover
         assert a.rounds == b.rounds
         assert a.ledger.to_json_dict() == b.ledger.to_json_dict()
+
+    def test_runs_share_element_ints(self):
+        # Values above 256 are not cached by CPython: a run that made its own ints
+        # would hand back equal samples as distinct objects.
+        system, _ = gen_set_system("planted-cover", n=2048, m=2048, seed=1, k=8)
+        a, b = (run_pseudo_greedy(CovertOracle(system), rng_seed=0) for _ in range(2))
+        sampled = [[e for r in result.rounds for e in r.sample if e > 256] for result in (a, b)]
+        assert sampled[0] and sampled[0] == sampled[1]
+        assert all(map(operator.is_, *sampled))
 
     def test_alpha_must_be_positive(self):
         system = build_set_system([[1]], 1)
