@@ -17,7 +17,7 @@ from itertools import compress, count, filterfalse
 from operator import ne
 from typing import IO
 
-from .errors import require_instance
+from .errors import require_count, require_instance
 from .oracle import MeteredOracle, QueryLedger
 # draw_round_sample is kept in this namespace as the sampler of discovery
 # rounds; perfbench/tracing.py wraps it under this name.
@@ -209,6 +209,5 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
 def competitive_ratio(result: DiscoveryResult, opt_size: int) -> float:
     """Layered queries spent online divided by the offline optimum."""
     require_instance("result", result, DiscoveryResult)
-    if type(opt_size) is not int or opt_size < 1:
-        raise ValueError(f"opt_size must be an integer >= 1, got {opt_size!r}")
+    require_count("opt_size", opt_size)
     return result.ledger.layered_queries / opt_size

@@ -49,6 +49,22 @@ def require_size(what: str, size: int, limit: int = MAX_INSTANCE_SIZE) -> None:
     _require(size <= limit, f"{what} is {size}; at most {limit} are allowed")
 
 
+def require_count(name: str, value, limit: int = MAX_INSTANCE_SIZE) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an ``int`` in [1, ``limit``].
+
+    A bool is not one. A size is checked before anything is allocated for it.
+    """
+    _require(type(value) is int and value >= 1, f"{name} must be an integer >= 1, got {value!r}")
+    require_size(name, value, limit)
+
+
+def require_document(doc, what: str, keys: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` unless a parsed JSON ``doc`` is an object holding every key."""
+    _require(isinstance(doc, dict), f"a {what} must be a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        _require(key in doc, f'{what} JSON has no "{key}" field')
+
+
 def require_run_constants(**constants) -> None:
     """Raise ``ValueError`` naming the first constant that is not a finite positive real.
 

@@ -13,7 +13,7 @@ from math import ceil, log
 from operator import getitem, gt
 from typing import Sequence
 
-from .errors import MAX_INSTANCE_ENTRIES, _require, _require_ints, require_size
+from .errors import MAX_INSTANCE_ENTRIES, _require, _require_ints, require_count, require_size
 from .graphs import Graph, all_pairs
 from .setsystem import SetSystem, build_set_system
 
@@ -27,10 +27,10 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
               rows: int = 0, cols: int = 0) -> Graph:
     """Build a named-family or random connected graph.
 
-    ``er-connected`` resamples an Erdos-Renyi graph until it is connected
-    (at most ER_RETRY_BUDGET attempts, then ValueError); ``grid`` takes rows x cols with
-    vertices numbered row-major. Every parameter is checked, whatever the model,
-    and the vertex count may be at most ``MAX_INSTANCE_SIZE``.
+    ``er-connected`` resamples an Erdos-Renyi graph until it is connected (at
+    most ER_RETRY_BUDGET attempts, then ValueError; none at p = 0); ``grid``
+    takes rows x cols with vertices numbered row-major. Every parameter is
+    checked, whatever the model, and the vertex count may be at most ``MAX_INSTANCE_SIZE``.
     """
     _require_ints(n=n, seed=seed, rows=rows, cols=cols)
     require_size("n", n)
@@ -60,7 +60,8 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
                     edges.append((v, v + cols))
         return Graph.from_edges(rows * cols, edges)
     if model == "er-connected":
-        _require(n >= 2, "er-connected needs n >= 2")
+        _require(n >= 2 and p > 0, "er-connected needs n >= 2 and p > 0: at p = 0 there is"
+                 f" no connected sample, got n={n}, p={p}")
         rng = random.Random(seed)
         pairs = all_pairs(n)
         for _ in range(ER_RETRY_BUDGET):
@@ -144,12 +145,10 @@ def gen_set_system(
     keeps instead of copying, and the list a row was built in is freed as soon
     as its tuple exists: the instance is never held twice while it is built.
     """
-    _require_ints(n=n, m=m, seed=seed, k=k)
+    require_count("n", n)
+    require_count("m", m)
+    _require_ints(seed=seed, k=k)
     _require_probability("density", density)
-    _require(n >= 1, "need n >= 1 elements")
-    _require(m >= 1, "need m >= 1 sets")
-    require_size("n", n)
-    require_size("m", m)
     require_size("n*m", n * m, MAX_INSTANCE_ENTRIES)
     _require(model in SET_MODELS, f"unknown set model {model!r}; choose from {SET_MODELS}")
     rng = random.Random(seed)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, compress
 from operator import itemgetter, ne
 
-from .errors import require_instance, require_size
+from .errors import require_count, require_document, require_instance, require_size
 
 Pair = tuple[int, int]
 
@@ -52,9 +52,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
         """Build and validate: n capped, endpoints in [1, n], no self-loops, connected."""
-        if type(n) is not int or n < 1:
-            raise ValueError(f"vertex count must be an integer >= 1, got {n!r}")
-        require_size("the vertex count", n)
+        require_count("the vertex count", n)
         if not isinstance(edges, Iterable):
             raise ValueError(f"edges must be an iterable of vertex pairs, got {edges!r}")
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -97,15 +95,8 @@ def graph_to_json_dict(graph: Graph) -> dict:
 
 def graph_from_json_dict(doc: dict) -> Graph:
     """Parse {"n": ..., "edges": [[u, v], ...]}; a malformed document raises ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a graph must be a JSON object, got {type(doc).__name__}")
-    for key in ("n", "edges"):
-        if key not in doc:
-            raise ValueError(f'graph JSON has no "{key}" field')
-    edges = doc["edges"]
-    if not (isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)):
-        raise ValueError('graph "edges" must be a list of [u, v] pairs')
-    return Graph.from_edges(doc["n"], edges)
+    require_document(doc, "graph", ("n", "edges"))
+    return Graph.from_edges(doc["n"], doc["edges"])
 
 
 @dataclass(frozen=True)

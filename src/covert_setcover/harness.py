@@ -15,7 +15,6 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import numbers
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -29,7 +28,7 @@ from .discovery import (
     run_network_discovery,
 )
 from .epsnet import DEFAULT_ALPHA_NET, run_weighted_epsilon_net
-from .errors import require_run_constants
+from .errors import require_count, require_run_constants
 from .generators import gen_graph, gen_set_system
 from .graphs import Graph, graph_from_json_dict
 from .oracle import CovertOracle
@@ -68,10 +67,7 @@ class ExperimentConfig:
             raise ValueError(f"source must be a dict, got {self.source!r}")
         if not isinstance(self.compute_opt, bool):
             raise ValueError(f"compute_opt must be a bool, got {self.compute_opt!r}")
-        for name in ("alpha", "theta", "alpha_net"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        require_run_constants(alpha=self.alpha, theta=self.theta, alpha_net=self.alpha_net)
 
 
 def _resolve(source: dict, parse, generate):
@@ -332,13 +328,15 @@ def bench_planted_family(
     holds each algorithm's ``aggregate_cover_trials`` over the seeds, plus
     the median optimum when every instance has one; the exponents are fitted
     on median total queries and need a list of at least two distinct k
-    values and a nonempty list of seeds.
+    values, each a count listed once, and a nonempty list of seeds.
     """
     for name, value in (("k_values", k_values), ("seeds", seeds)):
         if not isinstance(value, list):
             raise ValueError(f"{name} must be a list, got {value!r}")
-    if len(set(k_values)) < 2:
-        raise ValueError(f"need at least two distinct k values to fit an exponent, got {k_values}")
+    for k in k_values:
+        require_count("k", k)
+    if not 2 <= len(set(k_values)) == len(k_values):
+        raise ValueError(f"need at least two distinct k values, none repeated, got {k_values}")
     if not seeds:
         raise ValueError("seeds must be nonempty")
     per_k = []

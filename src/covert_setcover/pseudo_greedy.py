@@ -196,13 +196,12 @@ def sampled_greedy(
         else:
             oracle.mark_phase(f"round-{i}")
             sample = draw_round_sample(uncovered, s_i, threshold, rng)
-            if sample:
-                shortlist, tally = shortlist_sets(sample, probe, threshold)
-                if shortlist:
-                    picks, _ = sequential_filter(shortlist, tally, accept, threshold)
-                elif len(sample) == n_i == len(remaining()):
-                    finish = dict(zip(sample, tally[1])).__getitem__, sample
-                    sample = []
+            shortlist, tally = shortlist_sets(sample, probe, threshold)
+            if shortlist:
+                picks, _ = sequential_filter(shortlist, tally, accept, threshold)
+            elif len(sample) == n_i == len(remaining()):
+                finish = dict(zip(sample, tally[1])).__getitem__, sample
+                sample = []
         if finish:
             try:
                 picks = base_case_explicit(*finish)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, count, islice, repeat
 from math import ceil
-from numbers import Real
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -24,8 +23,11 @@ from .errors import (
     BruteForceCapExceededError,
     InvalidCoverError,
     UncoverableInstanceError,
+    _require,
+    require_count,
+    require_document,
     require_instance,
-    require_size,
+    require_run_constants,
 )
 
 BRUTE_FORCE_SET_CAP = 20
@@ -66,9 +68,7 @@ def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSy
     Only one copy of each index is live at a time: the inverse index is
     filled as lists, and each list is freed as soon as its tuple is built.
     """
-    if type(universe_size) is not int or universe_size < 1:
-        raise ValueError(f"universe_size must be an integer >= 1, got {universe_size!r}")
-    require_size("universe_size", universe_size)
+    require_count("universe_size", universe_size)
     try:
         n_rows = len(sets)
     except TypeError:
@@ -129,11 +129,7 @@ def to_json_dict(system: SetSystem, meta: dict | None = None) -> dict:
 
 def from_json_dict(doc: dict) -> SetSystem:
     """Parse the interchange form; a malformed or oversized document raises ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a set system must be a JSON object, got {type(doc).__name__}")
-    for key in ("universe_size", "sets"):
-        if key not in doc:
-            raise ValueError(f'set system JSON has no "{key}" field')
+    require_document(doc, "set system", ("universe_size", "sets"))
     sets = doc["sets"]
     well_formed = isinstance(sets, list) and all(
         isinstance(members, list) and all(type(e) is int for e in members) for members in sets
@@ -141,17 +137,15 @@ def from_json_dict(doc: dict) -> SetSystem:
     if not well_formed:
         raise ValueError('set system "sets" must be a list of lists of integers')
     n = doc["universe_size"]
-    if type(n) is int and n >= 1:
-        require_size("universe_size", n)
-        # json.load makes a fresh int per entry; mapping each in-range row through one
-        # shared tuple leaves one int object per element value. A row holding 0, -1 or
-        # n + 1 is passed on as it is, so build_set_system names the bad element.
-        values = tuple(range(n + 1))
-        sets = [
-            tuple(map(values.__getitem__, row)) if row and min(row) >= 1 and max(row) <= n
-            else row
-            for row in sets
-        ]
+    require_count("universe_size", n)
+    # json.load makes a fresh int per entry; mapping each in-range row through one
+    # shared tuple leaves one int object per element value. A row holding 0, -1 or
+    # n + 1 is passed on as it is, so build_set_system names the bad element.
+    values = tuple(range(n + 1))
+    sets = [
+        tuple(map(values.__getitem__, row)) if row and min(row) >= 1 and max(row) <= n else row
+        for row in sets
+    ]
     return build_set_system(sets, n)
 
 
@@ -229,8 +223,8 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     the family cannot cover the universe.
     """
     require_instance("system", system, SetSystem)
-    if not (isinstance(theta, Real) and not isinstance(theta, bool) and 0.0 < theta <= 1.0):
-        raise ValueError(f"theta must be a number in (0, 1], got {theta!r}")
+    require_run_constants(theta=theta)
+    _require(theta <= 1.0, f"theta must be a number in (0, 1], got {theta!r}")
     sets, containing = system.sets, system.element_to_sets
     numbers = _numbers(len(sets))
     counts = [0, *map(len, sets)]  # counts[s] for set s; the pad at 0 never reaches a bar >= 1

@@ -251,6 +251,13 @@ class TestMalformedInput:
         "argv, message",
         [
             (["setcover", "--algo", "pseudo-greedy", "--alpha", "nan"], "alpha must be finite"),
+            # A constant the algorithm does not read is checked too, before any trial runs.
+            (["setcover", "--algo", "greedy", "--alpha", "nan"],
+             "alpha must be finite and positive"),
+            (["setcover", "--algo", "greedy", "--alpha-net", "-5"],
+             "alpha_net must be finite and positive"),
+            (["setcover", "--algo", "pseudo-greedy", "--theta", "0"],
+             "theta must be finite and positive"),
             (["setcover", "--algo", "epsnet", "--alpha-net", "0"], "alpha_net must be finite"),
             (["setcover", "--algo", "epsnet", "--alpha-net", "1e12"], "alpha_net=1000000000000.0"),
             (["gen-graph", "--model", "er-connected", "--n", "6", "--p", "0"],
@@ -270,7 +277,8 @@ class TestMalformedInput:
             (["lemma-test", "--alpha", "1e300", "--log2-n", "1e10"],
              "alpha * log2_n_total must be finite"),
         ],
-        ids=["setcover-alpha-nan", "epsnet-alpha-net-0", "epsnet-alpha-net-1e12",
+        ids=["setcover-alpha-nan", "greedy-alpha-nan", "greedy-alpha-net-negative",
+             "pseudo-greedy-theta-0", "epsnet-alpha-net-0", "epsnet-alpha-net-1e12",
              "gen-graph-er-p-0", "gen-sets-density-nan", "bench-one-k", "bench-no-k", "bench-trials-0",
              "bench-trials-negative", "lemma-alpha-inf", "lemma-alpha-nan",
              "lemma-log2-n-nan", "lemma-log2-n-negative", "lemma-s-0", "lemma-s-negative",

@@ -174,8 +174,10 @@ class TestParameterChecks:
             ("grid", {"rows": 2, "cols": "3"}, "cols must be an integer"),
             ("er-connected", {"n": 6, "p": math.nan}, "p must be a number in"),
             ("er-connected", {"n": 6, "p": 1.5}, "p must be a number in"),
+            # No graph on two or more vertices is connected at p = 0: fail before any draw.
+            ("er-connected", {"n": 6, "p": 0}, "at p = 0 there is no connected sample"),
         ],
-        ids=["float-n", "string-cols", "nan-p", "p-above-one"],
+        ids=["float-n", "string-cols", "nan-p", "p-above-one", "er-p-zero"],
     )
     def test_graph(self, model, params, message):
         with pytest.raises(ValueError, match=message):

@@ -327,8 +327,11 @@ class TestBench:
             (None, [0], "k_values must be a list"),
             (3, [0], "k_values must be a list"),
             ([1, 2], 3, "seeds must be a list"),
+            ([[1], [2]], [0], "k must be an integer >= 1, got \\[1\\]"),
+            ([1, 1, 2], [0], "none repeated"),
         ],
-        ids=["one-k", "repeated-k", "no-seeds", "k-none", "k-int", "seeds-int"],
+        ids=["one-k", "repeated-k", "no-seeds", "k-none", "k-int", "seeds-int", "k-lists",
+             "k-repeated-among-distinct"],
     )
     def test_rejects_what_cannot_fit_an_exponent(self, k_values, seeds, message):
         with pytest.raises(ValueError, match=message):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from covert_setcover.errors import (
     InvalidCoverError,
     UncoverableInstanceError,
 )
+from covert_setcover.generators import gen_set_system
 from covert_setcover.graphs import Graph, certified_pairs, layered_answer
+from covert_setcover.harness import bench_planted_family
 from covert_setcover.oracle import CovertOracle, QueryLedger
 from covert_setcover.pseudo_greedy import run_pseudo_greedy
 from covert_setcover.setsystem import (
@@ -218,6 +221,25 @@ SMALL = build_set_system([[1, 2], [2]], 2)
 PATH_3 = Graph.from_edges(3, [(1, 2), (2, 3)])
 REPORT = DiscoveryResult(statuses={}, query_set=[], ledger=QueryLedger())
 
+# Every argument that is a count goes through errors.require_count, so each rejects
+# these the same way, naming itself, before it allocates or runs anything.
+COUNT_ARGUMENTS = {
+    "universe-size": ("universe_size", lambda value: build_set_system([[1]], value)),
+    "vertex-count": ("the vertex count", lambda value: Graph.from_edges(value, [])),
+    "opt-size": ("opt_size", partial(competitive_ratio, REPORT)),
+    "gen-sets-n": ("n", lambda value: gen_set_system("uniform-random", value, 4)),
+    "gen-sets-m": ("m", lambda value: gen_set_system("uniform-random", 4, value)),
+    "bench-k": ("k", lambda value: bench_planted_family([value, 2], [0], n=16, m=8)),
+}
+BAD_COUNTS = {"zero": 0, "negative": -1, "bool": True, "float": 2.0,
+              "above-cap": MAX_INSTANCE_SIZE + 1}
+
+
+def _count_message(name, value):
+    if value == MAX_INSTANCE_SIZE + 1:
+        return f"^{name} is {value}; at most {MAX_INSTANCE_SIZE} are allowed$"
+    return f"^{name} must be an integer >= 1, got {value!r}$"
+
 
 @pytest.mark.parametrize(
     "call, error, message",
@@ -243,13 +265,17 @@ REPORT = DiscoveryResult(statuses={}, query_set=[], ledger=QueryLedger())
         (lambda: offline_verification("x"), ValueError, "graph must be a Graph, got str"),
         (lambda: layered_answer(None, 1), ValueError, "graph must be a Graph, got NoneType"),
         (lambda: certified_pairs(None), ValueError, "answer must be a LayeredAnswer"),
+    ] + [
+        (partial(call, value), ValueError, _count_message(name, value))
+        for name, call in COUNT_ARGUMENTS.values() for value in BAD_COUNTS.values()
     ],
     ids=["family-none", "rows-not-iterable", "unhashable-element", "cover-none",
          "indices-not-iterable", "theta-string", "theta-none", "theta-bool",
          "opt-size-string", "opt-size-bool", "edges-none", "covert-oracle-on-graph",
          "layered-oracle-on-set-system", "greedy-system-none", "verify-system-none",
          "brute-force-system-none", "edge-not-a-pair", "offline-graph-string",
-         "layered-graph-none", "certified-answer-none"],
+         "layered-graph-none", "certified-answer-none"]
+    + [f"count-{site}-{label}" for site in COUNT_ARGUMENTS for label in BAD_COUNTS],
 )
 def test_wrong_type_raises_typed_error(call, error, message):
     # Each of these ended in a bare TypeError from len, tuple, set, a comparison or an
