@@ -49,13 +49,13 @@ def require_size(what: str, size: int, limit: int = MAX_INSTANCE_SIZE) -> None:
     _require(size <= limit, f"{what} is {size}; at most {limit} are allowed")
 
 
-def require_count(name: str, value, limit: int = MAX_INSTANCE_SIZE) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an ``int`` in [1, ``limit``].
+def require_count(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an ``int`` in [1, the size cap].
 
     A bool is not one. A size is checked before anything is allocated for it.
     """
     _require(type(value) is int and value >= 1, f"{name} must be an integer >= 1, got {value!r}")
-    require_size(name, value, limit)
+    require_size(name, value)
 
 
 def require_document(doc, what: str, keys: tuple[str, ...]) -> None:
@@ -72,7 +72,7 @@ def require_run_constants(**constants) -> None:
     """
     for name, value in constants.items():
         real = isinstance(value, Real) and not isinstance(value, bool)
-        _require(real and math.isfinite(value) and value > 0,
+        _require(real and 0 < value < math.inf,
                  f"{name} must be finite and positive, got {value!r}")
 
 

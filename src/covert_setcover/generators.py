@@ -60,8 +60,8 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
                     edges.append((v, v + cols))
         return Graph.from_edges(rows * cols, edges)
     if model == "er-connected":
-        _require(n >= 2 and p > 0, "er-connected needs n >= 2 and p > 0: at p = 0 there is"
-                 f" no connected sample, got n={n}, p={p}")
+        _require(n >= 2, "er-connected needs n >= 2")
+        _require(p > 0, f"er-connected at p = 0 there is no connected sample, got n={n}, p={p}")
         rng = random.Random(seed)
         pairs = all_pairs(n)
         for _ in range(ER_RETRY_BUDGET):

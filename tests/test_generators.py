@@ -176,8 +176,9 @@ class TestParameterChecks:
             ("er-connected", {"n": 6, "p": 1.5}, "p must be a number in"),
             # No graph on two or more vertices is connected at p = 0: fail before any draw.
             ("er-connected", {"n": 6, "p": 0}, "at p = 0 there is no connected sample"),
+            ("er-connected", {"n": 1, "p": 0.25}, "^er-connected needs n >= 2$"),
         ],
-        ids=["float-n", "string-cols", "nan-p", "p-above-one", "er-p-zero"],
+        ids=["float-n", "string-cols", "nan-p", "p-above-one", "er-p-zero", "er-one-vertex"],
     )
     def test_graph(self, model, params, message):
         with pytest.raises(ValueError, match=message):

@@ -252,6 +252,7 @@ def _count_message(name, value):
         (lambda: greedy_cover(SMALL, "a"), ValueError, "theta must be"),
         (lambda: greedy_cover(SMALL, None), ValueError, "theta must be"),
         (lambda: greedy_cover(SMALL, True), ValueError, "theta must be"),
+        (lambda: greedy_cover(SMALL, 10**400), ValueError, "theta must be"),
         (lambda: competitive_ratio(REPORT, "3"), ValueError, "opt_size must be"),
         (lambda: competitive_ratio(REPORT, True), ValueError, "opt_size must be"),
         (lambda: Graph.from_edges(3, None), ValueError, "edges must be"),
@@ -270,7 +271,7 @@ def _count_message(name, value):
         for name, call in COUNT_ARGUMENTS.values() for value in BAD_COUNTS.values()
     ],
     ids=["family-none", "rows-not-iterable", "unhashable-element", "cover-none",
-         "indices-not-iterable", "theta-string", "theta-none", "theta-bool",
+         "indices-not-iterable", "theta-string", "theta-none", "theta-bool", "theta-huge-int",
          "opt-size-string", "opt-size-bool", "edges-none", "covert-oracle-on-graph",
          "layered-oracle-on-set-system", "greedy-system-none", "verify-system-none",
          "brute-force-system-none", "edge-not-a-pair", "offline-graph-string",
