@@ -17,7 +17,7 @@ from itertools import compress, count, filterfalse
 from operator import ne
 from typing import IO
 
-from .errors import require_count, require_instance
+from .errors import require_count, require_index, require_instance
 from .oracle import MeteredOracle, QueryLedger
 # draw_round_sample is kept in this namespace as the sampler of discovery
 # rounds; perfbench/tracing.py wraps it under this name.
@@ -57,12 +57,9 @@ class LayeredGraphOracle(MeteredOracle):
         return self._hidden.n
 
     def layered_query(self, v: int) -> LayeredAnswer:
-        if type(v) is not int:
-            # 2.0 == 2, so a float would otherwise find vertex 2's memoized answer.
-            raise ValueError(f"vertex {v!r} is not an integer")
+        require_index("vertex", v, self._hidden.n)  # before the memo: 2.0 would find vertex 2
         answer = self._answers.get(v)
         if answer is None:
-            # layered_answer rejects an out-of-range vertex before anything is stored.
             answer = self._answers[v] = layered_answer(self._hidden, v)
         self._charge("layered", v, answer.dist)
         return answer

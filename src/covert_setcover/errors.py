@@ -76,12 +76,23 @@ def require_run_constants(**constants) -> None:
                  f"{name} must be finite and positive, got {value!r}")
 
 
+def require_theta(theta) -> None:
+    """Raise ``ValueError`` unless greedy's relaxation ``theta`` is a real in (0, 1]."""
+    require_run_constants(theta=theta)
+    _require(theta <= 1, f"theta must be a number in (0, 1], got {theta!r}")
+
+
+# Checks that run per query or per probe format their message only when they fail.
 def require_instance(name: str, value, kind: type) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a ``kind`` (a subclass counts).
 
-    The entry points that take an oracle, a system, a graph or an answer check
-    before anything else, so a wrong argument never ends in an
-    ``AttributeError`` part-way through.
+    Entry points check first, so a wrong argument never ends in an ``AttributeError``.
     """
-    _require(isinstance(value, kind),
-             f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
+def require_index(what: str, value, n: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` in [1, n]; a bool or 2.0 is not one."""
+    if type(value) is not int or not 1 <= value <= n:
+        raise ValueError(f"{what} {value!r} outside [1, {n}] or is not an integer")

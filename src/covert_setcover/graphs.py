@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, compress
 from operator import itemgetter, ne
 
-from .errors import require_count, require_document, require_instance, require_size
+from .errors import require_count, require_document, require_index, require_instance, require_size
 
 Pair = tuple[int, int]
 
@@ -111,10 +111,7 @@ class LayeredAnswer:
 def layered_answer(graph: Graph, v: int) -> LayeredAnswer:
     """Compute the layered answer at ``v`` (offline; nothing is metered here)."""
     require_instance("graph", graph, Graph)
-    if type(v) is not int:
-        raise ValueError(f"vertex {v!r} is not an integer")
-    if not 1 <= v <= graph.n:
-        raise ValueError(f"vertex {v} outside [1, {graph.n}]")
+    require_index("vertex", v, graph.n)
     dist = [-1] * graph.n
     dist[v - 1] = 0
     edges: list[Pair] = []

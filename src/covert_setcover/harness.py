@@ -28,7 +28,7 @@ from .discovery import (
     run_network_discovery,
 )
 from .epsnet import DEFAULT_ALPHA_NET, run_weighted_epsilon_net
-from .errors import require_count, require_run_constants
+from .errors import require_count, require_instance, require_run_constants, require_theta
 from .generators import gen_graph, gen_set_system
 from .graphs import Graph, graph_from_json_dict
 from .oracle import CovertOracle
@@ -63,11 +63,10 @@ class ExperimentConfig:
         if not (isinstance(self.seeds, list) and self.seeds
                 and all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)):
             raise ValueError(f"seeds must be a nonempty list of ints, got {self.seeds!r}")
-        if not isinstance(self.source, dict):
-            raise ValueError(f"source must be a dict, got {self.source!r}")
-        if not isinstance(self.compute_opt, bool):
-            raise ValueError(f"compute_opt must be a bool, got {self.compute_opt!r}")
-        require_run_constants(alpha=self.alpha, theta=self.theta, alpha_net=self.alpha_net)
+        require_instance("source", self.source, dict)
+        require_instance("compute_opt", self.compute_opt, bool)
+        require_run_constants(alpha=self.alpha, alpha_net=self.alpha_net)
+        require_theta(self.theta)
 
 
 def _resolve(source: dict, parse, generate):
@@ -330,9 +329,8 @@ def bench_planted_family(
     on median total queries and need a list of at least two distinct k
     values, each a count listed once, and a nonempty list of seeds.
     """
-    for name, value in (("k_values", k_values), ("seeds", seeds)):
-        if not isinstance(value, list):
-            raise ValueError(f"{name} must be a list, got {value!r}")
+    require_instance("k_values", k_values, list)
+    require_instance("seeds", seeds, list)
     for k in k_values:
         require_count("k", k)
     if not 2 <= len(set(k_values)) == len(k_values):

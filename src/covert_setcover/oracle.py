@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
+from .errors import require_index, require_instance
 from .setsystem import SetSystem
 
 KINDS = ("hitting", "set", "layered")
@@ -98,8 +99,7 @@ class MeteredOracle:
         Any other label raises ``ValueError``: it would key the ledger's
         per-phase counts and be written to the log.
         """
-        if not isinstance(label, str):
-            raise ValueError(f"phase label must be a str, got {label!r}")
+        require_instance("phase label", label, str)
         self._phase = label
 
     def ledger_snapshot(self) -> QueryLedger:
@@ -139,23 +139,14 @@ class CovertOracle(MeteredOracle):
 
     def hitting_query(self, e: int) -> tuple[int, ...]:
         """All set indices containing element ``e``. Charges one hitting query."""
-        if type(e) is not int:
-            # True == 1 and 2.0 == 2 pass the range check, so test the type first.
-            raise ValueError(f"element {e!r} is not an integer")
-        if not 1 <= e <= self._hidden.universe_size:
-            raise ValueError(
-                f"element {e} outside [1, {self._hidden.universe_size}]"
-            )
+        require_index("element", e, self._hidden.universe_size)
         answer = self._hidden.element_to_sets[e - 1]
         self._charge("hitting", e, answer)
         return answer
 
     def set_query(self, s: int) -> tuple[int, ...]:
         """All elements of set ``s``. Charges one set query."""
-        if type(s) is not int:
-            raise ValueError(f"set index {s!r} is not an integer")
-        if not 1 <= s <= self._hidden.n_sets:
-            raise ValueError(f"set index {s} outside [1, {self._hidden.n_sets}]")
+        require_index("set index", s, len(self._hidden.sets))
         answer = self._hidden.sets[s - 1]
         self._charge("set", s, answer)
         return answer

@@ -23,11 +23,10 @@ from .errors import (
     BruteForceCapExceededError,
     InvalidCoverError,
     UncoverableInstanceError,
-    _require,
     require_count,
     require_document,
     require_instance,
-    require_run_constants,
+    require_theta,
 )
 
 BRUTE_FORCE_SET_CAP = 20
@@ -223,8 +222,7 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     the family cannot cover the universe.
     """
     require_instance("system", system, SetSystem)
-    require_run_constants(theta=theta)
-    _require(theta <= 1.0, f"theta must be a number in (0, 1], got {theta!r}")
+    require_theta(theta)
     sets, containing = system.sets, system.element_to_sets
     numbers = _numbers(len(sets))
     counts = [0, *map(len, sets)]  # counts[s] for set s; the pad at 0 never reaches a bar >= 1

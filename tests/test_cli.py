@@ -258,6 +258,11 @@ class TestMalformedInput:
              "alpha_net must be finite and positive"),
             (["setcover", "--algo", "pseudo-greedy", "--theta", "0"],
              "theta must be finite and positive"),
+            # theta is greedy's, but a config rejects theta > 1 whatever the algorithm.
+            (["setcover", "--algo", "pseudo-greedy", "--theta", "5"],
+             "theta must be a number in (0, 1], got 5.0"),
+            (["setcover", "--algo", "epsnet", "--theta", "1.5"],
+             "theta must be a number in (0, 1], got 1.5"),
             (["setcover", "--algo", "epsnet", "--alpha-net", "0"], "alpha_net must be finite"),
             (["setcover", "--algo", "epsnet", "--alpha-net", "1e12"], "alpha_net=1000000000000.0"),
             (["gen-graph", "--model", "er-connected", "--n", "6", "--p", "0"],
@@ -278,7 +283,8 @@ class TestMalformedInput:
              "alpha * log2_n_total must be finite"),
         ],
         ids=["setcover-alpha-nan", "greedy-alpha-nan", "greedy-alpha-net-negative",
-             "pseudo-greedy-theta-0", "epsnet-alpha-net-0", "epsnet-alpha-net-1e12",
+             "pseudo-greedy-theta-0", "pseudo-greedy-theta-5", "epsnet-theta-1.5",
+             "epsnet-alpha-net-0", "epsnet-alpha-net-1e12",
              "gen-graph-er-p-0", "gen-sets-density-nan", "bench-one-k", "bench-no-k", "bench-trials-0",
              "bench-trials-negative", "lemma-alpha-inf", "lemma-alpha-nan",
              "lemma-log2-n-nan", "lemma-log2-n-negative", "lemma-s-0", "lemma-s-negative",

@@ -9,6 +9,7 @@ import pytest
 from covert_setcover.discovery import LayeredGraphOracle, run_network_discovery
 from covert_setcover.epsnet import run_weighted_epsilon_net
 from covert_setcover.generators import gen_graph, gen_set_system
+from covert_setcover.graphs import layered_answer
 from covert_setcover.oracle import KINDS, CovertOracle, QueryLedger
 from covert_setcover.pseudo_greedy import run_pseudo_greedy
 from covert_setcover.setsystem import build_set_system
@@ -63,6 +64,28 @@ class TestAnswers:
             getattr(oracle, query)(arg)
         assert oracle.ledger.total == 0
         assert stream.getvalue() == ""
+
+    # One index rule for every query and for layered_answer: an int in [1, n],
+    # with one message whichever way the argument fails.
+    @pytest.mark.parametrize("name, what, n", [
+        ("hitting_query", "element", 3), ("set_query", "set index", 2),
+        ("layered_query", "vertex", 4), ("layered_answer", "vertex", 4),
+    ])
+    @pytest.mark.parametrize("arg", [0, "n + 1", True, 2.0, "1", None],
+                             ids=["zero", "past-n", "bool", "float", "str", "none"])
+    def test_index_rule_is_one_message_and_charges_nothing(self, name, what, n, arg):
+        value = n + 1 if arg == "n + 1" else arg
+        graph, logs = gen_graph("path", n=4), (io.StringIO(), io.StringIO())
+        covert = CovertOracle(build_set_system([[1, 2], [2, 3]], 3), log_stream=logs[0])
+        layered = LayeredGraphOracle(graph, log_stream=logs[1])
+        query = {"hitting_query": covert.hitting_query, "set_query": covert.set_query,
+                 "layered_query": layered.layered_query,
+                 "layered_answer": lambda v: layered_answer(graph, v)}[name]
+        with pytest.raises(ValueError) as info:
+            query(value)
+        assert str(info.value) == f"{what} {value!r} outside [1, {n}] or is not an integer"
+        assert covert.ledger == layered.ledger == QueryLedger()
+        assert [log.getvalue() for log in logs] == ["", ""]
 
     def test_free_knowledge(self, small_oracle):
         assert small_oracle.n_elements == 3
