@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress
 from operator import itemgetter, ne
@@ -36,10 +36,19 @@ def all_pairs(n: int) -> tuple[Pair, ...]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Connected, undirected, unweighted graph on vertices 1..n."""
+    """Connected, undirected, unweighted graph on vertices 1..n.
+
+    :func:`layered_answer` keeps each vertex's answer in ``_answers``, and
+    edge {u, w}'s one tuple at ``_edge_rows[u - 1][w]``, so every reader of
+    the graph shares one BFS per vertex. Equality, hash and repr ignore both.
+    """
 
     n: int
     adjacency: tuple[frozenset[int], ...]
+    _answers: dict[int, LayeredAnswer] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _edge_rows: list[dict[int, Pair]] = field(
+        default_factory=list, init=False, compare=False, repr=False)
 
     def edges(self) -> list[Pair]:
         return [
@@ -109,9 +118,21 @@ class LayeredAnswer:
 
 
 def layered_answer(graph: Graph, v: int) -> LayeredAnswer:
-    """Compute the layered answer at ``v`` (offline; nothing is metered here)."""
+    """The layered answer at ``v`` (offline; nothing is metered here).
+
+    Computed once per graph and vertex; later calls return the same object.
+    The checks come before the lookup, since 2.0 == 2 would find vertex 2.
+    """
     require_instance("graph", graph, Graph)
     require_index("vertex", v, graph.n)
+    answer = graph._answers.get(v)
+    if answer is not None:
+        return answer
+    rows = graph._edge_rows
+    if not rows:
+        rows.extend({} for _ in range(graph.n))
+        for u, w in graph.edges():
+            rows[u - 1][w] = rows[w - 1][u] = (u, w)
     dist = [-1] * graph.n
     dist[v - 1] = 0
     edges: list[Pair] = []
@@ -119,14 +140,16 @@ def layered_answer(graph: Graph, v: int) -> LayeredAnswer:
     while queue:
         u = queue.popleft()
         next_level = dist[u - 1] + 1
-        for w in graph.adjacency[u - 1]:
+        for w, edge in rows[u - 1].items():
             if dist[w - 1] < 0:
                 dist[w - 1] = next_level
                 queue.append(w)
             # Each consecutive-level edge is listed once, from its lower endpoint.
             if dist[w - 1] == next_level:
-                edges.append((u, w) if u < w else (w, u))
-    return LayeredAnswer(source=v, dist=tuple(dist), shortest_path_edges=frozenset(edges))
+                edges.append(edge)
+    answer = graph._answers[v] = LayeredAnswer(
+        source=v, dist=tuple(dist), shortest_path_edges=frozenset(edges))
+    return answer
 
 
 def certified_pairs(answer: LayeredAnswer, pairs: Sequence[Pair] | None = None) -> dict[Pair, bool]:

@@ -57,6 +57,31 @@ class TestLayeredOracle:
         lines = log.getvalue().splitlines()
         assert len(lines) == 3 and len(set(lines)) == 1
 
+    def test_oracles_on_one_graph_share_its_answer_table(self):
+        graph = gen_graph("er-connected", n=20, p=0.25, seed=1)
+
+        def recorded_run():
+            log, answers = io.StringIO(), []
+            oracle = LayeredGraphOracle(graph, log_stream=log)
+            query = oracle.layered_query
+
+            def recording(v):
+                answers.append(query(v))
+                return answers[-1]
+
+            oracle.layered_query = recording
+            result = run_network_discovery(oracle, alpha=2.0, rng_seed=3)
+            return result, log.getvalue(), answers
+
+        first, second = recorded_run(), recorded_run()
+        assert len(first[2]) == len(second[2]) == first[0].ledger.layered_queries
+        assert all(a is b for a, b in zip(first[2], second[2]))
+        assert first[0].ledger == second[0].ledger
+        assert first[1] == second[1] != ""
+        assert first[0].statuses == second[0].statuses
+        fresh = Graph.from_edges(graph.n, graph.edges())
+        assert graph == fresh and hash(graph) == hash(fresh) and repr(graph) == repr(fresh)
+
 
 class TestHittingSet:
     def test_g6_pair_2_3(self, g6):

@@ -204,3 +204,20 @@ def test_certified_pairs_matches_distance_rule_on_given_pairs(data):
     assert list(statuses) == [p for p in pairs if p in expected]
     passed = {id(p) for p in pairs}
     assert all(id(key) in passed for key in statuses)
+
+
+@settings(max_examples=60)
+@given(graph=connected_graphs(), data=st.data())
+def test_answer_table_matches_bfs_and_shares_edge_tuples(graph, data):
+    edges = graph.edges()
+    order = data.draw(st.permutations(range(1, graph.n + 1)))
+    first = {v: layered_answer(graph, v) for v in order}
+    order = data.draw(st.permutations(range(1, graph.n + 1)))
+    assert all(layered_answer(graph, v) is first[v] for v in order)
+    shared = {}
+    for v, answer in first.items():
+        levels = bfs_levels(graph.n, edges, v)
+        assert answer.dist == tuple(levels[x] for x in range(1, graph.n + 1))
+        assert certified_pairs(answer) == certified_by_query(graph.n, edges, v)
+        # An edge listed by two answers is one tuple, not one per answer.
+        assert all(shared.setdefault(e, e) is e for e in answer.shortest_path_edges)

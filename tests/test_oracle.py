@@ -66,7 +66,9 @@ class TestAnswers:
         assert stream.getvalue() == ""
 
     # One index rule for every query and for layered_answer: an int in [1, n],
-    # with one message whichever way the argument fails.
+    # with one message whichever way the argument fails. Vertices 1 and 2 are
+    # answered before the oracle exists, so True and 2.0 would find a warm
+    # table entry if the check came after the lookup.
     @pytest.mark.parametrize("name, what, n", [
         ("hitting_query", "element", 3), ("set_query", "set index", 2),
         ("layered_query", "vertex", 4), ("layered_answer", "vertex", 4),
@@ -76,6 +78,8 @@ class TestAnswers:
     def test_index_rule_is_one_message_and_charges_nothing(self, name, what, n, arg):
         value = n + 1 if arg == "n + 1" else arg
         graph, logs = gen_graph("path", n=4), (io.StringIO(), io.StringIO())
+        for v in (1, 2):
+            layered_answer(graph, v)
         covert = CovertOracle(build_set_system([[1, 2], [2, 3]], 3), log_stream=logs[0])
         layered = LayeredGraphOracle(graph, log_stream=logs[1])
         query = {"hitting_query": covert.hitting_query, "set_query": covert.set_query,
