@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from itertools import accumulate, repeat, starmap
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -34,11 +36,21 @@ MAX_NET_DRAWS = 2**24
 
 
 def sample_weighted_net(weights: list[int], size: int, rng: random.Random) -> tuple[int, ...]:
-    """Distinct indices from ``size`` independent draws; set s has weight ``weights[s - 1]``."""
+    """Distinct indices from ``size`` independent draws; set s has weight ``weights[s - 1]``.
+
+    The draws are those of ``rng.choices(range(1, len(weights) + 1),
+    weights=weights, k=size)``: the same ``size`` calls to ``rng.random()``, each
+    scaled by the weights' total as a float, and the same sets; a total past a
+    float raises OverflowError. Each scaled draw x is floored and bisected in the
+    int prefix sums; for an int sum c, c <= x exactly when c <= floor(x), so
+    every comparison is int against int and no list of draws is built.
+    """
     if size < 1:
         raise ValueError(f"net size must be >= 1, got {size}")
-    draws = rng.choices(range(1, len(weights) + 1), weights=weights, k=size)
-    return tuple(sorted(set(draws)))
+    cum = [0, *accumulate(weights)]
+    total = cum[-1] + 0.0
+    keys = map(math.floor, map(mul, starmap(rng.random, repeat((), size)), repeat(total)))
+    return tuple(sorted(set(map(bisect_right, repeat(cum), keys, repeat(1), repeat(len(weights))))))
 
 
 def find_uncovered(rows: Sequence[Sequence[int]], universe_size: int) -> int | None:

@@ -21,6 +21,9 @@ GRAPH_MODELS = ("path", "cycle", "complete", "star", "er-connected", "grid")
 SET_MODELS = ("uniform-random", "planted-cover", "skewed")
 
 ER_RETRY_BUDGET = 1000
+# er-connected refuses a p at which the budget's draws find a connected sample
+# with probability below this (a Chernoff bound on the edge count).
+ER_SUCCESS_FLOOR = 1e-9
 
 
 def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
@@ -28,7 +31,9 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
     """Build a named-family or random connected graph.
 
     ``er-connected`` resamples an Erdos-Renyi graph until it is connected (at
-    most ER_RETRY_BUDGET attempts, then ValueError; none at p = 0); ``grid``
+    most ER_RETRY_BUDGET attempts, then ValueError; none at p = 0, or at a p
+    so small that a Chernoff bound puts the chance of a draw with the n - 1
+    edges a connected graph needs below ER_SUCCESS_FLOOR / ER_RETRY_BUDGET); ``grid``
     takes rows x cols with vertices numbered row-major. Every parameter is
     checked, whatever the model, and the vertex count may be at most ``MAX_INSTANCE_SIZE``.
     """
@@ -62,6 +67,13 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
     if model == "er-connected":
         _require(n >= 2, "er-connected needs n >= 2")
         _require(p > 0, f"er-connected at p = 0 there is no connected sample, got n={n}, p={p}")
+        # With mean edge count mu < t = n - 1, P[edges >= t] <= e^-mu (e mu / t)^t.
+        mu, t = p * (n * (n - 1) // 2), n - 1
+        _require(mu >= t or log(ER_RETRY_BUDGET) - mu + t * (1 + log(mu) - log(t))
+                 >= log(ER_SUCCESS_FLOOR),
+                 f"er-connected at n={n}, p={p} finds no connected sample in {ER_RETRY_BUDGET}"
+                 f" tries but with probability below {ER_SUCCESS_FLOOR}: a connected graph"
+                 f" needs n - 1 edges, and a draw has {mu:.3g} on average")
         rng = random.Random(seed)
         pairs = all_pairs(n)
         for _ in range(ER_RETRY_BUDGET):

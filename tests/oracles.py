@@ -225,6 +225,15 @@ def naive_find_uncovered(candidate, contents, n):
     return None
 
 
+def choices_net(weights, size, rng):
+    """The distinct sets of ``size`` draws by ``random.choices``, sorted.
+
+    The rule ``sample_weighted_net`` must follow draw for draw: set s has
+    weight ``weights[s - 1]``, and a total past a float raises OverflowError.
+    """
+    return tuple(sorted(set(rng.choices(range(1, len(weights) + 1), weights=weights, k=size))))
+
+
 def bfs_levels(n, edges, source):
     """Hop distances from source over an undirected edge list."""
     adj = {v: set() for v in range(1, n + 1)}

@@ -267,6 +267,8 @@ class TestMalformedInput:
             (["setcover", "--algo", "epsnet", "--alpha-net", "1e12"], "alpha_net=1000000000000.0"),
             (["gen-graph", "--model", "er-connected", "--n", "6", "--p", "0"],
              "no connected sample"),
+            (["gen-graph", "--model", "er-connected", "--n", "1448", "--p", "1e-9"],
+             "no connected sample"),
             (["gen-sets", "--model", "uniform-random", "--n", "4", "--m", "2",
               "--density", "nan"], "density must be a number in [0, 1]"),
             (["bench", "--k", "1"], "at least two distinct k values"),
@@ -285,7 +287,8 @@ class TestMalformedInput:
         ids=["setcover-alpha-nan", "greedy-alpha-nan", "greedy-alpha-net-negative",
              "pseudo-greedy-theta-0", "pseudo-greedy-theta-5", "epsnet-theta-1.5",
              "epsnet-alpha-net-0", "epsnet-alpha-net-1e12",
-             "gen-graph-er-p-0", "gen-sets-density-nan", "bench-one-k", "bench-no-k", "bench-trials-0",
+             "gen-graph-er-p-0", "gen-graph-er-p-tiny", "gen-sets-density-nan", "bench-one-k",
+             "bench-no-k", "bench-trials-0",
              "bench-trials-negative", "lemma-alpha-inf", "lemma-alpha-nan",
              "lemma-log2-n-nan", "lemma-log2-n-negative", "lemma-s-0", "lemma-s-negative",
              "lemma-product-overflow"],

@@ -21,7 +21,7 @@ from covert_setcover.generators import gen_set_system
 from covert_setcover.oracle import CovertOracle
 from covert_setcover.setsystem import build_set_system, verify_cover
 
-from oracles import naive_find_uncovered
+from oracles import choices_net, naive_find_uncovered
 
 
 def rows_missing(n, missing, n_rows, rng):
@@ -141,6 +141,34 @@ class TestNetSampling:
         picked = sample_weighted_net([1] * 4, 100, random.Random(1))
         assert picked == tuple(sorted(set(picked)))
 
+    @settings(max_examples=300)
+    @given(
+        weights=st.lists(
+            st.integers(1, 2**64)
+            | st.integers(0, 1100).map(lambda e: 2**e)
+            | st.integers(2**1023, 2**1100),
+            min_size=1, max_size=40,
+        ),
+        size=st.integers(1, 200),
+        seed=st.integers(0, 2**64),
+    )
+    @example(weights=[2**1100, 1], size=3, seed=0)
+    # Totals one past and one short of the halfway point above the largest float.
+    @example(weights=[2**1024 - 2**970, 1], size=50, seed=1)
+    @example(weights=[1, 2**1023, 2**1023 - 2**970 - 2], size=50, seed=2)
+    def test_matches_random_choices(self, weights, size, seed):
+        # The same sets and the same state of the stream as random.choices,
+        # and OverflowError exactly where random.choices cannot total the weights.
+        outcomes = []
+        for sample in (sample_weighted_net, choices_net):
+            rng = random.Random(seed)
+            try:
+                picked = sample(weights, size, rng)
+            except OverflowError:
+                picked = OverflowError
+            outcomes.append((picked, rng.getstate()))
+        assert outcomes[0] == outcomes[1]
+
 
 def rows_of(candidate, contents):
     """The candidate's rows in candidate order, as the epsnet loop hands them over."""
@@ -203,8 +231,8 @@ class TestRun:
     @pytest.mark.parametrize("alpha_net, size", [(1e12, "8.32e+12"), (1e308, "inf")])
     def test_candidate_size_is_bounded(self, alpha_net, size):
         # At alpha_net = 1e12 the first candidate would be 8.3e12 draws over 8 sets,
-        # a list that rng.choices would build until memory ran out; at 1e308 the
-        # size overflows to inf, which math.ceil in net_size cannot round.
+        # which would run for days; at 1e308 the size overflows to inf, which
+        # math.ceil in net_size cannot round.
         oracle = CovertOracle(build_set_system([[e] for e in range(1, 9)], 8))
         message = re.escape(f"alpha_net={alpha_net!r} asks for {size} draws")
         with pytest.raises(ValueError, match=message):
@@ -235,7 +263,7 @@ class TestRun:
 
     def test_guess_ends_when_its_weights_outgrow_a_float(self):
         # One-draw candidates keep missing, so from guess 256 on a set's weight passes
-        # 2**1024 before the budget is spent and random.choices cannot total the weights.
+        # 2**1024 before the budget is spent and their total cannot be made a float.
         system, _ = gen_set_system("planted-cover", n=512, m=512, seed=0, k=2)
         result = run_weighted_epsilon_net(CovertOracle(system), alpha_net=1e-300)
         assert result.failed and result.uncovered_element is None

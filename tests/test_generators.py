@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -53,6 +54,20 @@ class TestGraphModels:
     def test_er_retry_budget_exhausted(self):
         with pytest.raises(ValueError, match="no connected sample"):
             gen_graph("er-connected", n=3, p=0.0, seed=1)
+
+    @pytest.mark.parametrize("n, p", [(1448, 1e-9), (1448, 5e-324), (1000, 1.5 / 999), (2, 1e-13)])
+    def test_er_hopeless_p_fails_before_any_draw(self, n, p):
+        # At n = 1448 each draw visits 1,047,628 pairs; the budget's 1000 would take minutes.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="no connected sample in 1000 tries but with"):
+            gen_graph("er-connected", n=n, p=p, seed=1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_er_refusal_keeps_a_p_the_budget_may_connect(self):
+        # One pair at p = 1e-12: 1000 draws connect it with probability about 1e-9,
+        # above the floor, so the draws are made and the budget runs out.
+        with pytest.raises(ValueError, match=r"no connected sample in 1000 tries \(n=2"):
+            gen_graph("er-connected", n=2, p=1e-12, seed=1)
 
 
 class TestSetModels:
