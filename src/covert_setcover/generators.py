@@ -71,9 +71,9 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
         mu, t = p * (n * (n - 1) // 2), n - 1
         _require(mu >= t or log(ER_RETRY_BUDGET) - mu + t * (1 + log(mu) - log(t))
                  >= log(ER_SUCCESS_FLOOR),
-                 f"er-connected at n={n}, p={p} finds no connected sample in {ER_RETRY_BUDGET}"
-                 f" tries but with probability below {ER_SUCCESS_FLOOR}: a connected graph"
-                 f" needs n - 1 edges, and a draw has {mu:.3g} on average")
+                 f"er-connected at n={n}, p={p}: no connected sample expected, since"
+                 f" {ER_RETRY_BUDGET} tries find one with probability below {ER_SUCCESS_FLOOR}"
+                 f" (a connected graph needs n - 1 edges, a draw has {mu:.3g} on average)")
         rng = random.Random(seed)
         pairs = all_pairs(n)
         for _ in range(ER_RETRY_BUDGET):

@@ -29,7 +29,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain, compress, repeat
-from operator import itemgetter, not_, sub
+from operator import not_, sub
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from .errors import (
@@ -137,7 +137,7 @@ def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable]) -> list[int]
     answers = [probe(e) for e in order]
     if not all(answers):
         raise UncoverableInstanceError(next(e for e, a in zip(order, answers) if not a))
-    dual = build_set_system(answers, universe_size=max(map(itemgetter(-1), answers)))
+    dual = build_set_system(answers, universe_size=max(chain.from_iterable(answers)))
     residue = SetSystem(len(order), sets=dual.element_to_sets, element_to_sets=dual.sets)
     return list(greedy_cover(residue, theta=1.0).set_indices)
 

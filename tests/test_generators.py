@@ -59,7 +59,7 @@ class TestGraphModels:
     def test_er_hopeless_p_fails_before_any_draw(self, n, p):
         # At n = 1448 each draw visits 1,047,628 pairs; the budget's 1000 would take minutes.
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="no connected sample in 1000 tries but with"):
+        with pytest.raises(ValueError, match="no connected sample expected, since 1000 tries find one with"):
             gen_graph("er-connected", n=n, p=p, seed=1)
         assert time.perf_counter() - start < 1.0
 

@@ -320,10 +320,10 @@ class TestBaseCase:
         assert oracle.ledger.hitting_queries == 4
 
     @settings(max_examples=150)
-    @given(family=families(max_n=16, max_m=10), data=st.data())
-    def test_matches_naive_base_case(self, family, data):
-        # Answers are the oracle's stored rows: strictly increasing tuples, the
-        # form every probe returns (network discovery's hitting sets included).
+    @given(family=families(max_n=16, max_m=10), frozen=st.booleans(), data=st.data())
+    def test_matches_naive_base_case(self, family, frozen, data):
+        # Tuple answers are the oracle's stored rows; frozenset answers are how
+        # network discovery's probe returns a hitting set.
         n, sets = family
         residue = data.draw(st.sets(st.integers(1, n), min_size=1))
         oracle = CovertOracle(build_set_system(sets, n))
@@ -331,7 +331,8 @@ class TestBaseCase:
 
         def probe(e):
             probed.append(e)
-            return oracle.hitting_query(e)
+            answer = oracle.hitting_query(e)
+            return frozenset(answer) if frozen else answer
 
         outcomes = []
         for run in (base_case_explicit, naive_base_case):
