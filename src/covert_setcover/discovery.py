@@ -12,25 +12,19 @@ but the unresolved count is refreshed only at round boundaries.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, count, filterfalse
+from itertools import compress, filterfalse
 from operator import ne
 
-from .errors import require_count, require_instance
+from .errors import MAX_INSTANCE_ENTRIES, require_count, require_instance, require_size
 from .oracle import MeteredOracle, QueryLedger
 # draw_round_sample is kept in this namespace as the sampler of discovery
 # rounds; perfbench/tracing.py wraps it under this name.
 from .pseudo_greedy import DEFAULT_ALPHA, draw_round_sample, sampled_greedy  # noqa: F401
 from .results import RoundState
-from .setsystem import brute_force_min_cover, build_set_system, greedy_cover
-from .graphs import (
-    Graph,
-    LayeredAnswer,
-    Pair,
-    all_pairs,
-    certified_pairs,
-    layered_answer,
-)
+from .setsystem import SetSystem, _numbers, brute_force_min_cover, build_set_system, greedy_cover
+from .graphs import Graph, LayeredAnswer, Pair, all_pairs, certified_pairs, layered_answer
 
 EXACT_VERIFICATION_VERTEX_CAP = 12
 
@@ -74,8 +68,12 @@ def hitting_set_H(
         raise ValueError(f"pair endpoints must differ, got ({u}, {v})")
     ans_u = oracle.layered_query(u)
     ans_v = oracle.layered_query(v)
-    hset = tuple(compress(count(1), map(ne, ans_u.dist, ans_v.dist)))
-    return hset, (ans_u, ans_v)
+    return _differing(ans_u.dist, ans_v.dist), (ans_u, ans_v)
+
+
+def _differing(dist_u: tuple[int, ...], dist_v: tuple[int, ...]) -> tuple[int, ...]:
+    """H(u, v) from two distance tuples, in :func:`.setsystem._numbers`' shared vertex ints."""
+    return tuple(compress(_numbers(len(dist_u)), map(ne, dist_u, dist_v)))
 
 
 @dataclass
@@ -167,36 +165,33 @@ def run_network_discovery(
                            ledger=oracle.ledger_snapshot(), rounds=rounds)
 
 
-def verification_system(graph: Graph):
-    """Explicit cover instance: all pairs as elements, per-vertex certificates as sets.
-
-    Element j+1 of the system is ``all_pairs(graph.n)[j]``.
-    """
-    pair_ix = {p: j for j, p in enumerate(all_pairs(graph.n), start=1)}
-    vertex_sets = [
-        sorted(pair_ix[p] for p in certified_pairs(layered_answer(graph, v)))
-        for v in range(1, graph.n + 1)
-    ]
-    return build_set_system(vertex_sets, universe_size=len(pair_ix))
-
-
 def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], int]:
     """Minimum (or greedy) vertex query set certifying every pair of a known graph.
 
-    Exact mode enumerates vertex subsets and requires n <= 12; greedy mode
-    runs the classic greedy cover. Nothing here touches a ledger. Returns
-    (vertex list, its size).
+    The instance is discovery's with every probe answered: the rows H(u, v)
+    over ``all_pairs(n)``, swapped into one set per vertex as in
+    :func:`.pseudo_greedy.base_case_explicit`. Their entry count, the sum
+    over v of C(n, 2) less C(size, 2) per level of v, is refused above
+    ``MAX_INSTANCE_ENTRIES`` before a row is built. Exact mode enumerates
+    vertex subsets and requires n <= 12; greedy mode runs the classic greedy
+    cover. Nothing here touches a ledger. Returns (vertex list, its size).
     """
     require_instance("graph", graph, Graph)
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    if mode == "exact" and graph.n > EXACT_VERIFICATION_VERTEX_CAP:
+    n = graph.n
+    if mode == "exact" and n > EXACT_VERIFICATION_VERTEX_CAP:
         raise ValueError(
-            f"exact verification capped at n <= {EXACT_VERIFICATION_VERTEX_CAP}, got {graph.n}"
+            f"exact verification capped at n <= {EXACT_VERIFICATION_VERTEX_CAP}, got {n}"
         )
-    if graph.n < 2:
+    if n < 2:
         return [], 0
-    system = verification_system(graph)
+    dists = [layered_answer(graph, v).dist for v in range(1, n + 1)]
+    entries = (n * n * (n - 1) - sum(c * (c - 1) for d in dists for c in Counter(d).values())) // 2
+    require_size(f"the number of verification entries of {n} vertices", entries,
+                 MAX_INSTANCE_ENTRIES)
+    dual = build_set_system([_differing(dists[u - 1], dists[v - 1]) for u, v in all_pairs(n)], n)
+    system = SetSystem(len(dual.sets), sets=dual.element_to_sets, element_to_sets=dual.sets)
     cover = brute_force_min_cover(system) if mode == "exact" else greedy_cover(system, theta=1.0)
     vertices = list(cover.set_indices)
     return vertices, len(vertices)

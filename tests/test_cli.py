@@ -142,6 +142,15 @@ class TestGraphCommands:
         assert code == 1
         assert "not connected" in json.loads(err)["error"]
 
+    def test_oversized_verification_rejected(self, tmp_path, capsys):
+        path = tmp_path / "path820.json"
+        path.write_text(json.dumps({"n": 820, "edges": [[v, v + 1] for v in range(1, 820)]}))
+        code, out, err = run_cli(capsys, "verify", "--graph", str(path), "--mode", "greedy")
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "ValueError"
+        assert "verification entries of 820 vertices is 275180110" in error["error"]
+
 
 class TestSizeCap:
     """A size of 10**9 in a file or a flag is one JSON error and exit 1, before any allocation."""

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,12 @@ from covert_setcover.discovery import (
     hitting_set_H,
     offline_verification,
     run_network_discovery,
-    verification_system,
 )
 from covert_setcover.generators import gen_graph
 from covert_setcover.graphs import Graph, all_pairs, certified_pairs, layered_answer
-from covert_setcover.setsystem import verify_cover
+from covert_setcover.setsystem import brute_force_min_cover, build_set_system
 
-from oracles import exhaustive_min_cover, true_pair_statuses
+from oracles import certified_by_query, exhaustive_min_cover, naive_greedy, true_pair_statuses
 from strategies import connected_graphs
 from test_graphs import G6_EDGES, random_connected_graph
 
@@ -246,12 +246,20 @@ class TestDiscovery:
         ]
 
 
+def reference_vertex_sets(graph):
+    """Per vertex, the 1-based ``all_pairs`` indices of the pairs its query certifies."""
+    index = {pair: j for j, pair in enumerate(all_pairs(graph.n), start=1)}
+    edges = graph.edges()
+    return [sorted(index[p] for p in certified_by_query(graph.n, edges, v))
+            for v in range(1, graph.n + 1)]
+
+
 class TestOfflineVerification:
     def test_g6_optimum_is_two(self, g6):
         vertices, size = offline_verification(g6, mode="exact")
         assert size == 2
-        system = verification_system(g6)
-        assert verify_cover(system, vertices)
+        sets = reference_vertex_sets(g6)
+        assert set().union(*(sets[v - 1] for v in vertices)) == set(range(1, 16))
 
     def test_complete_graphs_need_all_but_one(self):
         for n in range(4, 9):
@@ -277,15 +285,36 @@ class TestOfflineVerification:
         rng = random.Random(83)
         for _ in range(8):
             graph = random_connected_graph(rng, rng.randint(3, 7))
-            system = verification_system(graph)
-            sets = [sorted(s) for s in system.sets]
-            expected = exhaustive_min_cover(sets, system.universe_size)
+            sets = reference_vertex_sets(graph)
+            expected = exhaustive_min_cover(sets, len(all_pairs(graph.n)))
             _, size = offline_verification(graph, mode="exact")
             assert size == len(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=connected_graphs())
+    def test_both_modes_match_the_reference_instance(self, graph):
+        sets = reference_vertex_sets(graph)
+        n_pairs = len(all_pairs(graph.n))
+        picks, witness = naive_greedy(sets, n_pairs, theta=1.0)
+        assert witness is None
+        assert offline_verification(graph, mode="greedy") == (picks, len(picks))
+        optimum = list(brute_force_min_cover(build_set_system(sets, n_pairs)).set_indices)
+        assert offline_verification(graph, mode="exact") == (optimum, len(optimum))
 
     @pytest.mark.parametrize("mode", ["exact", "greedy"])
     def test_one_vertex_graph_needs_no_query(self, mode):
         assert offline_verification(Graph.from_edges(1, []), mode=mode) == ([], 0)
+
+    @pytest.mark.parametrize("mode, message", [
+        ("greedy", "verification entries of 820 vertices is 275180110; at most 268435456"),
+        ("exact", "capped at n <= 12"),
+    ])
+    def test_oversized_instance_is_refused_before_it_is_built(self, mode, message, monkeypatch):
+        # Sum over v of [C(820, 2) - sum over v's levels of C(size, 2)] entries, past 2^28;
+        # the exact cap refuses such a graph first.
+        monkeypatch.setattr(discovery, "build_set_system", None)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            offline_verification(gen_graph("path", n=820), mode=mode)
 
     def test_exact_cap(self):
         with pytest.raises(ValueError, match="cap"):
