@@ -23,7 +23,7 @@ from .oracle import MeteredOracle, QueryLedger
 # rounds; perfbench/tracing.py wraps it under this name.
 from .pseudo_greedy import DEFAULT_ALPHA, draw_round_sample, sampled_greedy  # noqa: F401
 from .results import RoundState
-from .setsystem import SetSystem, _numbers, brute_force_min_cover, build_set_system, greedy_cover
+from .setsystem import _numbers, brute_force_min_cover, build_set_system, greedy_cover
 from .graphs import Graph, LayeredAnswer, Pair, all_pairs, certified_pairs, layered_answer
 
 EXACT_VERIFICATION_VERTEX_CAP = 12
@@ -169,7 +169,7 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
     """Minimum (or greedy) vertex query set certifying every pair of a known graph.
 
     The instance is discovery's with every probe answered: the rows H(u, v)
-    over ``all_pairs(n)``, swapped into one set per vertex as in
+    over ``all_pairs(n)``, ``transposed()`` into one set per vertex as in
     :func:`.pseudo_greedy.base_case_explicit`. Their entry count, the sum
     over v of C(n, 2) less C(size, 2) per level of v, is refused above
     ``MAX_INSTANCE_ENTRIES`` before a row is built. Exact mode enumerates
@@ -190,8 +190,8 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
     entries = (n * n * (n - 1) - sum(c * (c - 1) for d in dists for c in Counter(d).values())) // 2
     require_size(f"the number of verification entries of {n} vertices", entries,
                  MAX_INSTANCE_ENTRIES)
-    dual = build_set_system([_differing(dists[u - 1], dists[v - 1]) for u, v in all_pairs(n)], n)
-    system = SetSystem(len(dual.sets), sets=dual.element_to_sets, element_to_sets=dual.sets)
+    rows = [_differing(dists[u - 1], dists[v - 1]) for u, v in all_pairs(n)]
+    system = build_set_system(rows, n).transposed()
     cover = brute_force_min_cover(system) if mode == "exact" else greedy_cover(system, theta=1.0)
     vertices = list(cover.set_indices)
     return vertices, len(vertices)

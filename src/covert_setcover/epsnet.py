@@ -135,9 +135,6 @@ def run_weighted_epsilon_net(
              f"alpha_net={alpha_net!r} asks for {first_size:.3g} draws per candidate"
              f" over {m_prime} sets; at most {MAX_NET_DRAWS} are allowed")
     rng = random.Random(rng_seed)
-    guess_limit = 1
-    while guess_limit < m_prime:
-        guess_limit *= 2
 
     traces: list[GuessTrace] = []
     k = 1
@@ -173,7 +170,7 @@ def run_weighted_epsilon_net(
                 ledger_delta=oracle.ledger.delta_since(before),
             )
         )
-        if cover is not None or witness is not None or k >= guess_limit:
+        if cover is not None or witness is not None or k >= m_prime:
             return CoverResult(
                 cover=cover if cover is not None else Cover(set_indices=()),
                 rounds=traces,

@@ -85,8 +85,6 @@ class Graph:
         return graph
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
         seen = {1}
         queue = deque([1])
         while queue:

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .oracle import CovertOracle, MeteredOracle
 from .results import CoverResult, RoundState
-from .setsystem import Cover, SetSystem, _numbers, build_set_system, greedy_cover
+from .setsystem import Cover, _numbers, build_set_system, greedy_cover
 
 DEFAULT_ALPHA = 8.0
 
@@ -128,17 +128,16 @@ def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable]) -> list[int]
     Issues exactly one probe per remaining element in sorted order (all of
     them, even if an early answer dooms the instance, so the ledger stays
     reconstructible from the trace). The answers are the residue's inverse
-    index: their dual (the answers as sets over set indices) with its two
-    directions swapped is the residue system under the real set indices; a
-    set the residue misses has an empty row. Raises
-    :class:`UncoverableInstanceError` naming the smallest element in no set.
+    index: built as sets over the set indices and ``transposed()``, they give
+    the residue system under the real set indices; a set the residue misses
+    has an empty row. Raises :class:`UncoverableInstanceError` naming the
+    smallest element in no set.
     """
     order = sorted(uncovered)
     answers = [probe(e) for e in order]
     if not all(answers):
         raise UncoverableInstanceError(next(e for e, a in zip(order, answers) if not a))
-    dual = build_set_system(answers, universe_size=max(chain.from_iterable(answers)))
-    residue = SetSystem(len(order), sets=dual.element_to_sets, element_to_sets=dual.sets)
+    residue = build_set_system(answers, max(chain.from_iterable(answers))).transposed()
     return list(greedy_cover(residue, theta=1.0).set_indices)
 
 

@@ -42,7 +42,7 @@ class SetSystem:
     ``e`` in increasing order (the exact inverse of ``sets``). Both are tuples
     of tuples, built once and never changed, so an oracle can hand out a stored
     tuple as its answer and a system can be shared read-only between
-    concurrent trials.
+    concurrent trials. Only :func:`build_set_system` and :meth:`transposed` make one.
     """
 
     universe_size: int
@@ -53,14 +53,18 @@ class SetSystem:
     def n_sets(self) -> int:
         return len(self.sets)
 
+    def transposed(self) -> "SetSystem":
+        """The dual system: element e's home sets become set e, over the set indices."""
+        return SetSystem(self.n_sets, sets=self.element_to_sets, element_to_sets=self.sets)
+
 
 def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSystem:
     """Validate and build a :class:`SetSystem`, including the inverse index.
 
     Raises ``ValueError`` if the family is empty or not a sequence, a set is
-    not an iterable of hashable values, ``universe_size`` is not an integer
-    in [1, ``MAX_INSTANCE_SIZE``], or any listed element is not an integer in
-    ``[1, universe_size]`` (a float or a bool is not an element).
+    not iterable, ``universe_size`` is not an integer in [1, ``MAX_INSTANCE_SIZE``],
+    or a row lists a value other than an ``int`` in ``[1, universe_size]`` (a float
+    or a bool is not an element); the first such value in the row's order is named.
 
     A tuple row that is already a strictly increasing run of in-range ints is
     stored as the same object, so a caller that passes tuples is not copied.
@@ -76,28 +80,20 @@ def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSy
         raise ValueError("empty set family")
     rows = []
     for idx, members in enumerate(sets, start=1):
-        # A strictly increasing int row is kept as is; a bad row is checked in set(members) order.
+        # A strictly increasing int row is kept as is; a bad row is named by its first bad value.
         try:
             row = tuple(members)
         except TypeError:
             raise ValueError(f"set {idx} is not an iterable of elements: {members!r}") from None
         if _INT_ONLY.issuperset(map(type, row)):
-            if not all(map(lt, row, islice(row, 1, None))):
-                row = tuple(sorted(set(row)))
-            if not row or (row[0] >= 1 and row[-1] <= universe_size):
-                rows.append(row)
+            kept = row if all(map(lt, row, islice(row, 1, None))) else tuple(sorted(set(row)))
+            if not kept or (kept[0] >= 1 and kept[-1] <= universe_size):
+                rows.append(kept)
                 continue
-        try:
-            unique = set(members if isinstance(members, (set, frozenset)) else row)
-        except TypeError:
-            raise ValueError(f"set {idx} holds an unhashable value: {row!r}") from None
-        for e in unique:
-            if not (type(e) is int and 1 <= e <= universe_size):
-                raise ValueError(
-                    f"set {idx} contains element {e!r} outside [1, {universe_size}]"
-                    " or not an integer"
-                )
-        rows.append(tuple(sorted(unique)))  # a non-int equal to a kept int: True in [1, True]
+        bad = next(e for e in row if not (type(e) is int and 1 <= e <= universe_size))
+        raise ValueError(
+            f"set {idx} contains element {bad!r} outside [1, {universe_size}] or not an integer"
+        )
     # Sets are visited in index order, so each inverse list comes out sorted. Slot 0
     # pads the index, so ``containing[e]`` makes no ``e - 1`` int per entry.
     containing: list[list[int]] = [[] for _ in range(universe_size + 1)]
@@ -219,7 +215,8 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     pass over the m counts is made only when n_max falls.
 
     Raises :class:`UncoverableInstanceError` naming an uncovered element if
-    the family cannot cover the universe.
+    the family cannot cover the universe, and ``ValueError`` if a pick covers
+    nothing new, which only a wrong ``element_to_sets`` can cause.
     """
     require_instance("system", system, SetSystem)
     require_theta(theta)
@@ -245,6 +242,8 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
                 s = next(compress(count(s), map(bar.__le__, islice(counts, s, None))))
             chosen.append(numbers[s - 1])
             new = uncovered.intersection(sets[s - 1])
+            if not new:
+                raise ValueError("element_to_sets is not the inverse of sets")
             uncovered -= new
             if not uncovered:  # the last pick: its decrements would never be read
                 break

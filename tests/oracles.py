@@ -124,22 +124,24 @@ def naive_greedy(sets, n, theta):
 
 
 def naive_build(sets, n):
-    """Rows and inverse of a family by set, sort and loop, the layout ``build_set_system`` must give.
+    """Rows and inverse of a family by check, sort and loop, the layout ``build_set_system`` must give.
 
-    Each row is set(members) checked element by element, then sorted; the
-    inverse is filled by visiting the rows in index order. Returns
-    (sets, element_to_sets) as tuples of tuples, or raises ``ValueError``
-    with the message ``build_set_system`` must raise for the same input.
+    Each row's values are checked in the order the row lists them, so a
+    non-int is refused even when it equals a kept int (``True`` in
+    ``[1, True]``); a good row is then de-duplicated and sorted. The inverse
+    is filled by visiting the rows in index order. Returns (sets,
+    element_to_sets) as tuples of tuples, or raises ``ValueError`` with the
+    message ``build_set_system`` must raise for the same input.
     """
     rows = []
     for idx, members in enumerate(sets, start=1):
-        unique = set(members)
-        for e in unique:
+        listed = list(members)
+        for e in listed:
             if not (type(e) is int and 1 <= e <= n):
                 raise ValueError(
                     f"set {idx} contains element {e!r} outside [1, {n}] or not an integer"
                 )
-        rows.append(tuple(sorted(unique)))
+        rows.append(tuple(sorted(set(listed))))
     containing = [[] for _ in range(n)]
     for idx, row in enumerate(rows, start=1):
         for e in row:

@@ -270,6 +270,14 @@ class TestRun:
         assert [g.k for g in result.rounds if g.iterations < g.iteration_cap] == [256, 512]
         assert not any(g.succeeded for g in result.rounds)
 
+    @pytest.mark.parametrize("m, last", [(5, 8), (8, 8), (9, 16)])
+    def test_last_guess_is_the_first_power_of_two_at_least_m(self, m, last):
+        # One-draw candidates never cover 64 elements, so every guess is tried.
+        system, _ = gen_set_system("planted-cover", n=64, m=m, seed=0, k=2)
+        result = run_weighted_epsilon_net(CovertOracle(system), alpha_net=1e-300)
+        assert result.failed and result.uncovered_element is None
+        assert [g.k for g in result.rounds] == [2**i for i in range(last.bit_length())]
+
     def test_uncoverable_instance_fails_with_witness(self):
         system = build_set_system([[2, 3], [3]], 3)
         result = run_weighted_epsilon_net(CovertOracle(system), rng_seed=4)

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +48,8 @@ from oracles import (
 )
 from strategies import coverable_families, families, random_system
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 # Each row is rebuilt per call, so a one-shot generator is fresh for both builders.
 CONTAINERS = {
     "list": list,
@@ -58,6 +64,13 @@ SHAPES = {
     "duplicated": lambda values: sorted(values + values),
     "empty": lambda values: [],
 }
+
+
+def _run_child(code, **env):
+    """Run ``code`` in a fresh interpreter over this checkout; a hang fails after 20 s."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env), timeout=20)
 
 
 def _outcome(build, rows, n):
@@ -122,9 +135,9 @@ class TestBuild:
     @settings(max_examples=200)
     @given(case=shaped_rows(bad_values=(True, False, 2.0, 1.0, "a", 0, -1, 99, None)))
     def test_bad_elements_match_naive_build(self, case):
-        # Either both builds give the same layout (a bad value equal to a kept
-        # int, as True in [1, True], is dropped by the de-duplication), or
-        # both raise a ValueError naming the same element.
+        # Either both builds give the same layout, or both raise a ValueError
+        # naming the same element: the first bad value in the row's own order,
+        # even one equal to a kept int (True in [1, True]).
         n, rows = case
         built = _outcome(build_set_system, [CONTAINERS[kind](v) for kind, v in rows], n)
         assert built == _outcome(naive_build, [CONTAINERS[kind](v) for kind, v in rows], n)
@@ -132,19 +145,40 @@ class TestBuild:
     @pytest.mark.parametrize("kind", sorted(CONTAINERS))
     @pytest.mark.parametrize(
         "row",
-        [[True], [2.0, 1], ["a"], [0, 2], [2, 4], [1, "a"], ["a", 3, 1], [2.5, 10, 3], [1, True],
-         [3, 2, 2.0]],
+        [[True], [2.0, 1], ["a"], [0, 2], [2, 4], [1, "a"], ["a", 3, 1], [2.5, 10, 3], [4, 0],
+         [1, True], [3, 2, 2.0]],
         ids=["true", "float", "string", "zero", "n-plus-1", "mixed", "mixed-unsorted", "two-bad",
-             "true-after-1", "float-after-2"],
+             "two-bad-ints", "true-after-1", "float-after-2"],
     )
     def test_bad_element_outcome_matches_naive_build(self, row, kind):
         # A mixed row must not escape as a TypeError from sorting "a" against an int.
-        # As a frozenset, "two-bad" lists 2.5 before 10, a tuple copy's set the other
-        # way. De-duplication keeps the first of two equal values, so the last two
-        # rows build: [1, True] as (1,), [3, 2, 2.0] as (2, 3).
+        # Each container is named by the first bad value it lists, so a frozenset
+        # names "two-bad"'s 2.5 or 10 in its own iteration order, and a list names
+        # "two-bad-ints"' 4, not the 0 a sort puts first. The last two rows hold a
+        # bad value equal to a kept int, and are refused like [True, 1].
         rows = [[1, 2], row]
         built = _outcome(build_set_system, [CONTAINERS[kind](r) for r in rows], 3)
         assert built == _outcome(naive_build, [CONTAINERS[kind](r) for r in rows], 3)
+
+    def test_bad_row_message_does_not_depend_on_the_hash_seed(self):
+        # A set of these strings iterates in a per-seed order; the message follows the row's.
+        code = (
+            "from covert_setcover.setsystem import build_set_system\n"
+            "try:\n"
+            "    build_set_system([[1], ['b', 'a', 'c', 'd']], 3)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        messages = {_run_child(code, PYTHONHASHSEED=str(seed)).stdout for seed in range(4)}
+        assert messages == {"set 2 contains element 'b' outside [1, 3] or not an integer\n"}
+
+    @settings(max_examples=100)
+    @given(case=families())
+    def test_transposed_is_the_system_built_from_the_inverse(self, case):
+        n, sets = case
+        system = build_set_system(sets, n)
+        assert system.transposed().transposed() == system
+        assert system.transposed() == build_set_system(system.element_to_sets, system.n_sets)
 
     def test_increasing_tuple_row_is_stored_as_is(self):
         increasing, unsorted, empty = (1, 3, 5), (4, 2), ()
@@ -246,7 +280,7 @@ def _count_message(name, value):
     [
         (lambda: build_set_system(None, 3), ValueError, "the set family must be a sequence"),
         (lambda: build_set_system([1, 2], 3), ValueError, "set 1 is not an iterable"),
-        (lambda: build_set_system([[1], [[2]]], 3), ValueError, "set 2 holds an unhashable"),
+        (lambda: build_set_system([[1], [[2]]], 3), ValueError, r"set 2 contains element \[2\]"),
         (lambda: verify_cover(SMALL, None), InvalidCoverError, "set indices must be"),
         (lambda: Cover.from_indices(SMALL, 1), InvalidCoverError, "set indices must be"),
         (lambda: greedy_cover(SMALL, "a"), ValueError, "theta must be"),
@@ -289,6 +323,17 @@ def test_wrong_type_raises_typed_error(call, error, message):
 
 
 class TestGreedy:
+    def test_wrong_inverse_index_raises_instead_of_looping(self):
+        # Set 1 keeps its count after covering element 1, so without the check it is
+        # picked again forever; the child's timeout turns such a hang into a failure.
+        code = (
+            "from covert_setcover.setsystem import SetSystem, greedy_cover\n"
+            "greedy_cover(SetSystem(2, sets=((1,), (2,)), element_to_sets=((2,), (1,))))\n"
+        )
+        child = _run_child(code)
+        assert child.returncode == 1
+        assert child.stderr.endswith("ValueError: element_to_sets is not the inverse of sets\n")
+
     def test_three_set_example(self):
         system = build_set_system([[1, 2, 3], [3, 4], [4]], 4)
         assert greedy_cover(system).set_indices == (1, 2)
