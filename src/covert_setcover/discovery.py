@@ -7,14 +7,15 @@ the dual set H(u, v) = { x : d(u, x) != d(v, x) } of vertices whose query
 would certify it, as an increasing tuple. The sampled rounds are those of
 the abstract algorithm (:func:`.pseudo_greedy.sampled_greedy`) with
 N = n^2; every certificate obtained along the way is recorded immediately,
-but the unresolved count is refreshed only at round boundaries.
+but the unresolved count is refreshed only at round boundaries. A run buys
+each vertex's answer once, so its bill is the number of vertices it asks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, filterfalse
+from itertools import compress, filterfalse, islice
 from operator import ne
 
 from .errors import MAX_INSTANCE_ENTRIES, require_count, require_instance, require_size
@@ -36,7 +37,9 @@ class LayeredGraphOracle(MeteredOracle):
     increment and is logged with kind "layered" and the BFS levels as its
     answer. A vertex outside the graph is rejected before it is charged.
     Answers come from :func:`.graphs.layered_answer`, one BFS per graph and
-    vertex; a repeated query is still charged and logged like the first.
+    vertex; a repeated query is still charged and logged like the first, so
+    a caller that wants to pay once per vertex keeps its answers itself, as
+    :func:`run_network_discovery` does.
     """
 
     hidden_type = Graph
@@ -52,23 +55,41 @@ class LayeredGraphOracle(MeteredOracle):
 
 
 def hitting_set_H(
-    oracle: LayeredGraphOracle, u: int, v: int
+    oracle: LayeredGraphOracle, u: int, v: int, known: dict[int, LayeredAnswer] | None = None
 ) -> tuple[tuple[int, ...], tuple[LayeredAnswer, LayeredAnswer]]:
     """Vertices whose query certifies the pair {u, v}, via two layered queries.
 
-    Queries both endpoints (ledger +2) and returns H = the vertices at
-    different distances from u and v, as a strictly increasing tuple (the
-    answer form the round engine's filter bisects), together with the two
-    answers (ans_u, ans_v), whose certificates the caller may record as side
+    Queries both endpoints and returns H = the vertices at different
+    distances from u and v, as a strictly increasing tuple (the answer form
+    the round engine's filter bisects), together with the two answers
+    (ans_u, ans_v), whose certificates the caller may record as side
     information. u and v always belong to H, so the pair itself is
     certified by either answer.
+
+    ``known`` is the caller's table of bought answers, vertex to answer: an
+    endpoint already in it is read from it uncharged, and each new answer is
+    added to it, u before v. None stands for a fresh empty table, so both
+    queries are charged (ledger +2).
     """
     require_instance("oracle", oracle, LayeredGraphOracle)
+    known = {} if known is None else known
+    require_instance("known", known, dict)
     if u == v:
         raise ValueError(f"pair endpoints must differ, got ({u}, {v})")
-    ans_u = oracle.layered_query(u)
-    ans_v = oracle.layered_query(v)
+    ans_u = _layered(oracle, u, known)
+    ans_v = _layered(oracle, v, known)
     return _differing(ans_u.dist, ans_v.dist), (ans_u, ans_v)
+
+
+def _layered(oracle: LayeredGraphOracle, v: int, known: dict[int, LayeredAnswer]) -> LayeredAnswer:
+    """v's answer: from ``known`` if it holds v, else one charged query, added to ``known``.
+
+    Only an int key is read, so a bool or a float vertex still reaches the
+    oracle's index check instead of matching an int key it equals.
+    """
+    if type(v) is not int or (answer := known.get(v)) is None:
+        answer = known[v] = oracle.layered_query(v)
+    return answer
 
 
 def _differing(dist_u: tuple[int, ...], dist_v: tuple[int, ...]) -> tuple[int, ...]:
@@ -80,17 +101,22 @@ def _differing(dist_u: tuple[int, ...], dist_v: tuple[int, ...]) -> tuple[int, .
 class DiscoveryResult:
     """Complete pair statuses, the chosen query set Q, and the query bill.
 
-    ``query_set`` lists only the vertices the round engine accepted, not
-    every vertex layered-queried as a probe endpoint, so it can be smaller
-    than an offline cover: er-connected n = 30, p = 0.2, seed 1 gives [1, 2]
-    after 632 queries, where greedy verification needs 5. The bill is
-    ``ledger.layered_queries``.
+    ``queried`` lists every vertex the run layered-queried, once each, in
+    the order of its first query: the online query set, whose size is the
+    bill ``ledger.layered_queries``. ``query_set`` lists only the vertices
+    the round engine picked, so it can be smaller than an offline cover:
+    er-connected n = 30, p = 0.2, seed 1 gives [1, 2] after querying all 30
+    vertices, where greedy verification needs 5. A vertex picked in a
+    sampled round is queried when it is accepted; a base-case pick comes
+    from the probes' answers and need not be (er-connected n = 12, p = 0.3,
+    seed 24 at alpha 0.25 and rng_seed 24 picks vertex 2, never queried).
     """
 
     statuses: dict[Pair, bool]
     query_set: list[int]
     ledger: QueryLedger
     rounds: list[RoundState] = field(default_factory=list)
+    queried: list[int] = field(default_factory=list)
 
     @property
     def edges(self) -> list[Pair]:
@@ -105,6 +131,7 @@ class DiscoveryResult:
         return {
             "edges": [list(p) for p in self.edges],
             "query_set": list(self.query_set),
+            "queried": list(self.queried),
             "ledger": self.ledger.to_json_dict(),
             "rounds": [r.to_json_dict() for r in self.rounds],
         }
@@ -117,43 +144,51 @@ def run_network_discovery(
 
     Runs the sampled greedy rounds of :func:`.pseudo_greedy.sampled_greedy`
     with unresolved pairs as elements and vertices as sets: a probe of a pair
-    is :func:`hitting_set_H` (two layered queries, side certificates recorded
-    immediately) and accepting a vertex layered-queries it once as its
-    coverage update. The base case probes every remaining pair and reduces
-    the residue to an explicit set cover over the vertices. N = n^2, so the
-    round threshold is 2*alpha*log2(n). Always terminates with every pair certified;
-    the query set Q is the online analogue of the cover.
+    is :func:`hitting_set_H` (its two answers' side certificates recorded
+    immediately) and accepting a vertex asks for its answer as its coverage
+    update. The base case probes every remaining pair and reduces the residue
+    to an explicit set cover over the vertices. N = n^2, so the round
+    threshold is 2*alpha*log2(n). Always terminates with every pair
+    certified; the query set Q is the online analogue of the cover.
 
-    Every query is charged, but a vertex's certificates are recorded only
-    the first time an answer from it arrives: its answer never changes, so
-    recording it again would change no key, value or order of ``statuses``.
-    A learned vertex reads only ``unresolved``, the pairs not yet in
-    ``statuses`` in lexicographic order. Each update rebinds it to a new
-    list, so the list a round was handed at its boundary stays unchanged.
+    A vertex's answer never changes, so the run buys it once: ``known`` holds
+    every answer bought, in first-query order, and a probe or accept of a
+    vertex in it reads it uncharged. The bill is therefore ``len(queried)``,
+    at most n, and every sample, shortlist, pick and status equals that of a
+    run that pays for every repeat. A vertex's certificates are recorded when
+    its answer is bought. A new answer reads only ``unresolved``, the pairs
+    not yet in ``statuses`` in lexicographic order. Each update rebinds it to
+    a new list, so the list a round was handed at its boundary stays
+    unchanged.
     """
     require_instance("oracle", oracle, LayeredGraphOracle)
     n = oracle.n_vertices
     statuses: dict[Pair, bool] = {}
     unresolved: list[Pair] = list(all_pairs(n))
-    learned: set[int] = set()
+    known: dict[int, LayeredAnswer] = {}
+    n_learned = 0
 
-    def learn(answer: LayeredAnswer) -> None:
-        nonlocal unresolved
-        if answer.source in learned:
+    def learn_new() -> None:
+        """Record the certificates of the answers bought since the last call, in the order bought."""
+        nonlocal unresolved, n_learned
+        # Most probes buy nothing new; returning before islice walks the table
+        # makes a discover-er trial about 3% faster.
+        if n_learned == len(known):
             return
-        learned.add(answer.source)
-        certified = certified_pairs(answer, unresolved)
-        statuses.update(certified)
-        unresolved = list(filterfalse(certified.__contains__, unresolved))
+        for answer in islice(known.values(), n_learned, None):
+            certified = certified_pairs(answer, unresolved)
+            statuses.update(certified)
+            unresolved = list(filterfalse(certified.__contains__, unresolved))
+        n_learned = len(known)
 
     def probe(pair: Pair) -> tuple[int, ...]:
-        hset, (ans_u, ans_v) = hitting_set_H(oracle, *pair)
-        learn(ans_u)
-        learn(ans_v)
+        hset, _ = hitting_set_H(oracle, *pair, known)
+        learn_new()
         return hset
 
     def accept(x: int) -> None:
-        learn(oracle.layered_query(x))
+        _layered(oracle, x, known)
+        learn_new()
 
     # x is in H(u, v) exactly when a query at x certifies {u, v}, so no
     # vertex is chosen twice: Q is the engine's pick list as it stands.
@@ -162,7 +197,8 @@ def run_network_discovery(
         n_total=n * n, alpha=alpha, rng_seed=rng_seed,
     )
     return DiscoveryResult(statuses=statuses, query_set=query_set,
-                           ledger=oracle.ledger_snapshot(), rounds=rounds)
+                           ledger=oracle.ledger_snapshot(), queried=list(known),
+                           rounds=rounds)
 
 
 def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], int]:

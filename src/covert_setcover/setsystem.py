@@ -13,10 +13,10 @@ order of the sets is the canonical order used for every tie-break.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, compress, count, islice, repeat
 from math import ceil
-from operator import lt
+from operator import lt, or_
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -258,7 +258,10 @@ def brute_force_min_cover(system: SetSystem) -> Cover:
 
     Among minimum covers, returns the lexicographically smallest index
     sequence. Refuses instances with more than BRUTE_FORCE_SET_CAP sets
-    (20; 2^20 subsets is the tractability line at desk scale).
+    (20; 2^20 subsets is the tractability line at desk scale). A system
+    whose ``sets`` together miss an element that ``element_to_sets`` gives a
+    home set raises ``ValueError``, as a wrong inverse index does in
+    :func:`greedy_cover`.
     """
     require_instance("system", system, SetSystem)
     m = system.n_sets
@@ -271,14 +274,16 @@ def brute_force_min_cover(system: SetSystem) -> Cover:
             raise UncoverableInstanceError(e)
     masks = [_mask(members) for members in system.sets]
     universe_mask = (1 << system.universe_size) - 1
-    for size in range(1, m + 1):
+    if reduce(or_, masks, 0) != universe_mask:
+        raise ValueError("element_to_sets is not the inverse of sets")
+    for size in range(1, m):
         for combo in combinations(range(1, m + 1), size):
             acc = 0
             for s in combo:
                 acc |= masks[s - 1]
             if acc == universe_mask:
                 return Cover.from_indices(system, combo)
-    raise AssertionError("unreachable: full-family union covers the universe")
+    return Cover.from_indices(system, tuple(range(1, m + 1)))  # the whole family covers
 
 
 def _mask(members: Iterable[int]) -> int:

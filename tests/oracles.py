@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch against plain lists
 and dicts, so expected values never share code with the implementations
-they check.
+they check. The one exception is :func:`replay_discovery`, which drives the
+package's own round engine to isolate what discovery's answer table changes.
 """
 
 import math
@@ -10,7 +11,10 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
+from covert_setcover.discovery import DiscoveryResult, LayeredGraphOracle, hitting_set_H
 from covert_setcover.errors import InvalidCoverError, UncoverableInstanceError
+from covert_setcover.graphs import all_pairs, certified_pairs
+from covert_setcover.pseudo_greedy import sampled_greedy
 
 
 def exhaustive_min_cover(sets, n):
@@ -358,3 +362,35 @@ def _reference_greedy(family, uncovered):
         picks.append(best_idx)
         remaining -= family[best_idx - 1]
     return picks
+
+
+def replay_discovery(graph, alpha, rng_seed):
+    """Discovery that pays for every ask: two queries a probe, one an accept.
+
+    The same round engine, probe answers and certificate order as
+    ``run_network_discovery``, but with no table of bought answers, so its
+    decisions are the reference for the table's and its bill is
+    2 * probes + accepts. ``queried`` lists the vertices in the order of
+    their first answer.
+    """
+    oracle = LayeredGraphOracle(graph)
+    statuses, learned = {}, {}
+
+    def learn(answer):
+        if answer.source not in learned:
+            learned[answer.source] = True
+            pairs = [p for p in all_pairs(graph.n) if p not in statuses]
+            statuses.update(certified_pairs(answer, pairs))
+
+    def probe(pair):
+        hset, answers = hitting_set_H(oracle, *pair)
+        for answer in answers:
+            learn(answer)
+        return hset
+
+    picks, rounds, _ = sampled_greedy(
+        oracle, lambda: [p for p in all_pairs(graph.n) if p not in statuses], probe,
+        lambda x: learn(oracle.layered_query(x)),
+        n_total=graph.n ** 2, alpha=alpha, rng_seed=rng_seed,
+    )
+    return DiscoveryResult(statuses, picks, oracle.ledger_snapshot(), rounds, list(learned))

@@ -387,7 +387,7 @@ def test_trial_reports_print_the_same_csv(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "discover", "--graph", str(graph), "--seed", "3",
                            "--trials", "2", "--format", "csv")
     assert code == 0
-    assert csv_digest(out) == "f827d2195e961b83fd7e052c0dca29951c5fbcd9d093ce0db40fec925a7be1f5"
+    assert csv_digest(out) == "86a06eb379063669719fe18320b2b96832f4170d63097bc1ef11ae5f89555315"
 
 
 def readme_cli_lines() -> list[list[str]]:

@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,13 @@ from covert_setcover.generators import gen_graph
 from covert_setcover.graphs import Graph, all_pairs, certified_pairs, layered_answer
 from covert_setcover.setsystem import brute_force_min_cover, build_set_system
 
-from oracles import certified_by_query, exhaustive_min_cover, naive_greedy, true_pair_statuses
+from oracles import (
+    certified_by_query,
+    exhaustive_min_cover,
+    naive_greedy,
+    replay_discovery,
+    true_pair_statuses,
+)
 from strategies import connected_graphs
 from test_graphs import G6_EDGES, random_connected_graph
 
@@ -27,6 +34,28 @@ from test_graphs import G6_EDGES, random_connected_graph
 @pytest.fixture
 def g6():
     return Graph.from_edges(6, G6_EDGES)
+
+
+def assert_bill_from_trace(result):
+    """The bill rebuilt from the trace: one query per vertex, at its first ask.
+
+    A sampled round asks its pairs' endpoints (u before v, in sample order),
+    then its accepted vertices; its ``ledger_delta`` counts those no earlier
+    ask reached. The base case's probes are not in the trace, so it is last
+    and buys the rest of ``queried``.
+    """
+    queried = result.queried
+    assert result.ledger.layered_queries == len(queried) == len(set(queried))
+    asked = {}
+    for r in result.rounds:
+        if r.base_case:
+            assert r is result.rounds[-1]
+            assert r.ledger_delta["layered"] == len(queried) - len(asked)
+            break
+        fresh = dict.fromkeys(x for x in itertools.chain(*r.sample, r.chosen) if x not in asked)
+        assert r.ledger_delta["layered"] == len(fresh)
+        asked.update(fresh)
+    assert queried[:len(asked)] == list(asked)
 
 
 class TestLayeredOracle:
@@ -107,6 +136,34 @@ class TestHittingSet:
             hset, _ = hitting_set_H(oracle, 2, 3)
             assert hset == (2, 3)
 
+    def test_known_endpoints_are_read_uncharged(self, g6):
+        oracle = LayeredGraphOracle(g6)
+        known = {}
+        first = hitting_set_H(oracle, 2, 3, known)
+        assert list(known) == [2, 3] and oracle.ledger.layered_queries == 2
+        assert hitting_set_H(oracle, 3, 2, known)[1] == first[1][::-1]
+        assert oracle.ledger.layered_queries == 2
+        hset, (ans_u, ans_v) = hitting_set_H(oracle, 3, 5, known)
+        assert list(known) == [2, 3, 5] and oracle.ledger.layered_queries == 3
+        assert ans_u is known[3] and hset == hitting_set_H(oracle, 3, 5)[0]
+        assert oracle.ledger.layered_queries == 5  # no table: both endpoints charged again
+
+    @pytest.mark.parametrize("known", [[], (), set()], ids=["list", "tuple", "set"])
+    def test_known_must_be_a_dict(self, g6, known):
+        oracle = LayeredGraphOracle(g6)
+        with pytest.raises(ValueError, match="known must be a dict"):
+            hitting_set_H(oracle, 2, 3, known)
+        assert oracle.ledger.layered_queries == 0
+
+    @pytest.mark.parametrize("vertex", [True, 1.0], ids=["bool", "float"])
+    def test_known_int_key_never_answers_another_type(self, g6, vertex):
+        oracle = LayeredGraphOracle(g6)
+        known = {}
+        hitting_set_H(oracle, 1, 2, known)
+        with pytest.raises(ValueError, match="not an integer"):
+            hitting_set_H(oracle, vertex, 3, known)
+        assert list(known) == [1, 2] and oracle.ledger.layered_queries == 2
+
     def test_same_vertex_rejected(self, g6):
         with pytest.raises(ValueError):
             hitting_set_H(LayeredGraphOracle(g6), 2, 2)
@@ -150,7 +207,8 @@ class TestDiscovery:
         result = run_network_discovery(LayeredGraphOracle(graph), alpha=alpha, rng_seed=1)
         assert result.statuses == true_pair_statuses(graph.n, graph.edges())
         assert len(sources) == len(set(sources))
-        assert result.ledger.layered_queries > len(sources)
+        assert sources == result.queried
+        assert result.ledger.layered_queries == len(sources)
 
     @pytest.mark.parametrize("alpha", [2.0, 8.0], ids=["sampled-round", "base-case"])
     def test_learned_vertex_reads_only_unresolved_pairs(self, alpha, monkeypatch):
@@ -178,11 +236,29 @@ class TestDiscovery:
     def test_resolves_every_pair_correctly(self, graph, alpha, rng_seed):
         result = run_network_discovery(LayeredGraphOracle(graph), alpha=alpha, rng_seed=rng_seed)
         assert result.statuses == true_pair_statuses(graph.n, graph.edges())
-        # The ledger rebuilt from the trace: two queries per probed pair, one per accept.
-        assert result.ledger.layered_queries == sum(
+        assert_bill_from_trace(result)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=connected_graphs(), alpha=st.sampled_from([1.0, 2.0, 8.0]),
+           rng_seed=st.integers(0, 99))
+    def test_answer_table_changes_only_the_bill(self, graph, alpha, rng_seed):
+        reference = replay_discovery(graph, alpha, rng_seed)
+        # Without the table: two queries per probed pair, one per accept.
+        assert reference.ledger.layered_queries == sum(
             2 * r.n_i if r.base_case else 2 * len(r.sample) + len(r.chosen)
-            for r in result.rounds
+            for r in reference.rounds
         )
+        oracle = LayeredGraphOracle(graph)
+        asked, query = [], oracle.layered_query
+        oracle.layered_query = lambda v: asked.append(v) or query(v)
+        result = run_network_discovery(oracle, alpha=alpha, rng_seed=rng_seed)
+        assert list(result.statuses.items()) == list(reference.statuses.items())
+        assert result.query_set == reference.query_set
+        assert [replace(r, ledger_delta={}) for r in result.rounds] == [
+            replace(r, ledger_delta={}) for r in reference.rounds
+        ]
+        assert asked == result.queried == reference.queried
+        assert len(set(asked)) == len(asked) <= graph.n
 
     def test_g6_discovers_exact_partition(self, g6):
         result = run_network_discovery(LayeredGraphOracle(g6), alpha=8.0, rng_seed=0)
@@ -215,11 +291,7 @@ class TestDiscovery:
         for seed in range(8):
             graph = random_connected_graph(rng, 12)
             result = run_network_discovery(LayeredGraphOracle(graph), alpha=2.0, rng_seed=seed)
-            expected = sum(
-                2 * r.n_i if r.base_case else 2 * len(r.sample) + len(r.chosen)
-                for r in result.rounds
-            )
-            assert result.ledger.layered_queries == expected
+            assert_bill_from_trace(result)
 
     def test_query_set_vertices_join_in_order(self):
         graph = gen_graph("grid", rows=3, cols=4)
@@ -238,7 +310,8 @@ class TestDiscovery:
     def test_report_json_shape(self, g6):
         result = run_network_discovery(LayeredGraphOracle(g6), alpha=8.0, rng_seed=0)
         doc = result.to_json_dict()
-        assert set(doc) == {"edges", "query_set", "ledger", "rounds"}
+        assert set(doc) == {"edges", "query_set", "queried", "ledger", "rounds"}
+        assert doc["queried"] == result.queried
         # The non-edges are the complement of the edges over all pairs; the report
         # leaves them out and the result still derives them.
         assert [list(p) for p in result.non_edges] == [

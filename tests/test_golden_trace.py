@@ -90,8 +90,8 @@ def test_epsnet_planted_4096_benchmark_instance():
     [
         # Each finishes in one sampled round and never reaches the base case;
         # alpha 8 samples all 120 pairs.
-        (8.0, "07400b45439a34dc994c7ec7720ea3eee4fb5574769a63222e8767f5417f7dba"),
-        (2.0, "4274c5fb731d1af5be5709d0c242b95559503d64e2e72d62b70ad05aff2d27cf"),
+        (8.0, "361b9d6f483254dac684cab9d41237751be77b8cc9027b5cec771717d2d53b42"),
+        (2.0, "861ffabaab0740935a3a7c12c2b99a753f649c81be4e7e702c7aad041bd79861"),
     ],
     ids=["alpha8", "alpha2"],
 )
@@ -108,7 +108,7 @@ def test_discovery_statuses_order_er_100():
     result = run_network_discovery(LayeredGraphOracle(graph), alpha=8.0, rng_seed=1)
     statuses = [[u, v, s] for (u, v), s in result.statuses.items()]
     assert _sha256([statuses, result.to_json_dict()]) == (
-        "ee608b4901625ba73d6539b85129d7b76593eb22a2b22d6199483b56f48099ac"
+        "708f6d05c9c63574908f21454c13c7087ee54d0f67d998790a4ec0e453656bdb"
     )
 
 
@@ -116,7 +116,7 @@ def test_discovery_er_60_benchmark_instance():
     # The instance of the discover-er benchmark workload; this seed runs one sampled round.
     graph = gen_graph("er-connected", n=60, p=0.1, seed=1)
     result = run_network_discovery(LayeredGraphOracle(graph), alpha=8.0, rng_seed=1)
-    assert _digest(result) == "e99909f5440358ea9fc6f911df8d7791e25303c5d8fae12e497be229bc8e03c4"
+    assert _digest(result) == "8788d46d3924284a3052678b8d920335e8ad070a95fd91fbbd8af1351b744825"
 
 
 def test_discovery_er_grid():
@@ -131,7 +131,7 @@ def test_discovery_er_grid():
                 graph = gen_graph("er-connected", n=n, p=p, seed=seed)
                 result = run_network_discovery(LayeredGraphOracle(graph), alpha=alpha, rng_seed=seed)
                 reports.append(result.to_json_dict())
-    assert _sha256(reports) == "b0af1a4d3aa9b4311098aefc258f57f97aac02a6383726e1c3c8a62bcde5e725"
+    assert _sha256(reports) == "82d713b5891c7ef7d464eae369d7e0de727329c89f5e89970cb9f1078072d586"
 
 
 @pytest.mark.parametrize(
@@ -173,7 +173,7 @@ ER_8 = {"kind": "generate", "model": "er-connected", "n": 8, "p": 0.3, "seed": 2
         ("epsnet", "3f22e6b154b495e4d25532e90f88c1af72e9f0669340ac37fa878a41f7723b5c"),
         ("greedy", "c01adacd1178a0330f6cad80d7ffbe9ebf657804f7bc083f25018014c6021058"),
         ("bruteforce", "29b84499fb857a5ef9388795bc02a04f891e3e5fe1739c3b2281ea9047934647"),
-        ("discover", "1d0f18a2fbab2422285760ba492a528555be9ae964cf6f1bac311a788b21d3fb"),
+        ("discover", "1a300c5a8ad9500f40884c4a8a95445ce4d4f6c8138d37df426da79ee318b149"),
     ],
     ids=["pseudo-greedy", "epsnet", "greedy", "bruteforce", "discover"],
 )
@@ -196,8 +196,8 @@ def test_bench_planted_family_report():
 @pytest.mark.parametrize(
     "trials, expected",
     [
-        ("1", "e29e46cd2a4c1833fa44da0fcbf5161ae26cff2808d4a8e5f9fe28296a837ea3"),
-        ("3", "b60aae323d4f4aed885d9b0c084ec322fb01f7a9b0c5add4cf4acc44d70e1a76"),
+        ("1", "70d5626970192b9e64899458939859513f081ed993cb4ea36e1c7fd66be2cca7"),
+        ("3", "963d0e9026bef4c999737b9c96987b67eb7d55f6e9a7f79a52eceed808823692"),
     ],
     ids=["1", "3"],
 )

@@ -218,29 +218,40 @@ def er_source(n, p, seed):
     return {"kind": "generate", "model": "er-connected", "n": n, "p": p, "seed": seed}
 
 
-def audit_bill(record):
-    """Rebuild a trial record's query bill from its own rounds, as a report reader can."""
+def audit_bill(record, n):
+    """Rebuild a trial record's query bill from its own rounds, as a report reader can.
+
+    ``n`` is the instance's element or vertex count.
+    """
     ledger, rounds = record["ledger"], record["rounds"]
     for kind in ("hitting", "set", "layered"):
         assert sum(r["ledger_delta"][kind] for r in rounds) == ledger[f"{kind}_queries"]
         assert sum(p[kind] for p in ledger["phases"].values()) == ledger[f"{kind}_queries"]
-    if record["algorithm"] not in ("pseudo-greedy", "discover"):
-        return
-    sampled = [r for r in rounds if not r["base_case"]]
-    base_n_i = sum(r["n_i"] for r in rounds if r["base_case"])
     if record["algorithm"] == "pseudo-greedy":
         # One hitting query per sampled or residual element, one set query per acceptance.
+        sampled = [r for r in rounds if not r["base_case"]]
+        base_n_i = sum(r["n_i"] for r in rounds if r["base_case"])
         assert ledger["hitting_queries"] == sum(r["sample_size"] for r in sampled) + base_n_i
         assert ledger["set_queries"] == sum(len(r["chosen"]) for r in sampled)
-    else:
-        # Two layered queries per probed pair, one per accepted vertex.
-        assert ledger["layered_queries"] == sum(
-            2 * r["sample_size"] + len(r["chosen"]) for r in sampled
-        ) + 2 * base_n_i
+    elif record["algorithm"] == "discover":
+        # One layered query per vertex asked, the first time it is asked.
+        queried = record["queried"]
+        assert ledger["layered_queries"] == len(queried) == len(set(queried))
+        assert all(1 <= v <= n for v in queried)
+        # A sampled round asks each vertex it accepts. A base-case pick comes from the
+        # probes' answers and need not be asked, but a base case at round 0 probes every
+        # pair, so it asks every vertex.
+        for r in rounds:
+            if not r["base_case"]:
+                assert set(r["chosen"]) <= set(queried)
+        if rounds[0]["base_case"]:
+            assert sorted(queried) == list(range(1, n + 1))
 
 
 @pytest.mark.parametrize(
-    "algorithm, source, alpha, base_case",  # base_case: whether every run enters it
+    # base_case: whether every run enters it, or None for no claim. discover-er12-mixed has
+    # 3 of 60 runs that pick base-case vertices after sampled rounds without asking them.
+    "algorithm, source, alpha, base_case",
     [
         ("pseudo-greedy", planted_source(n=128, m=32, k=4, seed=1), 2.0, True),
         ("pseudo-greedy", planted_source(n=512, m=64, k=4, seed=1), 2.0, False),
@@ -248,16 +259,17 @@ def audit_bill(record):
         ("discover", er_source(8, 0.3, 2), 8.0, True),
         ("discover", er_source(10, 0.3, 1), 8.0, True),
         ("discover", er_source(16, 0.25, 1), 2.0, False),
+        ("discover", er_source(12, 0.3, 24), 0.25, None),
         ("epsnet", planted_source(), 8.0, None),
     ],
     ids=["pg-rounds-then-base", "pg-rounds-only", "pg-base-only", "discover-er8-base",
-         "discover-er10-base", "discover-er16-rounds", "epsnet"],
+         "discover-er10-base", "discover-er16-rounds", "discover-er12-mixed", "epsnet"],
 )
 def test_report_audits_its_own_bill(algorithm, source, alpha, base_case):
     config = ExperimentConfig(algorithm=algorithm, seeds=list(range(60)), source=source,
                               alpha=alpha)
     for record in run_experiment(config)["trials"]:
-        audit_bill(record)
+        audit_bill(record, source["n"])
         if base_case is not None:
             assert any(r["base_case"] for r in record["rounds"]) == base_case
 

@@ -30,6 +30,7 @@ from covert_setcover.oracle import CovertOracle, QueryLedger
 from covert_setcover.pseudo_greedy import run_pseudo_greedy
 from covert_setcover.setsystem import (
     Cover,
+    SetSystem,
     brute_force_min_cover,
     build_set_system,
     from_json_dict,
@@ -333,6 +334,13 @@ class TestGreedy:
         child = _run_child(code)
         assert child.returncode == 1
         assert child.stderr.endswith("ValueError: element_to_sets is not the inverse of sets\n")
+
+    def test_brute_force_refuses_a_wrong_inverse_index_too(self):
+        # element_to_sets gives element 2 a home set, but no set holds it, so no subset
+        # of the family covers the universe; the search used to end in AssertionError.
+        system = SetSystem(2, sets=((1,), (1,)), element_to_sets=((1, 2), (1,)))
+        with pytest.raises(ValueError, match="^element_to_sets is not the inverse of sets$"):
+            brute_force_min_cover(system)
 
     def test_three_set_example(self):
         system = build_set_system([[1, 2, 3], [3, 4], [4]], 4)
