@@ -22,7 +22,8 @@ SET_MODELS = ("uniform-random", "planted-cover", "skewed")
 
 ER_RETRY_BUDGET = 1000
 # er-connected refuses a p at which the budget's draws find a connected sample
-# with probability below this (a Chernoff bound on the edge count).
+# with probability below this (a Chernoff bound on the edge count, or an
+# estimate from the expected number of isolated vertices).
 ER_SUCCESS_FLOOR = 1e-9
 
 
@@ -31,9 +32,13 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
     """Build a named-family or random connected graph.
 
     ``er-connected`` resamples an Erdos-Renyi graph until it is connected (at
-    most ER_RETRY_BUDGET attempts, then ValueError; none at p = 0, or at a p
-    so small that a Chernoff bound puts the chance of a draw with the n - 1
-    edges a connected graph needs below ER_SUCCESS_FLOOR / ER_RETRY_BUDGET); ``grid``
+    most ER_RETRY_BUDGET attempts, then ValueError). It raises before any draw
+    at p = 0, and at a p where the budget finds a connected draw with
+    probability below ER_SUCCESS_FLOOR by either test: a Chernoff bound on
+    the n - 1 edges a connected graph needs (only this one catches a small
+    n), or an estimate from the isolated vertices it lacks (a draw has none
+    with probability about e^-mu, for mu = n (1 - p)^(n - 1) expected;
+    Erdos-Renyi). ``grid``
     takes rows x cols with vertices numbered row-major. Every parameter is
     checked, whatever the model, and the vertex count may be at most ``MAX_INSTANCE_SIZE``.
     """
@@ -69,11 +74,14 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
         _require(p > 0, f"er-connected at p = 0 there is no connected sample, got n={n}, p={p}")
         # With mean edge count mu < t = n - 1, P[edges >= t] <= e^-mu (e mu / t)^t.
         mu, t = p * (n * (n - 1) // 2), n - 1
-        _require(mu >= t or log(ER_RETRY_BUDGET) - mu + t * (1 + log(mu) - log(t))
-                 >= log(ER_SUCCESS_FLOOR),
+        isolated = n * (1 - p) ** (n - 1)
+        _require((mu >= t or log(ER_RETRY_BUDGET) - mu + t * (1 + log(mu) - log(t))
+                  >= log(ER_SUCCESS_FLOOR))
+                 and isolated <= log(ER_RETRY_BUDGET / ER_SUCCESS_FLOOR),
                  f"er-connected at n={n}, p={p}: no connected sample expected, since"
                  f" {ER_RETRY_BUDGET} tries find one with probability below {ER_SUCCESS_FLOOR}"
-                 f" (a connected graph needs n - 1 edges, a draw has {mu:.3g} on average)")
+                 f" (a connected graph needs n - 1 edges and no isolated vertex, a draw has"
+                 f" {mu:.3g} edges and {isolated:.3g} isolated vertices on average)")
         rng = random.Random(seed)
         pairs = all_pairs(n)
         for _ in range(ER_RETRY_BUDGET):

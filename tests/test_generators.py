@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from covert_setcover import generators
 from covert_setcover.generators import SET_MODELS, _sorted_sample, gen_graph, gen_set_system
 from covert_setcover.setsystem import from_json_dict, to_json_dict, verify_cover
 
@@ -55,13 +56,30 @@ class TestGraphModels:
         with pytest.raises(ValueError, match="no connected sample"):
             gen_graph("er-connected", n=3, p=0.0, seed=1)
 
-    @pytest.mark.parametrize("n, p", [(1448, 1e-9), (1448, 5e-324), (1000, 1.5 / 999), (2, 1e-13)])
+    # (1000, 1.6 / 999) and (1000, 2 / 999) pass the edge-count bound but expect 202 and
+    # 135 isolated vertices a draw; seed 1 at 1.6 / 999 used to draw the whole budget, then fail.
+    @pytest.mark.parametrize("n, p", [(1448, 1e-9), (1448, 5e-324), (1000, 1.5 / 999), (2, 1e-13),
+                                      (1000, 1.6 / 999), (1000, 2 / 999)])
     def test_er_hopeless_p_fails_before_any_draw(self, n, p):
         # At n = 1448 each draw visits 1,047,628 pairs; the budget's 1000 would take minutes.
         start = time.perf_counter()
         with pytest.raises(ValueError, match="no connected sample expected, since 1000 tries find one with"):
             gen_graph("er-connected", n=n, p=p, seed=1)
         assert time.perf_counter() - start < 1.0
+
+    # 2.4, 3.5 and 0.12 isolated vertices expected: the CI discovery graph, a p that
+    # needs 68 draws at seed 1, and discover-er's graph all reach the draws.
+    @pytest.mark.parametrize("n, p", [(1000, 6 / 999), (1448, 6 / 1447), (60, 0.1)])
+    def test_er_refusal_keeps_a_p_that_needs_many_draws(self, n, p, monkeypatch):
+        class Drawing(Exception):
+            pass
+
+        def no_pairs(n):
+            raise Drawing
+
+        monkeypatch.setattr(generators, "all_pairs", no_pairs)
+        with pytest.raises(Drawing):
+            gen_graph("er-connected", n=n, p=p, seed=1)
 
     def test_er_refusal_keeps_a_p_the_budget_may_connect(self):
         # One pair at p = 1e-12: 1000 draws connect it with probability about 1e-9,

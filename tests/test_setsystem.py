@@ -83,6 +83,25 @@ def _outcome(build, rows, n):
     return built if isinstance(built, tuple) else (built.sets, built.element_to_sets)
 
 
+def _assert_matches_naive_greedy(system, sets, theta):
+    """greedy_cover on ``system`` picks as ``naive_greedy`` does on ``sets``, or names its witness."""
+    picks, witness = naive_greedy(sets, system.universe_size, theta)
+    if witness is None:
+        assert list(greedy_cover(system, theta=theta).set_indices) == picks
+    else:
+        with pytest.raises(UncoverableInstanceError) as err:
+            greedy_cover(system, theta=theta)
+        assert err.value.element == witness
+
+
+@st.composite
+def sided_families(draw, lazy):
+    """(n, sets) over at most 12 elements: more sets than elements (up to 40) when ``lazy``, else at most n."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(n + 1, 40) if lazy else st.integers(1, n))
+    return n, [draw(st.sets(st.integers(1, n))) for _ in range(m)]
+
+
 @st.composite
 def shaped_rows(draw, bad_values=()):
     """(n, [(container, values)]): rows in every shape and container, optionally with bad elements."""
@@ -410,14 +429,44 @@ class TestGreedy:
     )
     def test_matches_naive_recount(self, family, theta):
         n, sets = family
-        picks, witness = naive_greedy(sets, n, theta)
-        system = build_set_system(sets, n)
-        if witness is None:
-            assert list(greedy_cover(system, theta=theta).set_indices) == picks
-        else:
-            with pytest.raises(UncoverableInstanceError) as err:
-                greedy_cover(system, theta=theta)
-            assert err.value.element == witness
+        _assert_matches_naive_greedy(build_set_system(sets, n), sets, theta)
+
+    # More sets than elements selects lazy counts, at most as many eager ones; both
+    # must pick as a full recount does, at every theta.
+    @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
+    @settings(max_examples=150)
+    @given(data=st.data(), theta=st.sampled_from([1.0, 0.999999, 0.75, Fraction(2, 3), 0.5, 0.25, 1e-9]))
+    def test_both_count_modes_match_naive_recount(self, lazy, data, theta):
+        n, sets = data.draw(sided_families(lazy))
+        _assert_matches_naive_greedy(build_set_system(sets, n), sets, theta)
+
+    # Lazy counts read only sets, so a wrong inverse index changes nothing.
+    @settings(max_examples=100)
+    @given(family=sided_families(lazy=True), theta=st.sampled_from([1.0, 0.5, 0.25]), data=st.data())
+    def test_lazy_mode_ignores_a_wrong_inverse_index(self, family, theta, data):
+        n, sets = family
+        rows = tuple(tuple(sorted(members)) for members in sets)
+        wrong = tuple(
+            tuple(sorted(data.draw(st.sets(st.integers(1, len(rows)))))) for _ in range(n)
+        )
+        _assert_matches_naive_greedy(SetSystem(n, sets=rows, element_to_sets=wrong), sets, theta)
+
+    def test_lazy_mode_on_a_wrong_inverse_index_ends(self):
+        # Three sets over two elements with every home set misplaced: the run must end
+        # in a cover or a typed error; the child's timeout turns a hang into a failure.
+        code = (
+            "from covert_setcover.setsystem import SetSystem, greedy_cover\n"
+            "from covert_setcover.errors import UncoverableInstanceError\n"
+            "bad = ((3,), (1, 2))\n"
+            "print(greedy_cover(SetSystem(2, sets=((1,), (2,), (1,)), element_to_sets=bad)))\n"
+            "try:\n"
+            "    greedy_cover(SetSystem(2, sets=((1,), (), (1,)), element_to_sets=bad), theta=0.5)\n"
+            "except UncoverableInstanceError as err:\n"
+            "    print(err.element)\n"
+        )
+        child = _run_child(code)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "Cover(set_indices=(1, 2))\n2\n"
 
     def test_covers_of_same_sized_systems_share_index_ints(self):
         # Trial records keep their covers, so a pick must not be a fresh int
