@@ -79,9 +79,10 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
                   >= log(ER_SUCCESS_FLOOR))
                  and isolated <= log(ER_RETRY_BUDGET / ER_SUCCESS_FLOOR),
                  f"er-connected at n={n}, p={p}: no connected sample expected, since"
-                 f" {ER_RETRY_BUDGET} tries find one with probability below {ER_SUCCESS_FLOOR}"
-                 f" (a connected graph needs n - 1 edges and no isolated vertex, a draw has"
-                 f" {mu:.3g} edges and {isolated:.3g} isolated vertices on average)")
+                 f" {ER_RETRY_BUDGET} tries find one with probability below about"
+                 f" {ER_SUCCESS_FLOOR} (a connected graph needs n - 1 edges and no isolated"
+                 f" vertex, a draw has {mu:.3g} edges and {isolated:.3g} isolated vertices"
+                 f" on average)")
         rng = random.Random(seed)
         pairs = all_pairs(n)
         for _ in range(ER_RETRY_BUDGET):

@@ -204,19 +204,21 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     count), so the output size obeys the harmonic bound
     |cover| <= (OPT / theta) * H(universe_size).
 
-    The counts start at the set sizes. When the sets do not outnumber the
-    elements they are exact (eager mode): each newly covered element
-    decrements the count of every set containing it, O(sum of set sizes)
-    over the run, and the last pick's decrements are skipped. Only eager
-    mode reads ``element_to_sets``, so only it raises ``ValueError`` when a
-    pick covers nothing new, which a wrong ``element_to_sets`` causes. When
-    the sets outnumber the elements (lazy mode, Minoux's lazy greedy), the
-    counts are upper bounds, refreshed to the true count only for a set that
-    could be picked next: the first at the largest bound and, for theta < 1,
-    each set at the bar; a pick makes no decrements. On pseudo-greedy's
-    base-case residue (8192 sets over about 235 elements, each in about 256
-    sets, covered by 3 picks) 3 refreshes replace 44,821 decrements.
-    Both modes pick the same sets.
+    The counts start at the set sizes. Picks first skip their decrements
+    (lazy phase, Minoux's lazy greedy with no heap), so a count may be too
+    high: before each pick, the first set at the largest count is checked
+    to hold that many uncovered elements, and for theta < 1 the first set
+    at the bar to hold at least the bar. The first check that fails ends
+    the lazy phase: the skipped decrements are made, and from then on each
+    newly covered element decrements the count of every set containing it
+    (exact phase), O(sum of set sizes) over a run; the last pick's
+    decrements are skipped. A run that ends in its lazy phase saves every
+    decrement: pseudo-greedy's base-case residue on a planted n = m = 8192
+    instance (8192 sets over about 235 elements, each in about 256 sets) is
+    covered by 3 picks after 3 checks, where exact counts cost 44,821
+    decrements. A run whose check fails makes the skipped decrements then,
+    so it costs about what exact counts cost. Both phases pick by the rule
+    above.
 
     Counts only fall, so while n_max holds, every set before the last one
     found at n_max is below it and every set before the last pick is below
@@ -225,7 +227,9 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     pass over the m counts is made only when n_max falls.
 
     Raises :class:`UncoverableInstanceError` naming an uncovered element if
-    the family cannot cover the universe.
+    the family cannot cover the universe. Only the exact phase reads
+    ``element_to_sets``, and a wrong one can make a pick there cover
+    nothing new; that raises ``ValueError`` instead of repeating the pick.
     """
     require_instance("system", system, SetSystem)
     require_theta(theta)
@@ -233,11 +237,10 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     numbers = _numbers(len(sets))
     counts = [0, *map(len, sets)]  # counts[s] for set s; the pad at 0 never reaches a bar >= 1
     uncovered = set(range(1, system.universe_size + 1))
-    lazy = len(sets) > system.universe_size
+    lazy = True  # while lazy, a count is its set's size, or 0 once the set is picked
 
-    def refresh(s: int) -> int:
-        counts[s] = len(uncovered.intersection(sets[s - 1]))
-        return counts[s]
+    def stale(s: int, bound: int) -> bool:
+        return len(uncovered.intersection(sets[s - 1])) < bound
 
     chosen: list[int] = []
     while uncovered:
@@ -251,15 +254,16 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
                 top = counts.index(n_max, top)
             except ValueError:
                 break
-            if lazy and refresh(top) < n_max:
-                continue  # a stale bound; a refreshed one at n_max is the true largest
             if bar == n_max:
                 s = top
             else:
-                at_bar = compress(count(s), map(bar.__le__, islice(counts, s, None)))
-                s = next(at_bar)
-                while lazy and refresh(s) < bar:  # ends at top at the latest, which is at n_max
-                    s = next(at_bar)
+                s = next(compress(count(s), map(bar.__le__, islice(counts, s, None))))
+            if lazy and (stale(top, n_max) or s != top and stale(s, bar)):
+                lazy = False  # make the skipped decrements, then take n_max afresh
+                for e in {e for c in chosen for e in sets[c - 1]}:  # picked counts end below 0
+                    for t in containing[e - 1]:
+                        counts[t] -= 1
+                break
             chosen.append(numbers[s - 1])
             new = uncovered.intersection(sets[s - 1])
             if not new:

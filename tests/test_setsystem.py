@@ -83,25 +83,6 @@ def _outcome(build, rows, n):
     return built if isinstance(built, tuple) else (built.sets, built.element_to_sets)
 
 
-def _assert_matches_naive_greedy(system, sets, theta):
-    """greedy_cover on ``system`` picks as ``naive_greedy`` does on ``sets``, or names its witness."""
-    picks, witness = naive_greedy(sets, system.universe_size, theta)
-    if witness is None:
-        assert list(greedy_cover(system, theta=theta).set_indices) == picks
-    else:
-        with pytest.raises(UncoverableInstanceError) as err:
-            greedy_cover(system, theta=theta)
-        assert err.value.element == witness
-
-
-@st.composite
-def sided_families(draw, lazy):
-    """(n, sets) over at most 12 elements: more sets than elements (up to 40) when ``lazy``, else at most n."""
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(n + 1, 40) if lazy else st.integers(1, n))
-    return n, [draw(st.sets(st.integers(1, n))) for _ in range(m)]
-
-
 @st.composite
 def shaped_rows(draw, bad_values=()):
     """(n, [(container, values)]): rows in every shape and container, optionally with bad elements."""
@@ -344,11 +325,13 @@ def test_wrong_type_raises_typed_error(call, error, message):
 
 class TestGreedy:
     def test_wrong_inverse_index_raises_instead_of_looping(self):
-        # Set 1 keeps its count after covering element 1, so without the check it is
-        # picked again forever; the child's timeout turns such a hang into a failure.
+        # Set 2's stale count starts the exact phase after set 1 is picked. The index
+        # leaves set 2 out of element 1's home sets, so set 2 keeps count 1 and without
+        # the check is picked again forever; the child's timeout turns a hang into a failure.
         code = (
             "from covert_setcover.setsystem import SetSystem, greedy_cover\n"
-            "greedy_cover(SetSystem(2, sets=((1,), (2,)), element_to_sets=((2,), (1,))))\n"
+            "greedy_cover(SetSystem(3, sets=((1, 2), (1,), (3,)),"
+            " element_to_sets=((1,), (1,), (3,))))\n"
         )
         child = _run_child(code)
         assert child.returncode == 1
@@ -416,57 +399,80 @@ class TestGreedy:
         assert greedy_cover(system) == greedy_cover(system)
 
     # Wide families give runs of picks at one largest count, where greedy_cover resumes
-    # its scans; thetas next to 0 and 1 and a Fraction test the bar ceil(theta * n_max);
-    # an all-empty family must name element 1 and never pick the pad before set 1.
-    @settings(max_examples=200)
+    # its scans; up to 24 sets over up to 6 elements overlap enough to give runs that end
+    # in the lazy phase and runs that leave it, at every theta. Thetas next to 0 and 1
+    # and a Fraction test the bar ceil(theta * n_max); an all-empty family must name
+    # element 1 and never pick the pad before set 1.
+    @settings(max_examples=300)
     @given(
         family=st.one_of(
             families(),
             families(max_n=80, max_m=48),
+            families(max_n=6, max_m=24),
             st.builds(lambda n, m: (n, [set()] * m), st.integers(1, 24), st.integers(1, 8)),
         ),
-        theta=st.sampled_from([1.0, 0.5, 0.25, 1e-9, 0.999999, Fraction(2, 3)]),
+        theta=st.sampled_from([1.0, 0.5, 0.25, 1e-9, 0.999999, 0.75, Fraction(2, 3)]),
     )
     def test_matches_naive_recount(self, family, theta):
         n, sets = family
-        _assert_matches_naive_greedy(build_set_system(sets, n), sets, theta)
+        picks, witness = naive_greedy(sets, n, theta)
+        system = build_set_system(sets, n)
+        if witness is None:
+            assert list(greedy_cover(system, theta=theta).set_indices) == picks
+        else:
+            with pytest.raises(UncoverableInstanceError) as err:
+                greedy_cover(system, theta=theta)
+            assert err.value.element == witness
 
-    # More sets than elements selects lazy counts, at most as many eager ones; both
-    # must pick as a full recount does, at every theta.
-    @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
-    @settings(max_examples=150)
-    @given(data=st.data(), theta=st.sampled_from([1.0, 0.999999, 0.75, Fraction(2, 3), 0.5, 0.25, 1e-9]))
-    def test_both_count_modes_match_naive_recount(self, lazy, data, theta):
-        n, sets = data.draw(sided_families(lazy))
-        _assert_matches_naive_greedy(build_set_system(sets, n), sets, theta)
+    def test_a_stale_set_at_the_bar_is_not_picked(self):
+        # After set 1, set 3 is at the largest count 4 and exact, but set 2, first at the
+        # bar 2, holds only element 5 uncovered: the pick is set 3, and set 2 comes last.
+        system = build_set_system([[1, 2, 3, 4], [1, 2, 5], [6, 7, 8, 9]], 9)
+        assert greedy_cover(system, theta=0.5).set_indices == (1, 3, 2)
 
-    # Lazy counts read only sets, so a wrong inverse index changes nothing.
+    def test_a_run_that_ends_lazily_reads_no_inverse_index(self):
+        # Each pick is a largest set with every element uncovered, so no count is
+        # ever stale and no decrement is made: an empty inverse index changes nothing.
+        system = SetSystem(4, sets=((1, 2), (3,), (4,)), element_to_sets=((),) * 4)
+        assert greedy_cover(system).set_indices == (1, 2, 3)
+
+    # A wrong inverse index is read once a count is stale; the run still ends, in a
+    # cover of the sets or a typed error.
     @settings(max_examples=100)
-    @given(family=sided_families(lazy=True), theta=st.sampled_from([1.0, 0.5, 0.25]), data=st.data())
-    def test_lazy_mode_ignores_a_wrong_inverse_index(self, family, theta, data):
+    @given(family=families(max_n=12, max_m=40), theta=st.sampled_from([1.0, 0.5, 0.25]),
+           data=st.data())
+    def test_wrong_inverse_index_ends_in_a_cover_or_a_typed_error(self, family, theta, data):
         n, sets = family
         rows = tuple(tuple(sorted(members)) for members in sets)
         wrong = tuple(
             tuple(sorted(data.draw(st.sets(st.integers(1, len(rows)))))) for _ in range(n)
         )
-        _assert_matches_naive_greedy(SetSystem(n, sets=rows, element_to_sets=wrong), sets, theta)
+        system = SetSystem(n, sets=rows, element_to_sets=wrong)
+        try:
+            assert verify_cover(system, greedy_cover(system, theta=theta))
+        except (UncoverableInstanceError, ValueError):
+            pass
 
-    def test_lazy_mode_on_a_wrong_inverse_index_ends(self):
-        # Three sets over two elements with every home set misplaced: the run must end
-        # in a cover or a typed error; the child's timeout turns a hang into a failure.
+    def test_wrong_inverse_index_runs_end(self):
+        # Every home set misplaced: the first two runs never find a stale count; the
+        # third does, and the wrong decrements then leave no set at a positive count.
+        # The child's timeout turns a hang into a failure.
         code = (
             "from covert_setcover.setsystem import SetSystem, greedy_cover\n"
             "from covert_setcover.errors import UncoverableInstanceError\n"
+            "print(greedy_cover(SetSystem(2, sets=((1,), (2,)),"
+            " element_to_sets=((2,), (1,)))))\n"
             "bad = ((3,), (1, 2))\n"
             "print(greedy_cover(SetSystem(2, sets=((1,), (2,), (1,)), element_to_sets=bad)))\n"
             "try:\n"
-            "    greedy_cover(SetSystem(2, sets=((1,), (), (1,)), element_to_sets=bad), theta=0.5)\n"
+            "    greedy_cover(SetSystem(2, sets=((1,), (), (1,)), element_to_sets=bad),"
+            " theta=0.5)\n"
             "except UncoverableInstanceError as err:\n"
             "    print(err.element)\n"
         )
         child = _run_child(code)
         assert child.returncode == 0, child.stderr
-        assert child.stdout == "Cover(set_indices=(1, 2))\n2\n"
+        assert child.stdout == "Cover(set_indices=(1, 2))\nCover(set_indices=(1, 2))\n2\n"
 
     def test_covers_of_same_sized_systems_share_index_ints(self):
         # Trial records keep their covers, so a pick must not be a fresh int
