@@ -2,21 +2,21 @@
 
 Discovery is the covert cover problem in disguise: the unresolved vertex
 pairs are the elements, each vertex v is the set of pairs its layered
-query certifies, and probing a pair (u, v) with two layered queries yields
+query certifies, and probing a pair (u, v) with two layered answers yields
 the dual set H(u, v) = { x : d(u, x) != d(v, x) } of vertices whose query
-would certify it, as an increasing tuple. The sampled rounds are those of
-the abstract algorithm (:func:`.pseudo_greedy.sampled_greedy`) with
-N = n^2; every certificate obtained along the way is recorded immediately,
-but the unresolved count is refreshed only at round boundaries. A run buys
-each vertex's answer once, so its bill is the number of vertices it asks.
+would certify it. The sampled rounds are those of the abstract algorithm
+(:func:`.pseudo_greedy.sampled_greedy`) with N = n^2. A run buys each
+vertex's answer once and records its certificates as it buys it, so its
+bill is the number of vertices it asks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, filterfalse, islice
+from itertools import compress, filterfalse
 from operator import ne
+from typing import Callable
 
 from .errors import MAX_INSTANCE_ENTRIES, require_count, require_instance, require_size
 from .oracle import MeteredOracle, QueryLedger
@@ -55,41 +55,31 @@ class LayeredGraphOracle(MeteredOracle):
 
 
 def hitting_set_H(
-    oracle: LayeredGraphOracle, u: int, v: int, known: dict[int, LayeredAnswer] | None = None
+    oracle: LayeredGraphOracle, u: int, v: int,
+    answer_of: Callable[[int], LayeredAnswer] | None = None,
 ) -> tuple[tuple[int, ...], tuple[LayeredAnswer, LayeredAnswer]]:
-    """Vertices whose query certifies the pair {u, v}, via two layered queries.
+    """Vertices whose query certifies the pair {u, v}, and the two endpoints' answers.
 
-    Queries both endpoints and returns H = the vertices at different
-    distances from u and v, as a strictly increasing tuple (the answer form
-    the round engine's filter bisects), together with the two answers
-    (ans_u, ans_v), whose certificates the caller may record as side
-    information. u and v always belong to H, so the pair itself is
-    certified by either answer.
-
-    ``known`` is the caller's table of bought answers, vertex to answer: an
-    endpoint already in it is read from it uncharged, and each new answer is
-    added to it, u before v. None stands for a fresh empty table, so both
-    queries are charged (ledger +2).
+    Returns (H, (ans_u, ans_v)): H is the vertices at different distances
+    from u and v as a strictly increasing tuple (the answer form the round
+    engine's filter bisects), and always holds u and v. ``answer_of(x)``
+    gives x's layered answer and is called for u, then v; None stands for
+    ``oracle.layered_query``, so both are charged. A non-callable
+    ``answer_of``, equal endpoints, or an answer that is not a
+    :class:`.graphs.LayeredAnswer` raise ``ValueError``.
     """
     require_instance("oracle", oracle, LayeredGraphOracle)
-    known = {} if known is None else known
-    require_instance("known", known, dict)
+    if answer_of is None:
+        answer_of = oracle.layered_query
+    elif not callable(answer_of):
+        raise ValueError(f"answer_of must be callable, got {type(answer_of).__name__}")
     if u == v:
         raise ValueError(f"pair endpoints must differ, got ({u}, {v})")
-    ans_u = _layered(oracle, u, known)
-    ans_v = _layered(oracle, v, known)
+    ans_u = answer_of(u)
+    require_instance("answer_of(u)", ans_u, LayeredAnswer)
+    ans_v = answer_of(v)
+    require_instance("answer_of(v)", ans_v, LayeredAnswer)
     return _differing(ans_u.dist, ans_v.dist), (ans_u, ans_v)
-
-
-def _layered(oracle: LayeredGraphOracle, v: int, known: dict[int, LayeredAnswer]) -> LayeredAnswer:
-    """v's answer: from ``known`` if it holds v, else one charged query, added to ``known``.
-
-    Only an int key is read, so a bool or a float vertex still reaches the
-    oracle's index check instead of matching an int key it equals.
-    """
-    if type(v) is not int or (answer := known.get(v)) is None:
-        answer = known[v] = oracle.layered_query(v)
-    return answer
 
 
 def _differing(dist_u: tuple[int, ...], dist_v: tuple[int, ...]) -> tuple[int, ...]:
@@ -104,12 +94,8 @@ class DiscoveryResult:
     ``queried`` lists every vertex the run layered-queried, once each, in
     the order of its first query: the online query set, whose size is the
     bill ``ledger.layered_queries``. ``query_set`` lists only the vertices
-    the round engine picked, so it can be smaller than an offline cover:
-    er-connected n = 30, p = 0.2, seed 1 gives [1, 2] after querying all 30
-    vertices, where greedy verification needs 5. A vertex picked in a
-    sampled round is queried when it is accepted; a base-case pick comes
-    from the probes' answers and need not be (er-connected n = 12, p = 0.3,
-    seed 24 at alpha 0.25 and rng_seed 24 picks vertex 2, never queried).
+    the round engine picked: it can be smaller than an offline cover, and a
+    base-case pick, read off the probes' answers, need not be in ``queried``.
     """
 
     statuses: dict[Pair, bool]
@@ -143,58 +129,38 @@ def run_network_discovery(
     """Discover every edge and non-edge of a hidden connected graph.
 
     Runs the sampled greedy rounds of :func:`.pseudo_greedy.sampled_greedy`
-    with unresolved pairs as elements and vertices as sets: a probe of a pair
-    is :func:`hitting_set_H` (its two answers' side certificates recorded
-    immediately) and accepting a vertex asks for its answer as its coverage
-    update. The base case probes every remaining pair and reduces the residue
-    to an explicit set cover over the vertices. N = n^2, so the round
-    threshold is 2*alpha*log2(n). Always terminates with every pair
-    certified; the query set Q is the online analogue of the cover.
-
-    A vertex's answer never changes, so the run buys it once: ``known`` holds
-    every answer bought, in first-query order, and a probe or accept of a
-    vertex in it reads it uncharged. The bill is therefore ``len(queried)``,
-    at most n, and every sample, shortlist, pick and status equals that of a
-    run that pays for every repeat. A vertex's certificates are recorded when
-    its answer is bought. A new answer reads only ``unresolved``, the pairs
-    not yet in ``statuses`` in lexicographic order. Each update rebinds it to
-    a new list, so the list a round was handed at its boundary stays
-    unchanged.
+    with unresolved pairs as elements and vertices as sets. N = n^2, so the
+    round threshold is 2*alpha*log2(n). A probe of a pair is
+    :func:`hitting_set_H`, and accepting a vertex asks for its answer. Both
+    get answers from one ``answer_of``, which buys each vertex's answer at
+    its first ask and records that answer's certificates among the pairs
+    still unresolved before it returns. So the bill is ``len(queried)``, at
+    most n, and ``statuses`` is current before every layered query. Always
+    terminates with every pair certified.
     """
     require_instance("oracle", oracle, LayeredGraphOracle)
     n = oracle.n_vertices
     statuses: dict[Pair, bool] = {}
+    # The pairs not yet in statuses, in lexicographic order. Each update
+    # rebinds it, so the list a round was handed at its boundary stays unchanged.
     unresolved: list[Pair] = list(all_pairs(n))
     known: dict[int, LayeredAnswer] = {}
-    n_learned = 0
 
-    def learn_new() -> None:
-        """Record the certificates of the answers bought since the last call, in the order bought."""
-        nonlocal unresolved, n_learned
-        # Most probes buy nothing new; returning before islice walks the table
-        # makes a discover-er trial about 3% faster.
-        if n_learned == len(known):
-            return
-        for answer in islice(known.values(), n_learned, None):
+    def answer_of(v: int) -> LayeredAnswer:
+        nonlocal unresolved
+        answer = known.get(v)
+        if answer is None:
+            answer = known[v] = oracle.layered_query(v)
             certified = certified_pairs(answer, unresolved)
             statuses.update(certified)
             unresolved = list(filterfalse(certified.__contains__, unresolved))
-        n_learned = len(known)
-
-    def probe(pair: Pair) -> tuple[int, ...]:
-        hset, _ = hitting_set_H(oracle, *pair, known)
-        learn_new()
-        return hset
-
-    def accept(x: int) -> None:
-        _layered(oracle, x, known)
-        learn_new()
+        return answer
 
     # x is in H(u, v) exactly when a query at x certifies {u, v}, so no
     # vertex is chosen twice: Q is the engine's pick list as it stands.
     query_set, rounds, _ = sampled_greedy(
-        oracle, lambda: unresolved, probe, accept,
-        n_total=n * n, alpha=alpha, rng_seed=rng_seed,
+        oracle, lambda: unresolved, lambda pair: hitting_set_H(oracle, *pair, answer_of)[0],
+        answer_of, n_total=n * n, alpha=alpha, rng_seed=rng_seed,
     )
     return DiscoveryResult(statuses=statuses, query_set=query_set,
                            ledger=oracle.ledger_snapshot(), queried=list(known),

@@ -152,19 +152,11 @@ def gen_set_system(
     ``MAX_INSTANCE_SIZE`` and n * m at most ``MAX_INSTANCE_ENTRIES``.
 
     Every model draws its elements from one ``universe = tuple(range(1, n + 1))``,
-    so the system holds one int object per element value: indexing a ``range``
-    makes a fresh 28-byte int for every value above 256, once per (set, element)
-    entry. The draws are the same as from the range: ``random.sample`` chooses
-    positions from the population's length alone and then reads
-    ``population[j]``, so the tuple yields the same values from the same
-    random stream, and every set, digest and trace is unchanged. The decoys and
-    the skewed sets are drawn by :func:`_sorted_sample`, which picks the same
-    positions as ``sorted(rng.sample(universe, k))`` from the same random
-    stream, without a Python-level call per pick.
-
-    Every row reaches :func:`.build_set_system` as a sorted tuple, which it
-    keeps instead of copying, and the list a row was built in is freed as soon
-    as its tuple exists: the instance is never held twice while it is built.
+    so the system holds one int object per element value, and each row reaches
+    :func:`.build_set_system` as a sorted tuple that it keeps: the instance
+    is never held twice while it is built. The decoys and the skewed sets are
+    drawn by :func:`_sorted_sample`, which picks what
+    ``sorted(rng.sample(universe, k))`` picks from the same random stream.
     """
     require_count("n", n)
     require_count("m", m)

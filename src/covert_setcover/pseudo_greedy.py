@@ -44,8 +44,9 @@ DEFAULT_ALPHA = 8.0
 # probe(e): the sets containing element e as a strictly increasing tuple of
 # ints, one charged query.
 Probe = Callable[[Hashable], tuple[int, ...]]
-# accept(s): fetch set s, one charged query, and record what it covers.
-Accept = Callable[[int], None]
+# accept(s): fetch set s, one charged query, and record what it covers; the
+# engine ignores what it returns.
+Accept = Callable[[int], object]
 # A round's tally: the sample, the probe answers in sample order and the
 # number of sampled elements each set holds.
 Tally = tuple[Sequence[Hashable], list[tuple[int, ...]], Counter]

@@ -212,13 +212,8 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     the lazy phase: the skipped decrements are made, and from then on each
     newly covered element decrements the count of every set containing it
     (exact phase), O(sum of set sizes) over a run; the last pick's
-    decrements are skipped. A run that ends in its lazy phase saves every
-    decrement: pseudo-greedy's base-case residue on a planted n = m = 8192
-    instance (8192 sets over about 235 elements, each in about 256 sets) is
-    covered by 3 picks after 3 checks, where exact counts cost 44,821
-    decrements. A run whose check fails makes the skipped decrements then,
-    so it costs about what exact counts cost. Both phases pick by the rule
-    above.
+    decrements are skipped. A run that ends in its lazy phase makes no
+    decrement. Both phases pick by the rule above.
 
     Counts only fall, so while n_max holds, every set before the last one
     found at n_max is below it and every set before the last pick is below

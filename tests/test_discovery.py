@@ -138,31 +138,34 @@ class TestHittingSet:
 
     def test_known_endpoints_are_read_uncharged(self, g6):
         oracle = LayeredGraphOracle(g6)
-        known = {}
-        first = hitting_set_H(oracle, 2, 3, known)
-        assert list(known) == [2, 3] and oracle.ledger.layered_queries == 2
-        assert hitting_set_H(oracle, 3, 2, known)[1] == first[1][::-1]
-        assert oracle.ledger.layered_queries == 2
-        hset, (ans_u, ans_v) = hitting_set_H(oracle, 3, 5, known)
-        assert list(known) == [2, 3, 5] and oracle.ledger.layered_queries == 3
-        assert ans_u is known[3] and hset == hitting_set_H(oracle, 3, 5)[0]
-        assert oracle.ledger.layered_queries == 5  # no table: both endpoints charged again
+        table = {v: layered_answer(g6, v) for v in (2, 3, 5)}
+        hset, (ans_u, ans_v) = hitting_set_H(oracle, 3, 5, table.__getitem__)
+        assert (ans_u, ans_v) == (table[3], table[5]) and oracle.ledger.layered_queries == 0
+        assert hitting_set_H(oracle, 5, 3, table.__getitem__)[1] == (table[5], table[3])
+        assert oracle.ledger.layered_queries == 0
+        assert hset == hitting_set_H(oracle, 3, 5)[0]
+        assert oracle.ledger.layered_queries == 2  # the default charges both endpoints
 
-    @pytest.mark.parametrize("known", [[], (), set()], ids=["list", "tuple", "set"])
-    def test_known_must_be_a_dict(self, g6, known):
+    @pytest.mark.parametrize("answer_of", [[], (), set(), {}], ids=["list", "tuple", "set", "dict"])
+    def test_answer_of_must_be_callable(self, g6, answer_of):
         oracle = LayeredGraphOracle(g6)
-        with pytest.raises(ValueError, match="known must be a dict"):
-            hitting_set_H(oracle, 2, 3, known)
+        with pytest.raises(ValueError, match="answer_of must be callable"):
+            hitting_set_H(oracle, 2, 3, answer_of)
         assert oracle.ledger.layered_queries == 0
 
-    @pytest.mark.parametrize("vertex", [True, 1.0], ids=["bool", "float"])
-    def test_known_int_key_never_answers_another_type(self, g6, vertex):
+    def test_answer_of_must_return_a_layered_answer(self, g6):
         oracle = LayeredGraphOracle(g6)
-        known = {}
-        hitting_set_H(oracle, 1, 2, known)
+        with pytest.raises(ValueError, match=r"answer_of\(u\) must be a LayeredAnswer"):
+            hitting_set_H(oracle, 2, 3, lambda v: layered_answer(g6, v).dist)
+        with pytest.raises(ValueError, match=r"answer_of\(v\) must be a LayeredAnswer"):
+            hitting_set_H(oracle, 2, 3, {2: layered_answer(g6, 2), 3: None}.get)
+
+    @pytest.mark.parametrize("vertex", [True, 1.0], ids=["bool", "float"])
+    def test_non_int_endpoint_is_refused_uncharged(self, g6, vertex):
+        oracle = LayeredGraphOracle(g6)
         with pytest.raises(ValueError, match="not an integer"):
-            hitting_set_H(oracle, vertex, 3, known)
-        assert list(known) == [1, 2] and oracle.ledger.layered_queries == 2
+            hitting_set_H(oracle, vertex, 3)
+        assert oracle.ledger.layered_queries == 0
 
     def test_same_vertex_rejected(self, g6):
         with pytest.raises(ValueError):
@@ -229,6 +232,24 @@ class TestDiscovery:
             # Exactly the pairs no earlier call certified, lexicographically.
             assert pairs == [p for p in all_pairs(graph.n) if p not in resolved]
             resolved.update(certified)
+
+    @pytest.mark.parametrize("alpha", [2.0, 8.0], ids=["sampled-round", "base-case"])
+    def test_each_answer_is_certified_before_the_next_query(self, alpha, monkeypatch):
+        events = []
+
+        class LoggingOracle(LayeredGraphOracle):
+            def layered_query(self, v):
+                events.append(("query", v))
+                return super().layered_query(v)
+
+        def certifying(answer, *pairs):
+            events.append(("certify", answer.source))
+            return certified_pairs(answer, *pairs)
+
+        monkeypatch.setattr(discovery, "certified_pairs", certifying)
+        graph = gen_graph("er-connected", n=20, p=0.25, seed=1)
+        result = run_network_discovery(LoggingOracle(graph), alpha=alpha, rng_seed=1)
+        assert events == [(kind, v) for v in result.queried for kind in ("query", "certify")]
 
     @settings(max_examples=40)
     @given(graph=connected_graphs(), alpha=st.sampled_from([1.0, 2.0, 8.0]),
