@@ -7,19 +7,16 @@ alpha*log2(N) sampled elements are shortlisted, then filtered sequentially
 in canonical order so that each accepted set still holds a threshold worth
 of not-yet-claimed samples. Accepted sets are the only ones whose contents
 are ever fetched. Once the round scale drops to alpha*log2(N), or a round
-that sampled the whole residue shortlists nothing, the residue is rebuilt
-(one hitting query per remaining element, or that round's answers) and
-finished with the explicit greedy algorithm.
-
-N = n' + m' throughout, and log means log2: the scale s_i halves per
-round, so the base case is reached within ceil(log2 n') + 1 rounds.
+that sampled the whole residue shortlists nothing, explicit greedy picks
+the rest straight from the residue's answers (one hitting query per
+remaining element, or that round's answers). N = n' + m' and log is log2;
+s_i halves per round, so the base case comes within ceil(log2 n') + 1 rounds.
 
 :func:`sampled_greedy` is the round engine. It sees the instance only
 through three callables, so network discovery (:mod:`.discovery`) runs the
 same rounds with vertex pairs as elements and vertices as sets. A probe
 answers with the indices of the sets holding an element as a strictly
-increasing tuple of ints (the filter bisects answers), as
-:meth:`.CovertOracle.hitting_query` and :func:`.discovery.hitting_set_H` do.
+increasing tuple of ints (the filter bisects answers).
 """
 
 from __future__ import annotations
@@ -29,15 +26,16 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain, compress, repeat
-from operator import not_, sub
+from operator import contains, not_, sub
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from .errors import (
-    UncoverableInstanceError, _require_ints, require_instance, require_run_constants,
+    MAX_INSTANCE_SIZE, UncoverableInstanceError, _require_ints, require_instance,
+    require_run_constants,
 )
 from .oracle import CovertOracle, MeteredOracle
 from .results import CoverResult, RoundState
-from .setsystem import Cover, _numbers, build_set_system, greedy_cover
+from .setsystem import _INT_ONLY, Cover, _numbers, build_set_system, greedy_cover
 
 DEFAULT_ALPHA = 8.0
 
@@ -124,22 +122,47 @@ def sequential_filter(
 
 
 def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable]) -> list[int]:
-    """Reconstruct the residual instance and finish it with explicit greedy.
+    """Finish the residue with explicit greedy (theta 1), picking from the probe answers.
 
     Issues exactly one probe per remaining element in sorted order (all of
     them, even if an early answer dooms the instance, so the ledger stays
-    reconstructible from the trace). The answers are the residue's inverse
-    index: built as sets over the set indices and ``transposed()``, they give
-    the residue system under the real set indices; a set the residue misses
-    has an empty row. Raises :class:`UncoverableInstanceError` naming the
-    smallest element in no set.
+    reconstructible from the trace), and raises
+    :class:`UncoverableInstanceError` naming the smallest element in no set.
+
+    The answers are the residue's inverse index, and greedy runs on them
+    lazily (Minoux): each set's tally over the answers bounds its uncovered
+    count from above, and the first set at the largest tally is picked once
+    the uncovered answers holding it are found to number that many. At the
+    first stale tally, the still-uncovered answers are built as sets over
+    the set indices, ``transposed()`` and finished by :func:`greedy_cover`;
+    the picks are what greedy on the whole rebuilt residue makes. Answers
+    that are not tuples of ints in [1, ``MAX_INSTANCE_SIZE``] all go to that
+    rebuild, which refuses or normalises them.
     """
     order = sorted(uncovered)
     answers = [probe(e) for e in order]
     if not all(answers):
         raise UncoverableInstanceError(next(e for e, a in zip(order, answers) if not a))
+    picks: list[int] = []
+    tally = Counter()
+    if all(type(a) is tuple for a in answers) and _INT_ONLY.issuperset(
+        map(type, chain.from_iterable(answers))
+    ):
+        tally.update(chain.from_iterable(answers))
+    if tally and min(tally) >= 1 and max(tally) <= MAX_INSTANCE_SIZE:
+        while answers:
+            top = max(tally.values())
+            s = min(s for s, count in tally.items() if count == top)
+            held = list(map(contains, answers, repeat(s)))
+            if sum(held) < top:
+                break
+            picks.append(s)
+            answers = list(compress(answers, map(not_, held)))
+            tally[s] = 0
+        if not answers:
+            return picks
     residue = build_set_system(answers, max(chain.from_iterable(answers))).transposed()
-    return list(greedy_cover(residue, theta=1.0).set_indices)
+    return picks + list(greedy_cover(residue, theta=1.0).set_indices)
 
 
 def sampled_greedy(
@@ -154,20 +177,15 @@ def sampled_greedy(
     """The sampled greedy rounds, over any instance behind a metered oracle.
 
     ``remaining()`` gives the uncovered elements at each round boundary;
-    ``probe`` and ``accept`` are the two charged queries, and ``probe``
-    answers with a strictly increasing tuple of set indices. Round i has
-    scale s_i = min(n_0/2^i, n_i), n_0 = len(remaining()) at the start. One
-    threshold alpha*log2(n_total) sets every cut: the sampling rate, the
-    shortlist and filter cuts, and the base-case entry s_i <= threshold, where
-    the residue goes to :func:`base_case_explicit` and the run ends. Each
-    round is a ledger phase traced as a :class:`RoundState`. ``alpha`` must
-    be a finite positive real and ``rng_seed`` an int.
-
-    A round that samples the whole residue (``len(sample) == n_i``, and
-    ``remaining()`` unchanged by its probes) and shortlists nothing is the
-    base case, since no later round could shortlist a set from that residue:
-    :func:`base_case_explicit` reads its answers with no new probe. It keeps
-    its i, n_i, s_i and ``round-i`` phase, and is traced with base_case True.
+    ``probe`` and ``accept`` are the two charged queries. Round i has scale
+    s_i = min(n_0/2^i, n_i), n_0 = len(remaining()) at the start. One
+    threshold alpha*log2(n_total) sets the sampling rate, the shortlist and
+    filter cuts, and the base-case entry s_i <= threshold, where the residue
+    goes to :func:`base_case_explicit` and the run ends. A round that samples
+    the whole residue, leaves ``remaining()`` unchanged and shortlists
+    nothing is the base case too, finished from its own answers with no new
+    probe. Each round is a ledger phase traced as a :class:`RoundState`.
+    ``alpha`` must be a finite positive real and ``rng_seed`` an int.
 
     Returns (chosen set indices in order, the round trace, the element the
     base case found in no set, or None).
@@ -235,18 +253,12 @@ def run_pseudo_greedy(
     entry); the run is fully reproducible from (rng_seed, alpha, instance).
     Returns a :class:`CoverResult` whose per-round trace reconstructs the
     ledger exactly: hitting queries = sum of sample sizes + base-case n_i,
-    set queries = number of accepted sets. A round that samples the whole
-    residue and shortlists nothing is the base case (:func:`sampled_greedy`).
-
-    On an uncoverable instance the base case flags failure and the result
-    carries the witness element and the partial cover accepted so far.
-
-    The uncovered set starts from the shared ``(1, ..., n)`` tuple of
-    :func:`.setsystem._numbers`, so every run on an n-element instance samples
-    the same int object per element value, and a kept result holds no copies.
+    set queries = number of accepted sets. On an uncoverable instance the
+    result is marked failed and carries the witness element and the
+    partial cover accepted so far.
     """
     require_instance("oracle", oracle, CovertOracle)
-    uncovered = set(_numbers(oracle.n_elements))
+    uncovered = set(_numbers(oracle.n_elements))  # shared ints: a kept result copies none
 
     def accept(s: int) -> None:
         # Shrinking mid-round is safe: the round has already drawn its sample.

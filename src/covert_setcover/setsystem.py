@@ -204,17 +204,10 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     count), so the output size obeys the harmonic bound
     |cover| <= (OPT / theta) * H(universe_size).
 
-    The counts start at the set sizes. Picks first skip their decrements
-    (lazy phase, Minoux's lazy greedy with no heap), so a count may be too
-    high: before each pick, the first set at the largest count is checked
-    to hold that many uncovered elements, and for theta < 1 the first set
-    at the bar to hold at least the bar. The first check that fails ends
-    the lazy phase: the skipped decrements are made, and from then on each
-    newly covered element decrements the count of every set containing it
-    (exact phase), O(sum of set sizes) over a run; the last pick's
-    decrements are skipped. A run that ends in its lazy phase makes no
-    decrement. Both phases pick by the rule above.
-
+    The uncovered counts are kept exactly: they start at the set sizes, and
+    each newly covered element decrements the count of every set containing
+    it, O(sum of set sizes) over a run; the last pick's decrements are
+    skipped, since nothing reads them.
     Counts only fall, so while n_max holds, every set before the last one
     found at n_max is below it and every set before the last pick is below
     the bar ceil(theta * n_max) (an int count reaches theta * n_max exactly
@@ -222,9 +215,8 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     pass over the m counts is made only when n_max falls.
 
     Raises :class:`UncoverableInstanceError` naming an uncovered element if
-    the family cannot cover the universe. Only the exact phase reads
-    ``element_to_sets``, and a wrong one can make a pick there cover
-    nothing new; that raises ``ValueError`` instead of repeating the pick.
+    the family cannot cover the universe, and ``ValueError`` if a pick covers
+    nothing new, which only a wrong ``element_to_sets`` can cause.
     """
     require_instance("system", system, SetSystem)
     require_theta(theta)
@@ -232,11 +224,6 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     numbers = _numbers(len(sets))
     counts = [0, *map(len, sets)]  # counts[s] for set s; the pad at 0 never reaches a bar >= 1
     uncovered = set(range(1, system.universe_size + 1))
-    lazy = True  # while lazy, a count is its set's size, or 0 once the set is picked
-
-    def stale(s: int, bound: int) -> bool:
-        return len(uncovered.intersection(sets[s - 1])) < bound
-
     chosen: list[int] = []
     while uncovered:
         n_max = max(counts)
@@ -253,12 +240,6 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
                 s = top
             else:
                 s = next(compress(count(s), map(bar.__le__, islice(counts, s, None))))
-            if lazy and (stale(top, n_max) or s != top and stale(s, bar)):
-                lazy = False  # make the skipped decrements, then take n_max afresh
-                for e in {e for c in chosen for e in sets[c - 1]}:  # picked counts end below 0
-                    for t in containing[e - 1]:
-                        counts[t] -= 1
-                break
             chosen.append(numbers[s - 1])
             new = uncovered.intersection(sets[s - 1])
             if not new:
@@ -266,9 +247,6 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
             uncovered -= new
             if not uncovered:  # the last pick: its decrements would never be read
                 break
-            if lazy:
-                counts[s] = 0
-                continue
             for e in new:
                 for t in containing[e - 1]:
                     counts[t] -= 1

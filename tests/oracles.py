@@ -2,19 +2,22 @@
 
 Everything here is deliberately written from scratch against plain lists
 and dicts, so expected values never share code with the implementations
-they check. The one exception is :func:`replay_discovery`, which drives the
-package's own round engine to isolate what discovery's answer table changes.
+they check. The two exceptions are :func:`replay_discovery`, which drives
+the package's own round engine to isolate what discovery's answer table
+changes, and :func:`rebuilt_base_case`, the base case as one rebuild through
+the package's own builder and greedy.
 """
 
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from covert_setcover.discovery import DiscoveryResult, LayeredGraphOracle, hitting_set_H
 from covert_setcover.errors import InvalidCoverError, UncoverableInstanceError
 from covert_setcover.graphs import all_pairs, certified_pairs
 from covert_setcover.pseudo_greedy import sampled_greedy
+from covert_setcover.setsystem import build_set_system, greedy_cover
 
 
 def exhaustive_min_cover(sets, n):
@@ -178,6 +181,24 @@ def naive_base_case(probe, uncovered):
     touched = sorted(residual)
     picks, _ = naive_greedy([[relabel[e] for e in residual[s]] for s in touched], len(order), 1.0)
     return [touched[j - 1] for j in picks]
+
+
+def rebuilt_base_case(probe, uncovered):
+    """The base case with every answer rebuilt into the residue and finished by ``greedy_cover``.
+
+    Probes every element of ``uncovered`` in sorted order and raises
+    ``UncoverableInstanceError`` naming the smallest element with an empty
+    answer. Otherwise the answers, as sets over the set indices, are built
+    and ``transposed()``, and greedy at theta 1 picks from the whole residue;
+    any error of that build or pick (a bad answer) propagates as it is.
+    ``base_case_explicit`` must give the same picks or raise the same error.
+    """
+    order = sorted(uncovered)
+    answers = [probe(e) for e in order]
+    if not all(answers):
+        raise UncoverableInstanceError(next(e for e, a in zip(order, answers) if not a))
+    residue = build_set_system(answers, max(chain.from_iterable(answers))).transposed()
+    return list(greedy_cover(residue, theta=1.0).set_indices)
 
 
 def eager_round_filter(sample, probe, threshold):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from covert_setcover.discovery import LayeredGraphOracle, hitting_set_H, run_network_discovery
 from covert_setcover.epsnet import run_weighted_epsilon_net
-from covert_setcover.errors import UncoverableInstanceError
+from covert_setcover.errors import MAX_INSTANCE_SIZE, UncoverableInstanceError
 from covert_setcover.graphs import Graph, all_pairs
 from covert_setcover.oracle import CovertOracle
+from covert_setcover import pseudo_greedy
 from covert_setcover.pseudo_greedy import (
     base_case_explicit,
     draw_round_sample,
@@ -32,6 +33,7 @@ from oracles import (
     naive_base_case,
     naive_greedy,
     naive_round_sample,
+    rebuilt_base_case,
 )
 from strategies import connected_graphs, coverable_families, families, random_system
 
@@ -364,6 +366,79 @@ class TestBaseCase:
         # Sets 1 and 2 miss the residue {3, 4}; set 4 is never touched.
         oracle = CovertOracle(build_set_system([[1], [2], [3, 4], [1, 2]], 4))
         assert base_case_explicit(oracle.hitting_query, {3, 4}) == [3]
+
+
+# One answer per way to break the probe contract (a strictly increasing tuple of ints in
+# [1, MAX_INSTANCE_SIZE]); a reversed or duplicated answer stays on the lazy path.
+CORRUPTIONS = {
+    "reversed": lambda a: a[::-1],
+    "duplicate": lambda a: a + a[:1],
+    "bool": lambda a: a + (True,),
+    "float": lambda a: a + (2.0,),
+    "zero": lambda a: a + (0,),
+    "negative": lambda a: a + (-1,),
+    "past-the-cap": lambda a: a + (MAX_INSTANCE_SIZE + 1,),
+    "list": list,
+    "frozenset": frozenset,
+}
+
+
+def _outcome(run, probe, residue):
+    """A run's picks, or the type and message of what it raised."""
+    try:
+        return run(probe, residue)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestLazyBaseCase:
+    # Up to 40 sets over up to 14 elements give runs that stay lazy to the end and runs
+    # that go stale after 0, 1 or more picks; one answer may be corrupted.
+    @settings(max_examples=300)
+    @given(
+        family=families(max_n=14, max_m=40),
+        corruption=st.sampled_from([None, *CORRUPTIONS]),
+        data=st.data(),
+    )
+    def test_matches_the_whole_rebuild(self, family, corruption, data):
+        n, sets = family
+        residue = data.draw(st.sets(st.integers(1, n), min_size=1))
+        oracle = CovertOracle(build_set_system(sets, n))
+        answers = {e: oracle.hitting_query(e) for e in residue}
+        if corruption:
+            e = data.draw(st.sampled_from(sorted(residue)))
+            answers[e] = CORRUPTIONS[corruption](answers[e])
+        assert _outcome(base_case_explicit, answers.__getitem__, residue) == _outcome(
+            rebuilt_base_case, answers.__getitem__, residue
+        )
+
+    def test_a_residue_that_never_goes_stale_builds_nothing(self, monkeypatch):
+        # Disjoint sets of sizes 1, 3 and 2: each pick is the largest set, and every
+        # element it holds is uncovered, so no system and no inverse index is built.
+        oracle = CovertOracle(build_set_system([[6], [1, 2, 3], [4, 5]], 6))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the residue was rebuilt")
+
+        monkeypatch.setattr(pseudo_greedy, "build_set_system", refuse)
+        monkeypatch.setattr(pseudo_greedy, "greedy_cover", refuse)
+        assert base_case_explicit(oracle.hitting_query, set(range(1, 7))) == [2, 3, 1]
+        assert oracle.ledger.hitting_queries == 6
+
+    def test_a_stale_tally_rebuilds_only_the_uncovered_answers(self, monkeypatch):
+        # Set 1 is picked on its exact tally 4; set 2's tally 3 then holds one uncovered
+        # answer, so only the answers of elements 5 and 6 are rebuilt, and set 3 finishes.
+        table = {1: (1, 2), 2: (1, 2), 3: (1,), 4: (1,), 5: (2, 3), 6: (3,)}
+        built = []
+
+        def spy(rows, universe_size):
+            built.append((list(rows), universe_size))
+            return build_set_system(rows, universe_size)
+
+        monkeypatch.setattr(pseudo_greedy, "build_set_system", spy)
+        picks = base_case_explicit(table.__getitem__, set(table))
+        assert built == [([(2, 3), (3,)], 3)]
+        assert picks == rebuilt_base_case(table.__getitem__, set(table)) == [1, 3]
 
 
 class TestRun:

@@ -325,9 +325,9 @@ def test_wrong_type_raises_typed_error(call, error, message):
 
 class TestGreedy:
     def test_wrong_inverse_index_raises_instead_of_looping(self):
-        # Set 2's stale count starts the exact phase after set 1 is picked. The index
-        # leaves set 2 out of element 1's home sets, so set 2 keeps count 1 and without
-        # the check is picked again forever; the child's timeout turns a hang into a failure.
+        # The index leaves set 2 out of element 1's home sets, so after set 1 is picked,
+        # set 2 keeps count 1 and without the check is picked again forever; the child's
+        # timeout turns a hang into a failure.
         code = (
             "from covert_setcover.setsystem import SetSystem, greedy_cover\n"
             "greedy_cover(SetSystem(3, sets=((1, 2), (1,), (3,)),"
@@ -399,10 +399,10 @@ class TestGreedy:
         assert greedy_cover(system) == greedy_cover(system)
 
     # Wide families give runs of picks at one largest count, where greedy_cover resumes
-    # its scans; up to 24 sets over up to 6 elements overlap enough to give runs that end
-    # in the lazy phase and runs that leave it, at every theta. Thetas next to 0 and 1
-    # and a Fraction test the bar ceil(theta * n_max); an all-empty family must name
-    # element 1 and never pick the pad before set 1.
+    # its scans; up to 24 sets over up to 6 elements overlap enough that counts fall
+    # between picks at every theta. Thetas next to 0 and 1 and a Fraction test the bar
+    # ceil(theta * n_max); an all-empty family must name element 1 and never pick the
+    # pad before set 1.
     @settings(max_examples=300)
     @given(
         family=st.one_of(
@@ -430,14 +430,15 @@ class TestGreedy:
         system = build_set_system([[1, 2, 3, 4], [1, 2, 5], [6, 7, 8, 9]], 9)
         assert greedy_cover(system, theta=0.5).set_indices == (1, 3, 2)
 
-    def test_a_run_that_ends_lazily_reads_no_inverse_index(self):
-        # Each pick is a largest set with every element uncovered, so no count is
-        # ever stale and no decrement is made: an empty inverse index changes nothing.
+    def test_an_empty_inverse_index_is_refused_at_the_second_pick(self):
+        # Counts are exact, so the first pick's decrements read the index; with no home
+        # sets, set 1 keeps its count 2 and its second pick would cover nothing new.
         system = SetSystem(4, sets=((1, 2), (3,), (4,)), element_to_sets=((),) * 4)
-        assert greedy_cover(system).set_indices == (1, 2, 3)
+        with pytest.raises(ValueError, match="^element_to_sets is not the inverse of sets$"):
+            greedy_cover(system)
 
-    # A wrong inverse index is read once a count is stale; the run still ends, in a
-    # cover of the sets or a typed error.
+    # A wrong inverse index is read at every pick; the run still ends, in a cover of the
+    # sets or a typed error.
     @settings(max_examples=100)
     @given(family=families(max_n=12, max_m=40), theta=st.sampled_from([1.0, 0.5, 0.25]),
            data=st.data())
@@ -454,25 +455,24 @@ class TestGreedy:
             pass
 
     def test_wrong_inverse_index_runs_end(self):
-        # Every home set misplaced: the first two runs never find a stale count; the
-        # third does, and the wrong decrements then leave no set at a positive count.
+        # Every home set misplaced: the first pick's decrements miss its own count, so
+        # each run would pick its first set again, and each ends in ValueError instead.
         # The child's timeout turns a hang into a failure.
         code = (
             "from covert_setcover.setsystem import SetSystem, greedy_cover\n"
-            "from covert_setcover.errors import UncoverableInstanceError\n"
-            "print(greedy_cover(SetSystem(2, sets=((1,), (2,)),"
-            " element_to_sets=((2,), (1,)))))\n"
             "bad = ((3,), (1, 2))\n"
-            "print(greedy_cover(SetSystem(2, sets=((1,), (2,), (1,)), element_to_sets=bad)))\n"
-            "try:\n"
-            "    greedy_cover(SetSystem(2, sets=((1,), (), (1,)), element_to_sets=bad),"
-            " theta=0.5)\n"
-            "except UncoverableInstanceError as err:\n"
-            "    print(err.element)\n"
+            "runs = [(SetSystem(2, sets=((1,), (2,)), element_to_sets=((2,), (1,))), 1.0),\n"
+            "        (SetSystem(2, sets=((1,), (2,), (1,)), element_to_sets=bad), 1.0),\n"
+            "        (SetSystem(2, sets=((1,), (), (1,)), element_to_sets=bad), 0.5)]\n"
+            "for system, theta in runs:\n"
+            "    try:\n"
+            "        print(greedy_cover(system, theta=theta))\n"
+            "    except ValueError as err:\n"
+            "        print(err)\n"
         )
         child = _run_child(code)
         assert child.returncode == 0, child.stderr
-        assert child.stdout == "Cover(set_indices=(1, 2))\nCover(set_indices=(1, 2))\n2\n"
+        assert child.stdout == "element_to_sets is not the inverse of sets\n" * 3
 
     def test_covers_of_same_sized_systems_share_index_ints(self):
         # Trial records keep their covers, so a pick must not be a fresh int
