@@ -115,14 +115,13 @@ def run_weighted_epsilon_net(
     starts from unit weights and runs at most
     ITER_CAP_CONST * k * log2(m'/k + 2) iterations: sample a net, fetch the
     candidate's contents (one set query per distinct candidate set, charged
-    on every iteration because each coverage test is a fresh verification),
-    and either return the covering candidate or double the weights along a
-    missed element. A guess whose weights outgrow a float (over a thousand
-    doublings, possible only when its candidates are tiny) ends there, as if
-    its budget were spent. Exhausting every guess, or a missed element
-    contained in no set, yields a failed result. ``alpha_net`` must be a
-    finite positive real, small enough that the first candidate takes at most
-    MAX_NET_DRAWS draws, and ``rng_seed`` an int.
+    on every iteration), and either return the covering candidate or double
+    the weights along a missed element. A guess whose weights outgrow a
+    float ends there, as if its budget were spent. Exhausting every guess,
+    or a missed element contained in no set, yields a failed result.
+    ``alpha_net`` must be a finite positive real, small enough that the
+    first candidate takes at most MAX_NET_DRAWS draws, and ``rng_seed`` an
+    int.
     """
     require_instance("oracle", oracle, CovertOracle)
     _require_ints(rng_seed=rng_seed)

@@ -144,19 +144,13 @@ def gen_set_system(
       planted-cover: the universe is split into ``k`` blocks hidden at random
         positions among m - k smaller decoy sets, so the optimum is at most k.
       skewed: set sizes follow a halving scale (n, n/2, n/4, ...) assigned at
-        random, echoing instances with a few dominant sets.
+        random.
 
     Returns (system, meta); meta records the model, parameters, whether the
     family covers the universe, and for planted-cover the planted indices.
     Every parameter is checked, whatever the model; n and m may be at most
-    ``MAX_INSTANCE_SIZE`` and n * m at most ``MAX_INSTANCE_ENTRIES``.
-
-    Every model draws its elements from one ``universe = tuple(range(1, n + 1))``,
-    so the system holds one int object per element value, and each row reaches
-    :func:`.build_set_system` as a sorted tuple that it keeps: the instance
-    is never held twice while it is built. The decoys and the skewed sets are
-    drawn by :func:`_sorted_sample`, which picks what
-    ``sorted(rng.sample(universe, k))`` picks from the same random stream.
+    ``MAX_INSTANCE_SIZE`` and n * m at most ``MAX_INSTANCE_ENTRIES``. The
+    system holds one int object per element value.
     """
     require_count("n", n)
     require_count("m", m)

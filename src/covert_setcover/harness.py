@@ -19,6 +19,8 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from fractions import Fraction
+from operator import mul
 
 from .discovery import (
     EXACT_VERIFICATION_VERTEX_CAP,
@@ -306,9 +308,15 @@ def sampling_concentration_test(alpha: float, log2_n_total: float, s_i: int) -> 
 
 
 def fitted_query_exponent(k_values: list[int], medians: list[float]) -> float:
-    """Least-squares slope of log(median queries) against log(planted k)."""
-    logs_k, logs_q = [math.log(k) for k in k_values], [math.log(q) for q in medians]
-    return statistics.linear_regression(logs_k, logs_q).slope
+    """Least-squares slope of log(median queries) against log(planted k).
+
+    The slope is exact over the float logs and rounded once, so every Python
+    gives the same float.
+    """
+    xs, ys = [Fraction(math.log(k)) for k in k_values], [Fraction(math.log(q)) for q in medians]
+    x_bar = sum(xs) / len(xs)
+    dxs = [x - x_bar for x in xs]  # they sum to 0 exactly, so ys need no centring
+    return float(sum(map(mul, dxs, ys)) / sum(map(mul, dxs, dxs)))
 
 
 def bench_planted_family(

@@ -93,15 +93,11 @@ def sequential_filter(
     """Walk the shortlist in order, accepting sets that still own enough samples.
 
     A set is accepted iff its sampled elements outside those claimed by
-    earlier acceptances still number >= ``threshold``. Acceptance calls
-    ``accept(s)`` (one charged query). Returns (accepted sets in order, the
-    sampled elements they claimed).
-
-    The first shortlisted set is accepted on its tally count. A later set's
-    unclaimed hits are counted by bisecting the answers of the unclaimed
-    sample (each a strictly increasing tuple of ints); only accepted sets
-    have their sampled elements looked up. The walk stops once fewer than
-    ``threshold`` samples are unclaimed, since no later set can then qualify.
+    earlier acceptances still number >= ``threshold``; acceptance calls
+    ``accept(s)`` (one charged query). Every shortlisted set must reach
+    ``threshold`` in the tally, whose answers must be strictly increasing
+    tuples of ints. Returns (accepted sets in order, the sampled elements
+    they claimed).
     """
     sample, answers, _ = tally
     accepted: list[int] = []
@@ -121,7 +117,9 @@ def sequential_filter(
     return accepted, claimed
 
 
-def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable]) -> list[int]:
+def base_case_explicit(
+    probe: Probe, uncovered: Iterable[Hashable], counts: Counter | None = None
+) -> list[int]:
     """Finish the residue with explicit greedy (theta 1), picking from the probe answers.
 
     Issues exactly one probe per remaining element in sorted order (all of
@@ -137,7 +135,10 @@ def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable]) -> list[int]
     the set indices, ``transposed()`` and finished by :func:`greedy_cover`;
     the picks are what greedy on the whole rebuilt residue makes. Answers
     that are not tuples of ints in [1, ``MAX_INSTANCE_SIZE``] all go to that
-    rebuild, which refuses or normalises them.
+    rebuild, which refuses or normalises them. ``counts``, when given, must
+    be the ``Counter`` of exactly the answers ``probe`` gives over
+    ``sorted(uncovered)``; it is used as the tally in place of a recount, and
+    consumed.
     """
     order = sorted(uncovered)
     answers = [probe(e) for e in order]
@@ -148,7 +149,7 @@ def base_case_explicit(probe: Probe, uncovered: Iterable[Hashable]) -> list[int]
     if all(type(a) is tuple for a in answers) and _INT_ONLY.issuperset(
         map(type, chain.from_iterable(answers))
     ):
-        tally.update(chain.from_iterable(answers))
+        tally = Counter(chain.from_iterable(answers)) if counts is None else counts
     if tally and min(tally) >= 1 and max(tally) <= MAX_INSTANCE_SIZE:
         while answers:
             top = max(tally.values())
@@ -183,9 +184,10 @@ def sampled_greedy(
     filter cuts, and the base-case entry s_i <= threshold, where the residue
     goes to :func:`base_case_explicit` and the run ends. A round that samples
     the whole residue, leaves ``remaining()`` unchanged and shortlists
-    nothing is the base case too, finished from its own answers with no new
-    probe. Each round is a ledger phase traced as a :class:`RoundState`.
-    ``alpha`` must be a finite positive real and ``rng_seed`` an int.
+    nothing is the base case too, finished from its own answers and tally
+    with no new probe. Each round is a ledger phase traced as a
+    :class:`RoundState`. ``alpha`` must be a finite positive real and
+    ``rng_seed`` an int.
 
     Returns (chosen set indices in order, the round trace, the element the
     base case found in no set, or None).
@@ -207,7 +209,7 @@ def sampled_greedy(
         sample: list = []
         shortlist: list[int] = []
         picks: list[int] = []
-        finish = None  # (probe, residue) when this round is the base case
+        finish = None  # (probe, residue[, counts]) when this round is the base case
         if s_i <= threshold:
             oracle.mark_phase("base-case")
             finish = probe, uncovered
@@ -218,7 +220,7 @@ def sampled_greedy(
             if shortlist:
                 picks, _ = sequential_filter(shortlist, tally, accept, threshold)
             elif len(sample) == n_i == len(remaining()):
-                finish = dict(zip(sample, tally[1])).__getitem__, sample
+                finish = dict(zip(sample, tally[1])).__getitem__, sample, tally[2]
                 sample = []
         if finish:
             try:

@@ -3,7 +3,9 @@ import json
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -391,6 +393,18 @@ def _outcome(run, probe, residue):
         return type(exc), str(exc)
 
 
+def _drawn_answers(family, corruption, data):
+    """A residue of ``family`` and its oracle answers, one of them corrupted if asked."""
+    n, sets = family
+    residue = data.draw(st.sets(st.integers(1, n), min_size=1))
+    oracle = CovertOracle(build_set_system(sets, n))
+    answers = {e: oracle.hitting_query(e) for e in residue}
+    if corruption:
+        e = data.draw(st.sampled_from(sorted(residue)))
+        answers[e] = CORRUPTIONS[corruption](answers[e])
+    return answers, residue
+
+
 class TestLazyBaseCase:
     # Up to 40 sets over up to 14 elements give runs that stay lazy to the end and runs
     # that go stale after 0, 1 or more picks; one answer may be corrupted.
@@ -401,16 +415,28 @@ class TestLazyBaseCase:
         data=st.data(),
     )
     def test_matches_the_whole_rebuild(self, family, corruption, data):
-        n, sets = family
-        residue = data.draw(st.sets(st.integers(1, n), min_size=1))
-        oracle = CovertOracle(build_set_system(sets, n))
-        answers = {e: oracle.hitting_query(e) for e in residue}
-        if corruption:
-            e = data.draw(st.sampled_from(sorted(residue)))
-            answers[e] = CORRUPTIONS[corruption](answers[e])
+        answers, residue = _drawn_answers(family, corruption, data)
         assert _outcome(base_case_explicit, answers.__getitem__, residue) == _outcome(
             rebuilt_base_case, answers.__getitem__, residue
         )
+
+    @settings(max_examples=300)
+    @given(
+        family=families(max_n=14, max_m=40),
+        corruption=st.sampled_from([None, *CORRUPTIONS]),
+        data=st.data(),
+    )
+    def test_a_handed_tally_matches_the_whole_rebuild(self, family, corruption, data):
+        # The Counter a full-sample round hands over: its answers in sorted residue order.
+        answers, residue = _drawn_answers(family, corruption, data)
+        counts = Counter(chain.from_iterable(answers[e] for e in sorted(residue)))
+
+        def handed(probe, uncovered):
+            return base_case_explicit(probe, uncovered, counts)
+
+        outcome = _outcome(handed, answers.__getitem__, residue)
+        assert outcome == _outcome(base_case_explicit, answers.__getitem__, residue)
+        assert outcome == _outcome(rebuilt_base_case, answers.__getitem__, residue)
 
     def test_a_residue_that_never_goes_stale_builds_nothing(self, monkeypatch):
         # Disjoint sets of sizes 1, 3 and 2: each pick is the largest set, and every
@@ -439,6 +465,67 @@ class TestLazyBaseCase:
         picks = base_case_explicit(table.__getitem__, set(table))
         assert built == [([(2, 3), (3,)], 3)]
         assert picks == rebuilt_base_case(table.__getitem__, set(table)) == [1, 3]
+
+
+class TestBaseCaseEntries:
+    """Both ways into the base case, with every Counter update and base-case call seen."""
+
+    def _run(self, monkeypatch, n):
+        counted = []  # (inside the base case, entries counted) per Counter update
+        tallies, handed = [], []
+        inside = [False]
+
+        class Recording(Counter):
+            def update(self, iterable=None, /, **kwds):
+                items = list(iterable or ())
+                counted.append((inside[0], len(items)))
+                super().update(items, **kwds)
+
+        shortlist, base_case = pseudo_greedy.shortlist_sets, pseudo_greedy.base_case_explicit
+
+        def shortlist_spy(*args):
+            out = shortlist(*args)
+            tallies.append(out[1][2])
+            return out
+
+        def base_case_spy(probe, uncovered, counts=None):
+            handed.append(counts)
+            inside[0] = True
+            try:
+                return base_case(probe, uncovered, counts)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(pseudo_greedy, "Counter", Recording)
+        monkeypatch.setattr(pseudo_greedy, "shortlist_sets", shortlist_spy)
+        monkeypatch.setattr(pseudo_greedy, "base_case_explicit", base_case_spy)
+        system, _ = gen_set_system("planted-cover", n=n, m=n, seed=1, k=4)
+        oracle = CovertOracle(system)
+        result = run_pseudo_greedy(oracle, alpha=8.0, rng_seed=1)
+        assert verify_cover(system, result.cover)
+        return oracle, result, counted, tallies, handed
+
+    def test_a_full_sample_round_hands_its_tally_over(self, monkeypatch):
+        # n = m = 512: round 2 samples its whole residue of 130 and shortlists nothing,
+        # so the base case picks from that round's answers and Counter, counting nothing.
+        oracle, result, counted, tallies, handed = self._run(monkeypatch, 512)
+        last = result.rounds[-1]
+        assert (last.i, last.n_i, last.base_case, last.ledger_delta["hitting"]) == (2, 130, True, 130)
+        assert "base-case" not in oracle.ledger.phase_counts
+        assert len(handed) == 1 and handed[0] is tallies[-1]
+        assert all(handed[0][s] == 0 for s in last.chosen)  # consumed
+        assert [n for inside_base_case, n in counted if inside_base_case] == [0]
+
+    def test_the_scale_entry_probes_and_counts_afresh(self, monkeypatch):
+        # n = m = 128: round 0 accepts one set, and 61 <= 8*log2(256) = 64 elements are
+        # left, so the base case probes them again and counts their answers itself.
+        oracle, result, counted, _, handed = self._run(monkeypatch, 128)
+        last = result.rounds[-1]
+        assert (last.i, last.n_i, last.s_i, last.base_case) == (1, 61, 61, True)
+        assert oracle.ledger.phase_counts["base-case"]["hitting"] == 61
+        assert handed == [None]
+        inside_counts = [n for inside_base_case, n in counted if inside_base_case]
+        assert len(inside_counts) == 2 and inside_counts[0] == 0 < inside_counts[1]
 
 
 class TestRun:
