@@ -20,7 +20,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
-from operator import mul
 
 from .discovery import (
     EXACT_VERIFICATION_VERTEX_CAP,
@@ -316,7 +315,7 @@ def fitted_query_exponent(k_values: list[int], medians: list[float]) -> float:
     xs, ys = [Fraction(math.log(k)) for k in k_values], [Fraction(math.log(q)) for q in medians]
     x_bar = sum(xs) / len(xs)
     dxs = [x - x_bar for x in xs]  # they sum to 0 exactly, so ys need no centring
-    return float(sum(map(mul, dxs, ys)) / sum(map(mul, dxs, dxs)))
+    return float(sum(dx * y for dx, y in zip(dxs, ys)) / sum(dx * dx for dx in dxs))
 
 
 def bench_planted_family(

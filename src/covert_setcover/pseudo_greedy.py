@@ -9,7 +9,7 @@ of not-yet-claimed samples. Accepted sets are the only ones whose contents
 are ever fetched. Once the round scale drops to alpha*log2(N), or a round
 that sampled the whole residue shortlists nothing, explicit greedy picks
 the rest straight from the residue's answers (one hitting query per
-remaining element, or that round's answers). N = n' + m' and log is log2;
+remaining element, or that round's answers and tally). N = n' + m';
 s_i halves per round, so the base case comes within ceil(log2 n') + 1 rounds.
 
 :func:`sampled_greedy` is the round engine. It sees the instance only
@@ -70,11 +70,11 @@ def shortlist_sets(
 
     Returns the shortlist in canonical order together with the round's tally
     (the sample, its answers in sample order and the Counter of hits per
-    set), which the sequential filter reuses so no element is ever charged
-    twice in a round. Each sampled element is probed once, in sample order;
-    the hits of every set are counted in one pass over the answers. The
-    sample has no repeats, so a set's count is the number of sampled
-    elements it holds.
+    set), which the sequential filter or the base case reuses so no element
+    is charged twice in a round. Each sampled element is probed once, in
+    sample order; the hits of every set are counted in one pass over the
+    answers. The sample has no repeats, so a set's count is the number of
+    sampled elements it holds.
     """
     answers = [probe(e) for e in sample]
     counts = Counter(chain.from_iterable(answers))
@@ -127,18 +127,16 @@ def base_case_explicit(
     reconstructible from the trace), and raises
     :class:`UncoverableInstanceError` naming the smallest element in no set.
 
-    The answers are the residue's inverse index, and greedy runs on them
-    lazily (Minoux): each set's tally over the answers bounds its uncovered
-    count from above, and the first set at the largest tally is picked once
-    the uncovered answers holding it are found to number that many. At the
-    first stale tally, the still-uncovered answers are built as sets over
-    the set indices, ``transposed()`` and finished by :func:`greedy_cover`;
-    the picks are what greedy on the whole rebuilt residue makes. Answers
-    that are not tuples of ints in [1, ``MAX_INSTANCE_SIZE``] all go to that
-    rebuild, which refuses or normalises them. ``counts``, when given, must
-    be the ``Counter`` of exactly the answers ``probe`` gives over
-    ``sorted(uncovered)``; it is used as the tally in place of a recount, and
-    consumed.
+    Greedy runs lazily (Minoux) on the answers: each set's tally over them
+    bounds its uncovered count, and the first set at the top tally is picked
+    once that many uncovered answers hold it. At the first stale tally the
+    still-uncovered answers are built as sets over the set indices,
+    ``transposed()`` and finished by :func:`greedy_cover`, so the picks are
+    greedy's on the whole rebuilt residue. Answers that are not tuples of
+    ints in [1, ``MAX_INSTANCE_SIZE``] all go to that rebuild, which refuses
+    or normalises them. ``counts``, if given, must be the ``Counter`` of
+    exactly the answers ``probe`` gives over ``sorted(uncovered)``; it is
+    the tally, and is consumed.
     """
     order = sorted(uncovered)
     answers = [probe(e) for e in order]
