@@ -29,7 +29,7 @@ from .discovery import (
     run_network_discovery,
 )
 from .epsnet import DEFAULT_ALPHA_NET, run_weighted_epsilon_net
-from .errors import require_count, require_instance, require_run_constants, require_theta
+from .errors import _require, require_count, require_instance, require_run_constants, require_theta
 from .generators import gen_graph, gen_set_system
 from .graphs import Graph, graph_from_json_dict
 from .oracle import CovertOracle
@@ -309,9 +309,10 @@ def sampling_concentration_test(alpha: float, log2_n_total: float, s_i: int) -> 
 def fitted_query_exponent(k_values: list[int], medians: list[float]) -> float:
     """Least-squares slope of log(median queries) against log(planted k).
 
-    The slope is exact over the float logs and rounded once, so every Python
-    gives the same float.
+    Exact over the float logs and rounded once, so every Python gives the same float.
     """
+    _require(len(set(k_values)) >= 2 and len(medians) == len(k_values),
+             f"need two distinct k values and one median each, got {k_values} and {medians}")
     xs, ys = [Fraction(math.log(k)) for k in k_values], [Fraction(math.log(q)) for q in medians]
     x_bar = sum(xs) / len(xs)
     dxs = [x - x_bar for x in xs]  # they sum to 0 exactly, so ys need no centring

@@ -182,10 +182,9 @@ def sampled_greedy(
     filter cuts, and the base-case entry s_i <= threshold, where the residue
     goes to :func:`base_case_explicit` and the run ends. A round that samples
     the whole residue, leaves ``remaining()`` unchanged and shortlists
-    nothing is the base case too, finished from its own answers and tally
-    with no new probe. Each round is a ledger phase traced as a
-    :class:`RoundState`. ``alpha`` must be a finite positive real and
-    ``rng_seed`` an int.
+    nothing is the base case too, finished from its own answers and tally.
+    Each round is a ledger phase traced as a :class:`RoundState`. ``alpha``
+    must be a finite positive real and ``rng_seed`` an int.
 
     Returns (chosen set indices in order, the round trace, the element the
     base case found in no set, or None).

@@ -331,6 +331,14 @@ class TestBench:
         assert fitted_query_exponent(ks, [10 * k for k in ks]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
+        "k_values, medians", [([2, 2], [3, 5]), ([2], [3]), ([1, 2], [3, 5, 7])],
+        ids=["constant-k", "one-point", "lengths-differ"],
+    )
+    def test_fitted_exponent_needs_two_distinct_k_and_a_median_each(self, k_values, medians):
+        with pytest.raises(ValueError, match="two distinct k values"):
+            fitted_query_exponent(k_values, medians)
+
+    @pytest.mark.parametrize(
         "k_values, seeds, message",
         [
             ([1], [0], "at least two distinct k values"),
