@@ -6,11 +6,11 @@ and issuing one hitting query per sampled element; sets holding at least
 alpha*log2(N) sampled elements are shortlisted, then filtered sequentially
 in canonical order so that each accepted set still holds a threshold worth
 of not-yet-claimed samples. Accepted sets are the only ones whose contents
-are ever fetched. Once the round scale drops to alpha*log2(N), or a round
-that sampled the whole residue shortlists nothing, explicit greedy picks
-the rest straight from the residue's answers (one hitting query per
-remaining element, or that round's answers and tally). N = n' + m';
-s_i halves per round, so the base case comes within ceil(log2 n') + 1 rounds.
+are ever fetched. Once the round scale drops to alpha*log2(N), a round
+probes the whole residue and shortlists nothing; it, or an earlier
+full-sample round that shortlisted nothing, is the base case: explicit
+greedy on its answers and tally. N = n' + m'; s_i halves per round, so
+the base case comes within ceil(log2 n') + 1 rounds.
 
 :func:`sampled_greedy` is the round engine. It sees the instance only
 through three callables, so network discovery (:mod:`.discovery`) runs the
@@ -118,28 +118,19 @@ def sequential_filter(
 
 
 def base_case_explicit(
-    probe: Probe, uncovered: Iterable[Hashable], counts: Counter | None = None
+    order: Sequence[Hashable], answers: list[tuple[int, ...]], counts: Counter
 ) -> list[int]:
-    """Finish the residue with explicit greedy (theta 1), picking from the probe answers.
+    """Finish a residue with explicit greedy (theta 1) from one round's tally.
 
-    Issues exactly one probe per remaining element in sorted order (all of
-    them, even if an early answer dooms the instance, so the ledger stays
-    reconstructible from the trace), and raises
-    :class:`UncoverableInstanceError` naming the smallest element in no set.
-
-    Greedy runs lazily (Minoux) on the answers: each set's tally over them
-    bounds its uncovered count, and the first set at the top tally is picked
-    once that many uncovered answers hold it. At the first stale tally the
-    still-uncovered answers are built as sets over the set indices,
-    ``transposed()`` and finished by :func:`greedy_cover`, so the picks are
-    greedy's on the whole rebuilt residue. Answers that are not tuples of
-    ints in [1, ``MAX_INSTANCE_SIZE``] all go to that rebuild, which refuses
-    or normalises them. ``counts``, if given, must be the ``Counter`` of
-    exactly the answers ``probe`` gives over ``sorted(uncovered)``; it is
-    the tally, and is consumed.
+    ``order`` is the residue, ``answers`` its probe answers in that order and
+    ``counts`` the ``Counter`` of their entries, which is consumed. Raises
+    :class:`UncoverableInstanceError` naming the first element of ``order``
+    whose answer is empty. Greedy runs lazily (Minoux) on the answers and, at
+    the first stale tally, rebuilds the still-uncovered answers as sets
+    (``transposed()``) and finishes with :func:`greedy_cover`, so the picks
+    are greedy's on the whole residue. Answers that are not tuples of ints in
+    [1, ``MAX_INSTANCE_SIZE``] all go to that rebuild.
     """
-    order = sorted(uncovered)
-    answers = [probe(e) for e in order]
     if not all(answers):
         raise UncoverableInstanceError(next(e for e, a in zip(order, answers) if not a))
     picks: list[int] = []
@@ -147,7 +138,7 @@ def base_case_explicit(
     if all(type(a) is tuple for a in answers) and _INT_ONLY.issuperset(
         map(type, chain.from_iterable(answers))
     ):
-        tally = Counter(chain.from_iterable(answers)) if counts is None else counts
+        tally = counts
     if tally and min(tally) >= 1 and max(tally) <= MAX_INSTANCE_SIZE:
         while answers:
             top = max(tally.values())
@@ -177,17 +168,14 @@ def sampled_greedy(
 
     ``remaining()`` gives the uncovered elements at each round boundary;
     ``probe`` and ``accept`` are the two charged queries. Round i has scale
-    s_i = min(n_0/2^i, n_i), n_0 = len(remaining()) at the start. One
-    threshold alpha*log2(n_total) sets the sampling rate, the shortlist and
-    filter cuts, and the base-case entry s_i <= threshold, where the residue
-    goes to :func:`base_case_explicit` and the run ends. A round that samples
-    the whole residue, leaves ``remaining()`` unchanged and shortlists
-    nothing is the base case too, finished from its own answers and tally.
-    Each round is a ledger phase traced as a :class:`RoundState`. ``alpha``
-    must be a finite positive real and ``rng_seed`` an int.
-
-    Returns (chosen set indices in order, the round trace, the element the
-    base case found in no set, or None).
+    s_i = min(n_0/2^i, n_i), n_0 = len(remaining()) at the start, and one
+    threshold alpha*log2(n_total) sets the sampling rate and both cuts. A
+    round with s_i <= threshold probes the whole residue; a round that
+    probed its whole, unchanged residue and shortlists nothing hands its
+    tally to :func:`base_case_explicit`, and the run ends. Each round is a
+    ledger phase traced as a :class:`RoundState`. ``alpha`` must be a finite
+    positive real and ``rng_seed`` an int. Returns (chosen set indices in
+    order, the round trace, the element in no set, or None).
     """
     _require_ints(rng_seed=rng_seed)
     require_run_constants(alpha=alpha)
@@ -203,25 +191,21 @@ def sampled_greedy(
         n_i = len(uncovered)
         s_i = min(n_0 / 2**i, n_i)
         before = oracle.ledger_snapshot()
-        sample: list = []
-        shortlist: list[int] = []
-        picks: list[int] = []
-        finish = None  # (probe, residue[, counts]) when this round is the base case
-        if s_i <= threshold:
-            oracle.mark_phase("base-case")
-            finish = probe, uncovered
+        base_case = s_i <= threshold
+        oracle.mark_phase("base-case" if base_case else f"round-{i}")
+        if base_case:
+            sample = sorted(uncovered)
         else:
-            oracle.mark_phase(f"round-{i}")
             sample = draw_round_sample(uncovered, s_i, threshold, rng)
-            shortlist, tally = shortlist_sets(sample, probe, threshold)
-            if shortlist:
-                picks, _ = sequential_filter(shortlist, tally, accept, threshold)
-            elif len(sample) == n_i == len(remaining()):
-                finish = dict(zip(sample, tally[1])).__getitem__, sample, tally[2]
-                sample = []
-        if finish:
+        # The scale entry's cut is one no set reaches: it probes and tallies only.
+        shortlist, tally = shortlist_sets(sample, probe, math.inf if base_case else threshold)
+        picks: list[int] = []
+        if shortlist:
+            picks, _ = sequential_filter(shortlist, tally, accept, threshold)
+        elif base_case or len(sample) == n_i == len(remaining()):
+            base_case, sample = True, []
             try:
-                picks = base_case_explicit(*finish)
+                picks = base_case_explicit(*tally)
             except UncoverableInstanceError as exc:
                 witness = exc.element
         rounds.append(
@@ -233,11 +217,11 @@ def sampled_greedy(
                 shortlist=tuple(shortlist),
                 chosen=tuple(picks),
                 ledger_delta=oracle.ledger.delta_since(before),
-                base_case=bool(finish),
+                base_case=base_case,
             )
         )
         chosen.extend(picks)
-        if finish:
+        if base_case:
             break
         i += 1
     return chosen, rounds, witness

@@ -276,12 +276,18 @@ class TestFilterMatchesEagerReference:
         self._check(sample, lambda pair: hitting_set_H(oracle, *pair)[0], threshold)
 
 
+def round_tally(probe, residue):
+    """The tally a round hands the base case: the sorted residue, its answers, their Counter."""
+    order = sorted(residue)
+    answers = [probe(e) for e in order]
+    return order, answers, Counter(chain.from_iterable(answers))
+
+
 class TestBaseCase:
     def test_single_covering_set(self):
         system = build_set_system([[1, 2, 3, 4]], 4)
         oracle = CovertOracle(system)
-        assert base_case_explicit(oracle.hitting_query, {1, 2, 3, 4}) == [1]
-        assert oracle.ledger.hitting_queries == 4
+        assert base_case_explicit(*round_tally(oracle.hitting_query, {1, 2, 3, 4})) == [1]
 
     def test_equals_explicit_greedy_on_full_instance(self):
         rng = random.Random(19)
@@ -289,7 +295,7 @@ class TestBaseCase:
             system, _ = random_system(rng, max_n=12, max_m=8)
             oracle = CovertOracle(system)
             picks = base_case_explicit(
-                oracle.hitting_query, set(range(1, system.universe_size + 1))
+                *round_tally(oracle.hitting_query, range(1, system.universe_size + 1))
             )
             assert tuple(picks) == greedy_cover(system).set_indices
 
@@ -302,32 +308,40 @@ class TestBaseCase:
         spare = data.draw(st.integers(0, len(sets)))
         sets = sets[:spare] + [set(range(1, n + 1)) - residue] + sets[spare:]
         oracle = CovertOracle(build_set_system(sets, n))
+        tally = round_tally(oracle.hitting_query, residue)
         # The full rebuild: every set cut to the residue, elements renumbered in order.
         order = sorted(residue)
         relabel = {e: i for i, e in enumerate(order, start=1)}
         restricted = [[relabel[e] for e in members if e in residue] for members in sets]
         picks, witness = naive_greedy(restricted, len(order), 1.0)
         if witness is None:
-            assert base_case_explicit(oracle.hitting_query, residue) == picks
+            assert base_case_explicit(*tally) == picks
         else:
             with pytest.raises(UncoverableInstanceError) as err:
-                base_case_explicit(oracle.hitting_query, residue)
+                base_case_explicit(*tally)
             assert err.value.element == order[witness - 1]
-        assert oracle.ledger.hitting_queries == len(residue)
+        assert oracle.ledger.hitting_queries == len(residue)  # the base case probes nothing
 
     def test_one_query_per_element_even_on_failure(self):
-        system = build_set_system([[2], [4]], 4)
-        oracle = CovertOracle(system)
-        with pytest.raises(UncoverableInstanceError) as err:
-            base_case_explicit(oracle.hitting_query, {1, 2, 3, 4})
-        assert err.value.element == 1
-        assert oracle.ledger.hitting_queries == 4
+        # N = 8 puts the threshold at 24 > 6 = s_0, so round 0 is the scale entry. Elements
+        # 1, 2 and 4 are in no set; the engine probes all six in order before 1 is named.
+        log = io.StringIO()
+        result = run_pseudo_greedy(
+            CovertOracle(build_set_system([[3], [5, 6]], 6), log_stream=log), rng_seed=0
+        )
+        queries = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert (result.failed, result.uncovered_element, result.cover.set_indices) == (True, 1, ())
+        assert [(q["kind"], q["phase"], q["arg"]) for q in queries] == [
+            ("hitting", "base-case", e) for e in range(1, 7)
+        ]
+        (only,) = result.rounds
+        assert (only.base_case, only.n_i, only.ledger_delta["hitting"]) == (True, 6, 6)
 
     @settings(max_examples=150)
     @given(family=families(max_n=16, max_m=10), frozen=st.booleans(), data=st.data())
     def test_matches_naive_base_case(self, family, frozen, data):
-        # Tuple answers are the oracle's stored rows; frozenset answers are how
-        # network discovery's probe returns a hitting set.
+        # Tuple answers are the oracle's stored rows; a frozenset answer breaks the probe
+        # contract (a strictly increasing tuple) and must still give the naive outcome.
         n, sets = family
         residue = data.draw(st.sets(st.integers(1, n), min_size=1))
         oracle = CovertOracle(build_set_system(sets, n))
@@ -339,10 +353,11 @@ class TestBaseCase:
             return frozenset(answer) if frozen else answer
 
         outcomes = []
-        for run in (base_case_explicit, naive_base_case):
+        for run in (lambda: base_case_explicit(*round_tally(probe, residue)),
+                    lambda: naive_base_case(probe, residue)):
             probed.clear()
             try:
-                outcomes.append(("picks", run(probe, residue)))
+                outcomes.append(("picks", run()))
             except UncoverableInstanceError as exc:
                 outcomes.append(("orphan", exc.element))
             assert probed == sorted(residue)
@@ -357,17 +372,22 @@ class TestBaseCase:
             calls.append(e)
             return oracle.hitting_query(e)
 
-        for run in (base_case_explicit, naive_base_case):
+        for run in (lambda: base_case_explicit(*round_tally(probe, {6, 5, 4, 3, 2, 1})),
+                    lambda: naive_base_case(probe, {6, 5, 4, 3, 2, 1})):
             calls.clear()
             with pytest.raises(UncoverableInstanceError) as err:
-                run(probe, {6, 5, 4, 3, 2, 1})
+                run()
             assert err.value.element == 1
             assert calls == [1, 2, 3, 4, 5, 6]
+        # The base case names the first element of its order whose answer is empty.
+        with pytest.raises(UncoverableInstanceError) as err:
+            base_case_explicit([3, 4, 2], [(1,), (), ()], Counter({1: 1}))
+        assert err.value.element == 4
 
     def test_picks_are_real_set_indices_past_the_last_touched_set(self):
         # Sets 1 and 2 miss the residue {3, 4}; set 4 is never touched.
         oracle = CovertOracle(build_set_system([[1], [2], [3, 4], [1, 2]], 4))
-        assert base_case_explicit(oracle.hitting_query, {3, 4}) == [3]
+        assert base_case_explicit(*round_tally(oracle.hitting_query, {3, 4})) == [3]
 
 
 # One answer per way to break the probe contract (a strictly increasing tuple of ints in
@@ -385,10 +405,10 @@ CORRUPTIONS = {
 }
 
 
-def _outcome(run, probe, residue):
+def _outcome(run, *args):
     """A run's picks, or the type and message of what it raised."""
     try:
-        return run(probe, residue)
+        return run(*args)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -410,15 +430,8 @@ class TestLazyBaseCase:
         if corruption:
             e = data.draw(st.sampled_from(sorted(residue)))
             answers[e] = CORRUPTIONS[corruption](answers[e])
-        # The Counter a full-sample round hands over: its answers in sorted residue order.
-        counts = Counter(chain.from_iterable(answers[e] for e in sorted(residue)))
-
-        def handed(probe, uncovered):
-            return base_case_explicit(probe, uncovered, counts)
-
         rebuilt = _outcome(rebuilt_base_case, answers.__getitem__, residue)
-        assert _outcome(base_case_explicit, answers.__getitem__, residue) == rebuilt
-        assert _outcome(handed, answers.__getitem__, residue) == rebuilt
+        assert _outcome(base_case_explicit, *round_tally(answers.__getitem__, residue)) == rebuilt
 
     def test_a_residue_that_never_goes_stale_builds_nothing(self, monkeypatch):
         # Disjoint sets of sizes 1, 3 and 2: each pick is the largest set, and every
@@ -430,8 +443,7 @@ class TestLazyBaseCase:
 
         monkeypatch.setattr(pseudo_greedy, "build_set_system", refuse)
         monkeypatch.setattr(pseudo_greedy, "greedy_cover", refuse)
-        assert base_case_explicit(oracle.hitting_query, set(range(1, 7))) == [2, 3, 1]
-        assert oracle.ledger.hitting_queries == 6
+        assert base_case_explicit(*round_tally(oracle.hitting_query, range(1, 7))) == [2, 3, 1]
 
     def test_a_stale_tally_rebuilds_only_the_uncovered_answers(self, monkeypatch):
         # Set 1 is picked on its exact tally 4; set 2's tally 3 then holds one uncovered
@@ -444,7 +456,7 @@ class TestLazyBaseCase:
             return build_set_system(rows, universe_size)
 
         monkeypatch.setattr(pseudo_greedy, "build_set_system", spy)
-        picks = base_case_explicit(table.__getitem__, set(table))
+        picks = base_case_explicit(*round_tally(table.__getitem__, table))
         assert built == [([(2, 3), (3,)], 3)]
         assert picks == rebuilt_base_case(table.__getitem__, set(table)) == [1, 3]
 
@@ -452,7 +464,14 @@ class TestLazyBaseCase:
 class TestBaseCaseEntries:
     """Both ways into the base case, with every Counter update and base-case call seen."""
 
-    def _run(self, monkeypatch, n):
+    # n = m = 512: round 2 samples its whole residue of 130 and shortlists nothing.
+    # n = m = 128: round 0 accepts one set, and 61 <= 8*log2(256) = 64 elements are left,
+    # so round 1 is the scale entry, which probes them all under a cut no set reaches.
+    @pytest.mark.parametrize("n, last_round, phase", [
+        pytest.param(512, (2, 130, 128, True), "round-2", id="full-sample"),
+        pytest.param(128, (1, 61, 61, True), "base-case", id="scale"),
+    ])
+    def test_each_entry_hands_its_round_tally_over(self, monkeypatch, n, last_round, phase):
         counted = []  # (inside the base case, entries counted) per Counter update
         tallies, handed = [], []
         inside = [False]
@@ -470,11 +489,11 @@ class TestBaseCaseEntries:
             tallies.append(out[1][2])
             return out
 
-        def base_case_spy(probe, uncovered, counts=None):
+        def base_case_spy(order, answers, counts):
             handed.append(counts)
             inside[0] = True
             try:
-                return base_case(probe, uncovered, counts)
+                return base_case(order, answers, counts)
             finally:
                 inside[0] = False
 
@@ -485,28 +504,23 @@ class TestBaseCaseEntries:
         oracle = CovertOracle(system)
         result = run_pseudo_greedy(oracle, alpha=8.0, rng_seed=1)
         assert verify_cover(system, result.cover)
-        return oracle, result, counted, tallies, handed
-
-    def test_a_full_sample_round_hands_its_tally_over(self, monkeypatch):
-        # n = m = 512: round 2 samples its whole residue of 130 and shortlists nothing,
-        # so the base case picks from that round's answers and Counter, counting nothing.
-        oracle, result, counted, tallies, handed = self._run(monkeypatch, 512)
         last = result.rounds[-1]
-        assert (last.i, last.n_i, last.base_case, last.ledger_delta["hitting"]) == (2, 130, True, 130)
-        assert "base-case" not in oracle.ledger.phase_counts
+        assert (last.i, last.n_i, last.s_i, last.base_case) == last_round
+        assert (last.sample, last.shortlist) == ((), ())
+        assert list(oracle.ledger.phase_counts)[-1] == phase
+        assert oracle.ledger.phase_counts[phase]["hitting"] == last.ledger_delta["hitting"] == last.n_i
         assert len(handed) == 1 and handed[0] is tallies[-1]
-        assert all(handed[0][s] == 0 for s in last.chosen)  # consumed
+        assert handed[0][last.chosen[0]] == 0  # consumed: the first pick is lazy in both
         assert sum(n for inside_base_case, n in counted if inside_base_case) == 0
 
-    def test_the_scale_entry_probes_and_counts_afresh(self, monkeypatch):
-        # n = m = 128: round 0 accepts one set, and 61 <= 8*log2(256) = 64 elements are
-        # left, so the base case probes them again and counts their answers itself.
-        oracle, result, counted, _, handed = self._run(monkeypatch, 128)
-        last = result.rounds[-1]
-        assert (last.i, last.n_i, last.s_i, last.base_case) == (1, 61, 61, True)
-        assert oracle.ledger.phase_counts["base-case"]["hitting"] == 61
-        assert handed == [None]
-        assert sum(n for inside_base_case, n in counted if inside_base_case) > 0
+    def test_the_scale_entry_shortlists_nothing_at_the_threshold(self):
+        # N = 8 and alpha 2 put the threshold at exactly 6 = s_0, and set 1 holds all six
+        # elements: the scale entry's cut must still be one that no set reaches.
+        oracle = CovertOracle(build_set_system([range(1, 7), [1]], 6))
+        result = run_pseudo_greedy(oracle, alpha=2.0, rng_seed=0)
+        (only,) = result.rounds
+        assert (only.base_case, only.shortlist, only.chosen) == (True, (), (1,))
+        assert (result.ledger.hitting_queries, result.ledger.set_queries) == (6, 0)
 
 
 class TestRun:
