@@ -18,7 +18,7 @@ import sys
 
 from .discovery import offline_verification
 from .epsnet import DEFAULT_ALPHA_NET
-from .errors import CovertSetCoverError, require_size
+from .errors import CovertSetCoverError, require_count
 from .generators import GRAPH_MODELS, SET_MODELS, gen_graph, gen_set_system
 from .graphs import graph_to_json_dict
 from .harness import (
@@ -147,7 +147,7 @@ def _cmd_experiment(args) -> dict:
 
 def _seeds(args) -> list[int]:
     """seed, ..., seed + trials - 1; the trial count is checked before the list is made."""
-    require_size("trials", args.trials)
+    require_count("trials", args.trials)
     return list(range(args.seed, args.seed + args.trials))
 
 

@@ -62,7 +62,7 @@ class ExperimentConfig:
         if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not (isinstance(self.seeds, list) and self.seeds
-                and all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)):
+                and all(type(s) is int for s in self.seeds)):
             raise ValueError(f"seeds must be a nonempty list of ints, got {self.seeds!r}")
         require_instance("source", self.source, dict)
         require_instance("compute_opt", self.compute_opt, bool)

@@ -88,16 +88,15 @@ def _held(answers: Iterable[tuple[int, ...]], s: int) -> Iterable[int]:
 
 
 def sequential_filter(
-    shortlist: Sequence[int], tally: Tally, accept: Accept, threshold: float
+    shortlist: Sequence[int], tally: Tally, threshold: float
 ) -> tuple[list[int], set]:
-    """Walk the shortlist in order, accepting sets that still own enough samples.
+    """Walk the shortlist in order, keeping sets that still own enough samples.
 
-    A set is accepted iff its sampled elements outside those claimed by
-    earlier acceptances still number >= ``threshold``; acceptance calls
-    ``accept(s)`` (one charged query). Every shortlisted set must reach
-    ``threshold`` in the tally, whose answers must be strictly increasing
-    tuples of ints. Returns (accepted sets in order, the sampled elements
-    they claimed).
+    A set is kept iff its sampled elements outside those claimed by sets
+    kept before it still number >= ``threshold``. Every shortlisted set
+    must reach ``threshold`` in the tally, whose answers must be strictly
+    increasing tuples of ints. Charges no query. Returns (kept sets in
+    order, the sampled elements they claimed).
     """
     sample, answers, _ = tally
     accepted: list[int] = []
@@ -108,7 +107,6 @@ def sequential_filter(
         if accepted and sum(_held(answers, s)) < threshold:
             continue
         accepted.append(s)
-        accept(s)
         held = list(_held(answers, s))
         claimed.update(compress(sample, held))
         unheld = list(map(not_, held))
@@ -134,21 +132,18 @@ def base_case_explicit(
     if not all(answers):
         raise UncoverableInstanceError(next(e for e, a in zip(order, answers) if not a))
     picks: list[int] = []
-    tally = Counter()
-    if all(type(a) is tuple for a in answers) and _INT_ONLY.issuperset(
-        map(type, chain.from_iterable(answers))
-    ):
-        tally = counts
-    if tally and min(tally) >= 1 and max(tally) <= MAX_INSTANCE_SIZE:
+    if (all(type(a) is tuple for a in answers)
+            and _INT_ONLY.issuperset(map(type, chain.from_iterable(answers)))
+            and min(counts, default=0) >= 1 and max(counts) <= MAX_INSTANCE_SIZE):
         while answers:
-            top = max(tally.values())
-            s = min(s for s, count in tally.items() if count == top)
+            top = max(counts.values())
+            s = min(s for s, count in counts.items() if count == top)
             held = list(map(contains, answers, repeat(s)))
             if sum(held) < top:
                 break
             picks.append(s)
             answers = list(compress(answers, map(not_, held)))
-            tally[s] = 0
+            counts[s] = 0
         if not answers:
             return picks
     residue = build_set_system(answers, max(chain.from_iterable(answers))).transposed()
@@ -167,15 +162,17 @@ def sampled_greedy(
     """The sampled greedy rounds, over any instance behind a metered oracle.
 
     ``remaining()`` gives the uncovered elements at each round boundary;
-    ``probe`` and ``accept`` are the two charged queries. Round i has scale
-    s_i = min(n_0/2^i, n_i), n_0 = len(remaining()) at the start, and one
-    threshold alpha*log2(n_total) sets the sampling rate and both cuts. A
-    round with s_i <= threshold probes the whole residue; a round that
-    probed its whole, unchanged residue and shortlists nothing hands its
-    tally to :func:`base_case_explicit`, and the run ends. Each round is a
-    ledger phase traced as a :class:`RoundState`. ``alpha`` must be a finite
-    positive real and ``rng_seed`` an int. Returns (chosen set indices in
-    order, the round trace, the element in no set, or None).
+    ``probe`` and ``accept`` are the two charged queries, made here only.
+    Round i has scale s_i = min(n_0/2^i, n_i), n_0 = len(remaining()) at
+    the start, and one threshold alpha*log2(n_total) sets the sampling rate
+    and both cuts. A round draws, probes and tallies, decides from the
+    tally, then accepts the filter's picks in order. At s_i <= threshold,
+    or once a round probed its whole, unchanged residue and shortlisted
+    nothing, the tally goes to :func:`base_case_explicit`, whose picks are
+    not accepted, and the run ends. Each round is a ledger phase traced as
+    a :class:`RoundState`. ``alpha`` must be a finite positive real and
+    ``rng_seed`` an int. Returns (chosen set indices in order, the round
+    trace, the element in no set, or None).
     """
     _require_ints(rng_seed=rng_seed)
     require_run_constants(alpha=alpha)
@@ -193,15 +190,15 @@ def sampled_greedy(
         before = oracle.ledger_snapshot()
         base_case = s_i <= threshold
         oracle.mark_phase("base-case" if base_case else f"round-{i}")
-        if base_case:
-            sample = sorted(uncovered)
-        else:
-            sample = draw_round_sample(uncovered, s_i, threshold, rng)
-        # The scale entry's cut is one no set reaches: it probes and tallies only.
+        # The scale entry draws at p = 1 (the run ends there, so its extra draws are never
+        # read) and cuts where no set reaches: it probes and tallies its whole residue.
+        sample = draw_round_sample(uncovered, s_i, threshold, rng)
         shortlist, tally = shortlist_sets(sample, probe, math.inf if base_case else threshold)
         picks: list[int] = []
         if shortlist:
-            picks, _ = sequential_filter(shortlist, tally, accept, threshold)
+            picks, _ = sequential_filter(shortlist, tally, threshold)
+            for s in picks:
+                accept(s)
         elif base_case or len(sample) == n_i == len(remaining()):
             base_case, sample = True, []
             try:

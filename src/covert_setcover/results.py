@@ -13,10 +13,12 @@ class RoundState:
     """One sampling round of the covert greedy simulation.
 
     ``s_i`` is the scale min(n'/2^i, n_i); ``sample`` the drawn uncovered
-    elements; ``shortlist`` and ``chosen`` are in canonical index order.
-    A base-case round records an empty sample/shortlist and the final picks.
-    Its s_i may exceed alpha*log2(N) when it sampled the whole residue and
-    shortlisted nothing (see :func:`.pseudo_greedy.sampled_greedy`).
+    elements; ``shortlist`` and ``chosen`` are in canonical index order, and
+    each set in ``chosen`` was accepted (one set query) after the round's
+    probes. A base-case round records an empty sample/shortlist and the
+    final picks, which are not accepted. Its s_i may exceed alpha*log2(N)
+    when it sampled the whole residue and shortlisted nothing (see
+    :func:`.pseudo_greedy.sampled_greedy`).
     """
 
     i: int

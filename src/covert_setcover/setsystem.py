@@ -204,16 +204,6 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     count), so the output size obeys the harmonic bound
     |cover| <= (OPT / theta) * H(universe_size).
 
-    The uncovered counts are kept exactly: they start at the set sizes, and
-    each newly covered element decrements the count of every set containing
-    it, O(sum of set sizes) over a run; the last pick's decrements are
-    skipped, since nothing reads them.
-    Counts only fall, so while n_max holds, every set before the last one
-    found at n_max is below it and every set before the last pick is below
-    the bar ceil(theta * n_max) (an int count reaches theta * n_max exactly
-    when it reaches the bar). Both scans resume where they stopped; a full
-    pass over the m counts is made only when n_max falls.
-
     Raises :class:`UncoverableInstanceError` naming an uncovered element if
     the family cannot cover the universe, and ``ValueError`` if a pick covers
     nothing new, which only a wrong ``element_to_sets`` can cause.
@@ -230,6 +220,10 @@ def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
         if n_max == 0:
             raise UncoverableInstanceError(min(uncovered))
         bar = ceil(theta * n_max)
+        # Counts only fall, so while n_max holds, every set before the last one found at
+        # n_max is below it and every set before the last pick is below the bar (an int
+        # count reaches theta * n_max exactly when it reaches the bar): both scans resume
+        # where they stopped, and all m counts are read again only when n_max falls.
         top = s = 0
         while True:  # the picks at this n_max; covering the last element ends it too
             try:

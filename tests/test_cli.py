@@ -198,17 +198,28 @@ class TestSizeCap:
         error = json.loads(err)
         assert error["kind"] == "ValueError" and message in error["error"]
 
-    @pytest.mark.parametrize("command, flag", [("setcover", "--instance"), ("discover", "--graph")])
-    def test_trial_count(self, command, flag, bounded_memory, tmp_path, capsys):
+    # A count below 1 is named as the trial count, not as the empty seed list it would make.
+    @pytest.mark.parametrize("command, flag, trials, message", [
+        pytest.param("setcover", "--instance", "1000000000",
+                     "trials is 1000000000; at most 1048576 are allowed", id="setcover---instance"),
+        pytest.param("discover", "--graph", "1000000000",
+                     "trials is 1000000000; at most 1048576 are allowed", id="discover---graph"),
+        pytest.param("setcover", "--instance", "0", "trials must be an integer >= 1, got 0",
+                     id="setcover-trials-0"),
+        pytest.param("discover", "--graph", "0", "trials must be an integer >= 1, got 0",
+                     id="discover-trials-0"),
+        pytest.param("setcover", "--instance", "-3", "trials must be an integer >= 1, got -3",
+                     id="setcover-trials-negative"),
+        pytest.param("discover", "--graph", "-3", "trials must be an integer >= 1, got -3",
+                     id="discover-trials-negative"),
+    ])
+    def test_trial_count(self, command, flag, trials, message, bounded_memory, tmp_path, capsys):
         path = tmp_path / "small.json"
         path.write_text('{"universe_size": 2, "sets": [[1, 2]], "n": 2, "edges": [[1, 2]]}')
         extra = ["--algo", "greedy"] if command == "setcover" else []
-        code, out, err = run_cli(capsys, command, flag, str(path), *extra,
-                                 "--trials", "1000000000")
+        code, out, err = run_cli(capsys, command, flag, str(path), *extra, "--trials", trials)
         assert code == 1 and out == ""
-        error = json.loads(err)
-        assert error == {"error": "trials is 1000000000; at most 1048576 are allowed",
-                         "kind": "ValueError"}
+        assert json.loads(err) == {"error": message, "kind": "ValueError"}
 
 
 class TestMalformedInput:
@@ -282,8 +293,8 @@ class TestMalformedInput:
               "--density", "nan"], "density must be a number in [0, 1]"),
             (["bench", "--k", "1"], "at least two distinct k values"),
             (["bench", "--k", ",,"], "at least two distinct k values"),
-            (["bench", "--trials", "0"], "seeds must be nonempty"),
-            (["bench", "--trials", "-1"], "seeds must be nonempty"),
+            (["bench", "--trials", "0"], "trials must be an integer >= 1, got 0"),
+            (["bench", "--trials", "-1"], "trials must be an integer >= 1, got -1"),
             (["lemma-test", "--alpha", "inf"], "alpha must be finite and positive"),
             (["lemma-test", "--alpha", "nan"], "alpha must be finite and positive"),
             (["lemma-test", "--log2-n", "nan"], "log2_n_total must be finite and positive"),

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,12 @@ from covert_setcover.harness import (
 from covert_setcover.setsystem import to_json_dict
 
 from oracles import binomial_tail_exact
+
+
+class Seed(IntEnum):
+    """An int subclass: a seed list holding one is refused like a list of floats."""
+
+    ONE = 1
 
 
 def planted_source(**overrides):
@@ -117,6 +124,7 @@ class TestRunExperiment:
             ("seeds", (0, 1)),
             ("seeds", [1.5]),
             ("seeds", [True]),
+            ("seeds", [0, Seed.ONE]),
             ("source", None),
             ("compute_opt", "yes"),
             ("alpha", "8"),
@@ -125,8 +133,8 @@ class TestRunExperiment:
             ("alpha_net", None),
         ],
         ids=["algorithm-list", "seeds-str", "seeds-tuple", "seeds-float", "seeds-bool",
-             "source-none", "compute-opt-str", "alpha-str", "alpha-bool", "theta-str",
-             "alpha-net-none"],
+             "seeds-int-subclass", "source-none", "compute-opt-str", "alpha-str", "alpha-bool",
+             "theta-str", "alpha-net-none"],
     )
     def test_config_field_of_wrong_type(self, field, value):
         config = ExperimentConfig(algorithm="pseudo-greedy", seeds=[0], source=planted_source())
