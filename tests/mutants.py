@@ -2,8 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 tests/mutants.py              # every mutant
-    python3 tests/mutants.py NAME ...     # the named mutants only
+    python3 tests/mutants.py
 
 A mutant is one exact text in one module of the package and its
 replacement. The text must occur in the module exactly once, so a refactor
@@ -21,7 +20,6 @@ copy fails.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -168,14 +166,7 @@ def caught(test: str, failed: set) -> bool:
     return any(f == test or f.startswith(test + "[") for f in failed)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run; default all")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
-    mutants = [m for m in MUTANTS if not args.names or m.name in args.names]
+def main() -> int:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
@@ -184,20 +175,20 @@ def main(argv=None) -> int:
         shutil.copy2(ROOT / "pyproject.toml", copy)
         (copy / "tests" / COPY_CHECK).write_text(COPY_CHECK_SOURCE)
         bad = False
-        for m in mutants:
+        for m in MUTANTS:
             found = (copy / "src" / "covert_setcover" / f"{m.module}.py").read_text().count(m.text)
             if found != 1:
                 print(f"{m.name}: its text occurs {found} times in {m.module}, not once")
                 bad = True
         if bad:
             return 1
-        listed = sorted({t for m in mutants for t in m.tests})
+        listed = sorted({t for m in MUTANTS for t in m.tests})
         code, failed = run_tests(copy, [f"tests/{COPY_CHECK}", *listed], TIMEOUT_S * 2)
         if code != 0:
             print(f"the unmutated copy fails (exit {code}): {sorted(failed)}")
             return 1
         survivors = []
-        for m in mutants:
+        for m in MUTANTS:
             path = copy / "src" / "covert_setcover" / f"{m.module}.py"
             original = path.read_text()
             path.write_text(original.replace(m.text, m.replacement))
@@ -213,7 +204,7 @@ def main(argv=None) -> int:
                 print(f"          still passes: {test}")
             if passed:
                 survivors.append(m.name)
-    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
