@@ -122,7 +122,8 @@ class CovertOracle(MeteredOracle):
     :meth:`hitting_query` and :meth:`set_query`; tests audit that covert
     runs only ever use set indices that appeared in some logged answer.
     Queries are logged with kind "hitting" or "set". An answer is the hidden
-    system's stored increasing tuple itself, returned with no sort or copy.
+    system's stored increasing tuple itself, returned with no sort or copy;
+    the round engine of :mod:`.pseudo_greedy` relies on that and checks none.
     """
 
     hidden_type = SetSystem

@@ -16,7 +16,7 @@ the base case comes within ceil(log2 n') + 1 rounds.
 through three callables, so network discovery (:mod:`.discovery`) runs the
 same rounds with vertex pairs as elements and vertices as sets. A probe
 answers with the indices of the sets holding an element as a strictly
-increasing tuple of ints (the filter bisects answers).
+increasing tuple of ints (the filter bisects answers); no step checks it.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from operator import contains, not_, sub
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from .errors import (
-    MAX_INSTANCE_SIZE, UncoverableInstanceError, _require_ints, require_instance,
-    require_run_constants,
+    UncoverableInstanceError, _require_ints, require_instance, require_run_constants,
 )
 from .oracle import CovertOracle, MeteredOracle
 from .results import CoverResult, RoundState
-from .setsystem import _INT_ONLY, Cover, _numbers, build_set_system, greedy_cover
+from .setsystem import Cover, _numbers, build_set_system, greedy_cover
 
 DEFAULT_ALPHA = 8.0
 
@@ -126,28 +125,22 @@ def base_case_explicit(
     whose answer is empty. Greedy runs lazily (Minoux) on the answers and, at
     the first stale tally, rebuilds the still-uncovered answers as sets
     (``transposed()``) and finishes with :func:`greedy_cover`, so the picks
-    are greedy's on the whole residue. Answers that are not tuples of ints in
-    [1, ``MAX_INSTANCE_SIZE``] all go to that rebuild.
+    are greedy's on the whole residue.
     """
     if not all(answers):
         raise UncoverableInstanceError(next(e for e, a in zip(order, answers) if not a))
     picks: list[int] = []
-    if (all(type(a) is tuple for a in answers)
-            and _INT_ONLY.issuperset(map(type, chain.from_iterable(answers)))
-            and min(counts, default=0) >= 1 and max(counts) <= MAX_INSTANCE_SIZE):
-        while answers:
-            top = max(counts.values())
-            s = min(s for s, count in counts.items() if count == top)
-            held = list(map(contains, answers, repeat(s)))
-            if sum(held) < top:
-                break
-            picks.append(s)
-            answers = list(compress(answers, map(not_, held)))
-            counts[s] = 0
-        if not answers:
-            return picks
-    residue = build_set_system(answers, max(chain.from_iterable(answers))).transposed()
-    return picks + list(greedy_cover(residue, theta=1.0).set_indices)
+    while answers:
+        top = max(counts.values())
+        s = min(s for s, count in counts.items() if count == top)
+        held = list(map(contains, answers, repeat(s)))
+        if sum(held) < top:
+            residue = build_set_system(answers, max(chain.from_iterable(answers))).transposed()
+            return picks + list(greedy_cover(residue, theta=1.0).set_indices)
+        picks.append(s)
+        answers = list(compress(answers, map(not_, held)))
+        counts[s] = 0
+    return picks
 
 
 def sampled_greedy(

@@ -42,7 +42,8 @@ class SetSystem:
     ``e`` in increasing order (the exact inverse of ``sets``). Both are tuples
     of tuples, built once and never changed, so an oracle can hand out a stored
     tuple as its answer and a system can be shared read-only between
-    concurrent trials. Only :func:`build_set_system` and :meth:`transposed` make one.
+    concurrent trials. Only :func:`build_set_system` and :meth:`transposed` make one,
+    and the round engine relies on that for every probe answer it reads.
     """
 
     universe_size: int

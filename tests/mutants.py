@@ -52,6 +52,44 @@ MUTANTS = (
          PG + "TestFilterMatchesEagerReference::test_covert_oracle_answers"),
     ),
     Mutant(
+        "filter-stops-at-the-threshold", "pseudo_greedy",
+        "        if len(sample) < threshold:\n",
+        "        if len(sample) <= threshold:\n",
+        (PG + "TestSequentialFilter::test_disjoint_sets_both_accepted",
+         PG + "TestSequentialFilter::test_contained_set_discarded",
+         PG + "TestFilterMatchesEagerReference::test_covert_oracle_answers",
+         PG + "TestFilterMatchesEagerReference::test_discovery_hitting_sets"),
+    ),
+    Mutant(
+        "filter-keeps-claimed-answers", "pseudo_greedy",
+        "        answers = list(compress(answers, unheld))\n",
+        "",
+        (PG + "TestSequentialFilter::test_disjoint_sets_both_accepted",
+         PG + "TestSequentialFilter::test_contained_set_discarded",
+         PG + "TestSequentialFilter::test_exact_residual_counting_with_full_sample",
+         PG + "TestSequentialFilter::test_accept_returning_none",
+         PG + "TestFilterMatchesEagerReference::test_covert_oracle_answers",
+         PG + "TestFilterMatchesEagerReference::test_discovery_hitting_sets",
+         "tests/test_golden_trace.py::test_discovery_er_60_benchmark_instance",
+         "tests/test_golden_trace.py::test_discovery_er_grid"),
+    ),
+    Mutant(
+        "held-counts-the-next-set-too", "pseudo_greedy",
+        "map(bisect_right, answers, repeat(s))",
+        "map(bisect_right, answers, repeat(s + 1))",
+        (PG + "TestSequentialFilter::test_disjoint_sets_both_accepted",
+         PG + "TestSequentialFilter::test_contained_set_discarded",
+         PG + "TestSequentialFilter::test_exact_residual_counting_with_full_sample",
+         PG + "TestSequentialFilter::test_accept_returning_none",
+         PG + "TestFilterMatchesEagerReference::test_covert_oracle_answers",
+         PG + "TestFilterMatchesEagerReference::test_discovery_hitting_sets",
+         PG + "TestRun::test_full_information_rounds_match_reference",
+         "tests/test_acceptance.py::test_criterion_5_full_sample_degeneracy",
+         "tests/test_golden_trace.py::test_discovery_er_60_benchmark_instance",
+         "tests/test_golden_trace.py::test_discovery_er_grid",
+         "tests/test_golden_trace.py::test_discovery_statuses_order_er_100"),
+    ),
+    Mutant(
         "filter-picks-not-accepted", "pseudo_greedy",
         "            for s in picks:\n                accept(s)\n",
         "",
@@ -74,22 +112,15 @@ MUTANTS = (
     ),
     Mutant(
         "base-case-recounts-its-answers", "pseudo_greedy",
-        "    picks: list[int] = []\n    if (",
-        "    picks: list[int] = []\n    counts = Counter(chain.from_iterable(answers))\n    if (",
+        "    picks: list[int] = []\n    while answers:\n",
+        "    picks: list[int] = []\n    counts = Counter(chain.from_iterable(answers))\n"
+        "    while answers:\n",
         (PG + "TestBaseCaseEntries::test_each_entry_hands_its_round_tally_over",),
     ),
     Mutant(
-        "lazy-picks-after-a-failed-type-pass", "pseudo_greedy",
-        "all(type(a) is tuple for a in answers)\n"
-        "            and _INT_ONLY.issuperset(map(type, chain.from_iterable(answers)))\n"
-        "            and min(counts",
-        "min(counts",
-        (PG + "TestLazyBaseCase::test_matches_the_whole_rebuild",),
-    ),
-    Mutant(
         "lazy-pick-without-its-exact-count", "pseudo_greedy",
-        "            if sum(held) < top:\n                break\n",
-        "",
+        "        if sum(held) < top:\n",
+        "        if False:\n",
         (PG + "TestLazyBaseCase::test_matches_the_whole_rebuild",
          PG + "TestLazyBaseCase::test_a_stale_tally_rebuilds_only_the_uncovered_answers"),
     ),

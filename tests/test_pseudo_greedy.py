@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from covert_setcover.discovery import LayeredGraphOracle, hitting_set_H, run_network_discovery
 from covert_setcover.epsnet import run_weighted_epsilon_net
-from covert_setcover.errors import MAX_INSTANCE_SIZE, UncoverableInstanceError
+from covert_setcover.errors import UncoverableInstanceError
 from covert_setcover.graphs import Graph, all_pairs
 from covert_setcover.oracle import CovertOracle
 from covert_setcover import pseudo_greedy
@@ -283,6 +283,9 @@ class TestSequentialFilter:
 class TestFilterMatchesEagerReference:
     """Tally plus filter against the eager per-set hit sets, on both kinds of answers."""
 
+    # A whole threshold can equal a sample size, the boundary of the filter's stop test.
+    thresholds = st.integers(1, 8).map(float) | st.floats(0.25, 8.0)
+
     @staticmethod
     def _check(oracle, sample, answer, threshold):
         probed = []
@@ -299,7 +302,7 @@ class TestFilterMatchesEagerReference:
         assert probed == sample
 
     @settings(max_examples=200)
-    @given(family=families(max_n=30, max_m=10), threshold=st.floats(0.25, 8.0), data=st.data())
+    @given(family=families(max_n=30, max_m=10), threshold=thresholds, data=st.data())
     def test_covert_oracle_answers(self, family, threshold, data):
         n, sets = family
         sample = data.draw(st.lists(st.integers(1, n), unique=True))
@@ -307,7 +310,7 @@ class TestFilterMatchesEagerReference:
         self._check(oracle, sample, oracle.hitting_query, threshold)
 
     @settings(max_examples=200)
-    @given(graph=connected_graphs(), threshold=st.floats(0.25, 8.0), data=st.data())
+    @given(graph=connected_graphs(), threshold=thresholds, data=st.data())
     def test_discovery_hitting_sets(self, graph, threshold, data):
         sample = data.draw(st.lists(st.sampled_from(all_pairs(graph.n)), unique=True))
         oracle = LayeredGraphOracle(graph)
@@ -428,16 +431,12 @@ class TestBaseCase:
         assert base_case_explicit(*round_tally(oracle.hitting_query, {3, 4})) == [3]
 
 
-# One answer per way to break the probe contract (a strictly increasing tuple of ints in
-# [1, MAX_INSTANCE_SIZE]); a reversed or duplicated answer stays on the lazy path.
+# Answers that break the probe contract (a strictly increasing tuple) but hold the same
+# ints: the base case checks no answer, and its picks must not depend on the order,
+# repeats or container of an answer's entries.
 CORRUPTIONS = {
     "reversed": lambda a: a[::-1],
     "duplicate": lambda a: a + a[:1],
-    "bool": lambda a: a + (True,),
-    "float": lambda a: a + (2.0,),
-    "zero": lambda a: a + (0,),
-    "negative": lambda a: a + (-1,),
-    "past-the-cap": lambda a: a + (MAX_INSTANCE_SIZE + 1,),
     "list": list,
     "frozenset": frozenset,
 }
@@ -454,7 +453,7 @@ def _outcome(run, *args):
 class TestLazyBaseCase:
     # Up to 40 sets over up to 14 elements give runs that stay lazy to the end and runs
     # that go stale after 0, 1 or more picks; in about half the examples one answer is
-    # corrupted, so the other half still reach the lazy picks.
+    # corrupted before the lazy picks read it.
     @settings(max_examples=300)
     @given(
         family=families(max_n=14, max_m=40),
@@ -474,7 +473,13 @@ class TestLazyBaseCase:
 
     def test_a_residue_that_never_goes_stale_builds_nothing(self, monkeypatch):
         # Disjoint sets of sizes 1, 3 and 2: each pick is the largest set, and every
-        # element it holds is uncovered, so no system and no inverse index is built.
+        # element it holds is uncovered, so no system and no inverse index is built. The
+        # base case trusts the probe contract: it tests holdings with `in` and never
+        # iterates an answer, so sealed answers give the same picks.
+        class Sealed(tuple):
+            def __iter__(self):
+                raise AssertionError("an answer's entries were iterated")
+
         oracle = CovertOracle(build_set_system([[6], [1, 2, 3], [4, 5]], 6))
 
         def refuse(*args, **kwargs):
@@ -482,7 +487,8 @@ class TestLazyBaseCase:
 
         monkeypatch.setattr(pseudo_greedy, "build_set_system", refuse)
         monkeypatch.setattr(pseudo_greedy, "greedy_cover", refuse)
-        assert base_case_explicit(*round_tally(oracle.hitting_query, range(1, 7))) == [2, 3, 1]
+        order, answers, counts = round_tally(oracle.hitting_query, range(1, 7))
+        assert base_case_explicit(order, list(map(Sealed, answers)), counts) == [2, 3, 1]
 
     def test_a_stale_tally_rebuilds_only_the_uncovered_answers(self, monkeypatch):
         # Set 1 is picked on its exact tally 4; set 2's tally 3 then holds one uncovered

@@ -326,16 +326,22 @@ def test_wrong_type_raises_typed_error(call, error, message):
 class TestGreedy:
     def test_wrong_inverse_index_raises_instead_of_looping(self):
         # The index leaves set 2 out of element 1's home sets, so after set 1 is picked,
-        # set 2 keeps count 1 and without the check is picked again forever; the child's
-        # timeout turns a hang into a failure.
-        code = (
-            "from covert_setcover.setsystem import SetSystem, greedy_cover\n"
-            "greedy_cover(SetSystem(3, sets=((1, 2), (1,), (3,)),"
-            " element_to_sets=((1,), (1,), (3,))))\n"
-        )
-        child = _run_child(code)
-        assert child.returncode == 1
-        assert child.stderr.endswith("ValueError: element_to_sets is not the inverse of sets\n")
+        # set 2 keeps count 1 and without the check is picked again forever. Greedy reads
+        # a set's members once per pick and can pick each set at most once, so a read
+        # past the number of sets is a repeated pick and ends the run.
+        class Bounded(tuple):
+            reads = 0
+
+            def __getitem__(self, i):
+                Bounded.reads += 1
+                if Bounded.reads > len(self):
+                    raise AssertionError("greedy picked a set twice")
+                return super().__getitem__(i)
+
+        system = SetSystem(3, sets=Bounded(((1, 2), (1,), (3,))),
+                           element_to_sets=((1,), (1,), (3,)))
+        with pytest.raises(ValueError, match="^element_to_sets is not the inverse of sets$"):
+            greedy_cover(system)
 
     def test_brute_force_refuses_a_wrong_inverse_index_too(self):
         # element_to_sets gives element 2 a home set, but no set holds it, so no subset
