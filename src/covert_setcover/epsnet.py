@@ -112,16 +112,14 @@ def run_weighted_epsilon_net(
     """Run the reweighting baseline against a query oracle.
 
     Guesses k = 1, 2, 4, ... up to the first power of two >= m'. Each guess
-    starts from unit weights and runs at most
-    ITER_CAP_CONST * k * log2(m'/k + 2) iterations: sample a net, fetch the
-    candidate's contents (one set query per distinct candidate set, charged
-    on every iteration), and either return the covering candidate or double
-    the weights along a missed element. A guess whose weights outgrow a
-    float ends there, as if its budget were spent. Exhausting every guess,
-    or a missed element contained in no set, yields a failed result.
-    ``alpha_net`` must be a finite positive real, small enough that the
-    first candidate takes at most MAX_NET_DRAWS draws, and ``rng_seed`` an
-    int.
+    starts from unit weights and runs at most :func:`iteration_cap`
+    iterations: draw a net, fetch each of its sets (charged every iteration),
+    and return it if it covers, else double the weights along a missed
+    element. A guess whose weights outgrow a float ends there. Exhausting
+    every guess, or a missed element in no set, yields a failed result. Each
+    guess is a ledger phase, traced as a :class:`GuessTrace` of its counts.
+    ``alpha_net`` must be a finite positive real giving the first candidate
+    at most MAX_NET_DRAWS draws, and ``rng_seed`` an int.
     """
     require_instance("oracle", oracle, CovertOracle)
     _require_ints(rng_seed=rng_seed)
@@ -141,8 +139,8 @@ def run_weighted_epsilon_net(
         weights = [1] * m_prime
         size = net_size(k, m_prime, alpha_net)
         cap = iteration_cap(k, m_prime)
-        oracle.mark_phase(f"guess-{k}")
-        before = oracle.ledger_snapshot()
+        label = f"guess-{k}"
+        oracle.mark_phase(label)
         iterations, cover, witness = cap, None, None
         for iteration in range(1, cap + 1):
             try:
@@ -166,7 +164,7 @@ def run_weighted_epsilon_net(
                 iterations=iterations,
                 iteration_cap=cap,
                 succeeded=cover is not None,
-                ledger_delta=oracle.ledger.delta_since(before),
+                ledger_delta=oracle.ledger.phase(label),
             )
         )
         if cover is not None or witness is not None or k >= m_prime:

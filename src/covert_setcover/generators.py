@@ -33,14 +33,11 @@ def gen_graph(model: str, n: int = 0, seed: int = 0, p: float = 0.25,
 
     ``er-connected`` resamples an Erdos-Renyi graph until it is connected (at
     most ER_RETRY_BUDGET attempts, then ValueError). It raises before any draw
-    at p = 0, and at a p where the budget finds a connected draw with
-    probability below ER_SUCCESS_FLOOR by either test: a Chernoff bound on
-    the n - 1 edges a connected graph needs (only this one catches a small
-    n), or an estimate from the isolated vertices it lacks (a draw has none
-    with probability about e^-mu, for mu = n (1 - p)^(n - 1) expected;
-    Erdos-Renyi). ``grid``
-    takes rows x cols with vertices numbered row-major. Every parameter is
-    checked, whatever the model, and the vertex count may be at most ``MAX_INSTANCE_SIZE``.
+    at p = 0, or where a connected draw has probability below ER_SUCCESS_FLOOR
+    by a Chernoff bound on the n - 1 edges it needs, or by e^-mu, the chance of
+    no isolated vertex for mu = n (1 - p)^(n - 1). ``grid`` takes rows x cols,
+    numbered row-major. Every parameter is checked, whatever the model, and
+    the vertex count may be at most ``MAX_INSTANCE_SIZE``.
     """
     _require_ints(n=n, seed=seed, rows=rows, cols=cols)
     require_size("n", n)
@@ -106,13 +103,10 @@ def _require_probability(name: str, value) -> None:
 def _sorted_sample(population: Sequence[int], k: int, rng: random.Random) -> list[int]:
     """``sorted(rng.sample(population, k))``, with the same draws from ``rng``'s stream.
 
-    ``random.sample`` (CPython 3.11) draws from a shrinking pool when
-    ``len(population) <= setsize``; that branch, and every error, is left to it.
-    Otherwise it keeps drawing ``getrandbits(n.bit_length())``, dropping a value
-    that is >= n or already selected, until it holds k positions. Here the draws
-    come in chunks of ``need = k - len(selected)``: a chunk adds at most ``need``
-    new positions, so the k-th one is always the last draw of its chunk and no
-    further value is taken from the stream. Values, not positions, are sorted.
+    ``random.sample``'s pool branch (``len(population) <= setsize``) and every
+    error are left to it. Otherwise its ``getrandbits(n.bit_length())`` draws,
+    less values >= n or already held, come in chunks of k - len(selected), so
+    the k-th new position is its chunk's last draw and no extra value is taken.
     """
     n = len(population)
     setsize = 21
@@ -138,19 +132,14 @@ def gen_set_system(
 ) -> tuple[SetSystem, dict]:
     """Build a set-system instance plus metadata describing it.
 
-    Models:
-      uniform-random: each set contains each element with prob ``density``;
-        may be uncoverable, which the metadata flags.
-      planted-cover: the universe is split into ``k`` blocks hidden at random
-        positions among m - k smaller decoy sets, so the optimum is at most k.
-      skewed: set sizes follow a halving scale (n, n/2, n/4, ...) assigned at
-        random.
-
-    Returns (system, meta); meta records the model, parameters, whether the
-    family covers the universe, and for planted-cover the planted indices.
-    Every parameter is checked, whatever the model; n and m may be at most
-    ``MAX_INSTANCE_SIZE`` and n * m at most ``MAX_INSTANCE_ENTRIES``. The
-    system holds one int object per element value.
+    Models: ``uniform-random`` puts each element in each set with probability
+    ``density`` and may not cover; ``planted-cover`` hides ``k`` blocks that
+    split the universe among m - k smaller decoys, so OPT <= k; ``skewed``
+    gives the sets sizes n, n/2, n/4, ... at random. Returns (system, meta):
+    the model, its parameters, whether the family covers, and for
+    planted-cover the planted indices. Every parameter is checked, whatever
+    the model; n and m may be at most ``MAX_INSTANCE_SIZE`` and n * m at most
+    ``MAX_INSTANCE_ENTRIES``. The system holds one int object per element value.
     """
     require_count("n", n)
     require_count("m", m)

@@ -1,13 +1,11 @@
 """Seeded experiment runner, statistical checks, and benchmark comparisons.
 
-Reports are plain dicts ready for JSON: a config echo, one record per
-trial (sorted by seed), and aggregates recomputable from the records. A
-record is the result's own ``to_json_dict()`` (cover or query set, round
-trace, ledger) plus the seed, the algorithm, the wall time and the
-harness's judgements: post-hoc validity, the optimum and the ratio to it,
-and the algorithm's measured constant. Wall-clock runtimes and the single
-timestamp field are the only nondeterministic entries, so golden-file
-comparisons drop exactly those.
+Reports are plain dicts ready for JSON: a config echo, one record per trial
+(sorted by seed) and aggregates recomputable from the records. A record is
+the result's own ``to_json_dict()`` plus the seed, the algorithm, the wall
+time and the harness's judgements (post-hoc validity, the optimum, the ratio
+to it and the measured constant). The runtimes and the one timestamp are the
+only nondeterministic entries, so golden-file comparisons drop exactly those.
 """
 
 from __future__ import annotations

@@ -22,10 +22,16 @@ KINDS = ("hitting", "set", "layered")
 
 @dataclass
 class QueryLedger:
-    """Monotone query counts keyed by kind (``KINDS``) plus a per-phase breakdown."""
+    """Query counts by phase, then by kind in ``KINDS`` order; every total is a sum.
 
-    counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(KINDS, 0))
+    A phase enters ``phase_counts``, the one stored table, at its first charged query.
+    """
+
     phase_counts: dict[str, dict[str, int]] = field(default_factory=dict)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return {kind: sum(p[kind] for p in self.phase_counts.values()) for kind in KINDS}
 
     @property
     def hitting_queries(self) -> int:
@@ -44,23 +50,20 @@ class QueryLedger:
         return sum(self.counts.values())
 
     def record(self, kind: str, phase: str) -> None:
-        if kind not in self.counts:
+        if kind not in KINDS:
             raise ValueError(f"unknown query kind {kind!r}")
-        self.counts[kind] += 1
         per_phase = self.phase_counts.get(phase)
         if per_phase is None:
             per_phase = self.phase_counts[phase] = dict.fromkeys(KINDS, 0)
         per_phase[kind] += 1
 
+    def phase(self, label: str) -> dict[str, int]:
+        """A copy of one phase's counts; every kind is 0 for a phase that charged nothing."""
+        return dict(self.phase_counts.get(label) or dict.fromkeys(KINDS, 0))
+
     def snapshot(self) -> "QueryLedger":
         """Value copy, detached from future updates."""
-        return QueryLedger(
-            counts=dict(self.counts),
-            phase_counts={k: dict(v) for k, v in self.phase_counts.items()},
-        )
-
-    def delta_since(self, earlier: "QueryLedger") -> dict[str, int]:
-        return {kind: self.counts[kind] - earlier.counts[kind] for kind in KINDS}
+        return QueryLedger({k: dict(v) for k, v in self.phase_counts.items()})
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,6 +80,7 @@ class MeteredOracle:
     then calls :meth:`_charge`, so a rejected query costs nothing and leaves
     no log line. ``log_stream``, when given, receives one JSON line per
     charged query: {"kind": ..., "arg": id, "answer": [...], "phase": label}.
+    A run's bill is its oracle's whole ledger, so each run takes a fresh oracle.
     A hidden instance that is not a ``hidden_type`` raises ``ValueError``, as
     does a log stream with no ``write``.
     """

@@ -1,21 +1,15 @@
 """Covert set cover by sampled greedy simulation.
 
-The algorithm never sees set contents up front. Each round it estimates
-which sets are still large by Bernoulli-sampling the uncovered elements
-and issuing one hitting query per sampled element; sets holding at least
-alpha*log2(N) sampled elements are shortlisted, then filtered sequentially
-in canonical order so that each accepted set still holds a threshold worth
-of not-yet-claimed samples. Accepted sets are the only ones whose contents
-are ever fetched. Once the round scale drops to alpha*log2(N), a round
-probes the whole residue and shortlists nothing; it, or an earlier
-full-sample round that shortlisted nothing, is the base case: explicit
-greedy on its answers and tally. N = n' + m'; s_i halves per round, so
-the base case comes within ceil(log2 n') + 1 rounds.
+Each round Bernoulli-samples the uncovered elements and makes one hitting
+query per sampled element. Sets holding at least alpha*log2(N) sampled
+elements (N = n' + m') are shortlisted, then filtered in canonical order so
+that each kept set still holds that many unclaimed samples; only kept sets
+are fetched. The scale s_i halves per round, so the base case, explicit
+greedy on one round's answers, comes within ceil(log2 n') + 1 rounds.
 
 :func:`sampled_greedy` is the round engine. It sees the instance only
-through three callables, so network discovery (:mod:`.discovery`) runs the
-same rounds with vertex pairs as elements and vertices as sets. A probe
-answers with the indices of the sets holding an element as a strictly
+through callables, so :mod:`.discovery` runs the same rounds with vertex
+pairs as elements and vertices as sets. A probe answer is a strictly
 increasing tuple of ints (the filter bisects answers); no step checks it.
 """
 
@@ -67,13 +61,11 @@ def shortlist_sets(
 ) -> tuple[list[int], Tally]:
     """Probe every sampled element and keep the sets hit at least ``threshold`` times.
 
-    Returns the shortlist in canonical order together with the round's tally
-    (the sample, its answers in sample order and the Counter of hits per
-    set), which the sequential filter or the base case reuses so no element
-    is charged twice in a round. Each sampled element is probed once, in
-    sample order; the hits of every set are counted in one pass over the
-    answers. The sample has no repeats, so a set's count is the number of
-    sampled elements it holds.
+    Each sampled element is probed once, in sample order. Returns the
+    shortlist in canonical order and the round's tally: the sample, its
+    answers in order and the Counter of hits per set (for a sample with no
+    repeats, the sampled elements each set holds). The filter or the base
+    case reuses the tally, so no element is charged twice in a round.
     """
     answers = [probe(e) for e in sample]
     counts = Counter(chain.from_iterable(answers))
@@ -155,17 +147,16 @@ def sampled_greedy(
     """The sampled greedy rounds, over any instance behind a metered oracle.
 
     ``remaining()`` gives the uncovered elements at each round boundary;
-    ``probe`` and ``accept`` are the two charged queries, made here only.
-    Round i has scale s_i = min(n_0/2^i, n_i), n_0 = len(remaining()) at
-    the start, and one threshold alpha*log2(n_total) sets the sampling rate
-    and both cuts. A round draws, probes and tallies, decides from the
-    tally, then accepts the filter's picks in order. At s_i <= threshold,
-    or once a round probed its whole, unchanged residue and shortlisted
-    nothing, the tally goes to :func:`base_case_explicit`, whose picks are
-    not accepted, and the run ends. Each round is a ledger phase traced as
-    a :class:`RoundState`. ``alpha`` must be a finite positive real and
-    ``rng_seed`` an int. Returns (chosen set indices in order, the round
-    trace, the element in no set, or None).
+    ``probe`` and ``accept`` are the two charged queries. Round i has scale
+    s_i = min(n_0/2^i, n_i), n_0 being the first residue's size, and
+    threshold alpha*log2(n_total). A round draws, probes and tallies, decides
+    from its tally, then accepts the filter's picks. At s_i <= threshold, or
+    once a round probed its whole, unchanged residue and shortlisted nothing,
+    :func:`base_case_explicit` ends the run; its picks are not accepted.
+    Each round is a ledger phase, traced as a :class:`RoundState` of its
+    counts. ``alpha`` must be a finite positive real and ``rng_seed`` an
+    int. Returns (chosen set indices in order, the round trace, the element
+    in no set, or None).
     """
     _require_ints(rng_seed=rng_seed)
     require_run_constants(alpha=alpha)
@@ -180,9 +171,9 @@ def sampled_greedy(
     while uncovered := remaining():
         n_i = len(uncovered)
         s_i = min(n_0 / 2**i, n_i)
-        before = oracle.ledger_snapshot()
         base_case = s_i <= threshold
-        oracle.mark_phase("base-case" if base_case else f"round-{i}")
+        label = "base-case" if base_case else f"round-{i}"
+        oracle.mark_phase(label)
         # The scale entry draws at p = 1 (the run ends there, so its extra draws are never
         # read) and cuts where no set reaches: it probes and tallies its whole residue.
         sample = draw_round_sample(uncovered, s_i, threshold, rng)
@@ -206,7 +197,7 @@ def sampled_greedy(
                 sample=tuple(sample),
                 shortlist=tuple(shortlist),
                 chosen=tuple(picks),
-                ledger_delta=oracle.ledger.delta_since(before),
+                ledger_delta=oracle.ledger.phase(label),
                 base_case=base_case,
             )
         )

@@ -12,13 +12,12 @@ from .setsystem import Cover
 class RoundState:
     """One sampling round of the covert greedy simulation.
 
-    ``s_i`` is the scale min(n'/2^i, n_i); ``sample`` the drawn uncovered
-    elements; ``shortlist`` and ``chosen`` are in canonical index order, and
-    each set in ``chosen`` was accepted (one set query) after the round's
-    probes. A base-case round records an empty sample/shortlist and the
-    final picks, which are not accepted. Its s_i may exceed alpha*log2(N)
-    when it sampled the whole residue and shortlisted nothing (see
-    :func:`.pseudo_greedy.sampled_greedy`).
+    ``s_i`` is the scale min(n'/2^i, n_i) and ``sample`` the drawn uncovered
+    elements; ``shortlist`` and ``chosen`` are in index order, and each set in
+    ``chosen`` was accepted (one set query). A base-case round records an empty
+    sample and shortlist and its picks, which are not accepted; its s_i may
+    exceed alpha*log2(N) after a full-sample round that shortlisted nothing.
+    ``ledger_delta`` holds the counts of the round's ledger phase.
     """
 
     i: int

@@ -197,14 +197,9 @@ def _numbers(m: int) -> tuple[int, ...]:
 def greedy_cover(system: SetSystem, theta: float = 1.0) -> Cover:
     """Relaxed greedy cover: any pick must grab at least ``theta`` times the best.
 
-    Repeatedly takes n_max, the largest number of still-uncovered elements
-    held by any single set, then selects the first set in canonical (index)
-    order whose uncovered count is >= theta * n_max. With theta = 1 this is
-    the classic greedy algorithm with lowest-index tie-breaking. The
-    relaxation never picks a dead set (theta > 0 forces a positive uncovered
-    count), so the output size obeys the harmonic bound
-    |cover| <= (OPT / theta) * H(universe_size).
-
+    Each pick is the first set in index order whose uncovered count is at
+    least theta * n_max, n_max being the largest; theta = 1 is classic greedy
+    with lowest-index ties. So |cover| <= (OPT / theta) * H(universe_size).
     Raises :class:`UncoverableInstanceError` naming an uncovered element if
     the family cannot cover the universe, and ``ValueError`` if a pick covers
     nothing new, which only a wrong ``element_to_sets`` can cause.

@@ -32,6 +32,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 60
 PG = "tests/test_pseudo_greedy.py::"
+SS = "tests/test_setsystem.py::"
+EN = "tests/test_epsnet.py::"
 
 
 class Mutant(NamedTuple):
@@ -131,6 +133,12 @@ MUTANTS = (
         ("tests/test_golden_trace.py::test_discovery_er_grid",),
     ),
     Mutant(
+        "base-case-never-lazy", "pseudo_greedy",
+        "        if sum(held) < top:\n",
+        "        if True:\n",
+        (PG + "TestLazyBaseCase::test_a_residue_that_never_goes_stale_builds_nothing",),
+    ),
+    Mutant(
         "discovery-buys-every-ask", "discovery",
         "        answer = known.get(v)\n",
         "        answer = None\n",
@@ -143,11 +151,74 @@ MUTANTS = (
         ("tests/test_epsnet.py::TestNetSampling::test_matches_random_choices",),
     ),
     Mutant(
+        "window-bisects-left", "epsnet",  # bisect_left, for a row of ints
+        "bisect_right(row, hi, start)",
+        "bisect_right(row, hi - 1, start)",
+        (EN + "TestFindUncovered::test_gap_at_window_edges",
+         EN + "TestFindUncovered::test_matches_union_and_scan"),
+    ),
+    Mutant(
+        "window-end-uncapped", "epsnet",
+        "lo, hi = hi, min(4 * hi, universe_size)",
+        "lo, hi = hi, 4 * hi",
+        (EN + "TestFindUncovered::test_gap_at_window_edges",
+         EN + "TestFindUncovered::test_matches_union_and_scan"),
+    ),
+    Mutant(
+        "first-window-wide", "epsnet",
+        "_FIRST_WINDOW = 64\n",
+        "_FIRST_WINDOW = 1024\n",
+        (EN + "TestFindUncovered::test_reads_stop_at_the_gap_window",),
+    ),
+    Mutant(
+        "reweight-never-doubles", "epsnet",
+        "weights[s - 1] *= 2",
+        "weights[s - 1] += 0",
+        (EN + "TestWeights::test_doubling", EN + "TestWeights::test_reweight_on_miss"),
+    ),
+    Mutant(
+        "greedy-skips-its-decrements", "setsystem",
+        "            for e in new:\n"
+        "                for t in containing[e - 1]:\n"
+        "                    counts[t] -= 1\n",
+        "",
+        (SS + "TestGreedy::test_matches_naive_recount",
+         SS + "TestGreedy::test_harmonic_bound_property",
+         "tests/test_golden_trace.py::test_greedy_cover_sparse_1024_picks"),
+    ),
+    Mutant(
+        "greedy-ignores-theta", "setsystem",
+        "bar = ceil(theta * n_max)",
+        "bar = n_max",
+        (SS + "TestGreedy::test_matches_naive_recount",
+         "tests/test_golden_trace.py::test_greedy_cover_sparse_1024_picks"),
+    ),
+    Mutant(
+        "build-keeps-unsorted-rows", "setsystem",
+        "tuple(sorted(set(row)))",
+        "tuple(set(row))",
+        (SS + "TestBuild::test_sets_stored_sorted_without_duplicates",
+         SS + "TestBuild::test_matches_naive_build"),
+    ),
+    Mutant(
+        "build-skips-the-type-pass", "setsystem",
+        "if _INT_ONLY.issuperset(map(type, row)):",
+        "if True:",
+        (SS + "TestBuild::test_bad_elements_match_naive_build",
+         SS + "TestBuild::test_bad_element_outcome_matches_naive_build"),
+    ),
+    Mutant(
         "greedy-repeats-a-pick-that-covers-nothing", "setsystem",
         "            if not new:\n"
         "                raise ValueError(\"element_to_sets is not the inverse of sets\")\n",
         "",
         ("tests/test_setsystem.py::TestGreedy::test_wrong_inverse_index_raises_instead_of_looping",),
+    ),
+    Mutant(
+        "phase-bill-aliases-the-ledger", "oracle",
+        "return dict(self.phase_counts.get(label) or dict.fromkeys(KINDS, 0))",
+        "return self.phase_counts.get(label) or dict.fromkeys(KINDS, 0)",
+        ("tests/test_oracle.py::TestLedger::test_phase_is_a_detached_copy",),
     ),
     Mutant(
         "trial-count-unchecked", "cli",

@@ -235,6 +235,10 @@ def audit_bill(record, n):
     for kind in ("hitting", "set", "layered"):
         assert sum(r["ledger_delta"][kind] for r in rounds) == ledger[f"{kind}_queries"]
         assert sum(p[kind] for p in ledger["phases"].values()) == ledger[f"{kind}_queries"]
+    # Each round's bill is read from its phase, so the rounds that charged are the phases.
+    bills = [r["ledger_delta"] for r in rounds if any(r["ledger_delta"].values())]
+    assert (sorted(sorted(bill.items()) for bill in bills)
+            == sorted(sorted(phase.items()) for phase in ledger["phases"].values()))
     if record["algorithm"] == "pseudo-greedy":
         # One hitting query per sampled or residual element, one set query per acceptance.
         sampled = [r for r in rounds if not r["base_case"]]

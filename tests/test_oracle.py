@@ -171,15 +171,19 @@ class TestLedger:
         assert list(ledger.phase_counts) == ["init", "round-3"]
         assert [list(counts) for counts in ledger.phase_counts.values()] == [list(KINDS)] * 2
 
-    def test_delta_since(self, small_oracle):
-        before = small_oracle.ledger_snapshot()
+    def test_phase_is_a_detached_copy(self, small_oracle):
+        ledger = small_oracle.ledger
+        small_oracle.mark_phase("round-0")
+        assert ledger.phase("round-0") == {"hitting": 0, "set": 0, "layered": 0}
+        assert ledger.phase_counts == {}  # reading a phase that charged nothing adds none
         small_oracle.hitting_query(1)
         small_oracle.set_query(1)
-        assert small_oracle.ledger.delta_since(before) == {
-            "hitting": 1,
-            "set": 1,
-            "layered": 0,
-        }
+        bill = ledger.phase("round-0")
+        assert bill == {"hitting": 1, "set": 1, "layered": 0}
+        assert list(bill) == list(KINDS)
+        small_oracle.hitting_query(2)
+        assert bill == {"hitting": 1, "set": 1, "layered": 0}
+        assert ledger.phase("round-0") == {"hitting": 2, "set": 1, "layered": 0}
 
     def test_unknown_kind_rejected(self):
         ledger = QueryLedger()

@@ -687,6 +687,22 @@ class TestRun:
             assert sum(d["hitting"] for d in deltas) == hitting
             assert sum(d["set"] for d in deltas) == set_queries
 
+    def test_round_bills_are_the_ledger_phases_on_a_used_oracle(self):
+        # A run's bill is its oracle's whole ledger, and each round's bill is its phase
+        # there, so on an oracle that a run already used the two still agree: round 0
+        # holds both runs' charges.
+        system, _ = gen_set_system("planted-cover", n=512, m=512, seed=1, k=4)
+        oracle = CovertOracle(system)
+        run_pseudo_greedy(oracle, alpha=8.0, rng_seed=1)
+        result = run_pseudo_greedy(oracle, alpha=8.0, rng_seed=2)
+        report = result.to_json_dict()
+        # Both runs end at a full-sample round, so every phase is a round-i.
+        assert sorted(report["ledger"]["phases"]) == ["round-0", "round-1", "round-2"]
+        assert [r["ledger_delta"] for r in report["rounds"]] == [
+            report["ledger"]["phases"][f"round-{r['i']}"] for r in report["rounds"]
+        ]
+        assert report["rounds"][0]["ledger_delta"]["hitting"] == 639
+
     @settings(max_examples=60)
     @given(family=coverable_families(), alpha=st.sampled_from([0.25, 0.5, 1.0, 8.0]),
            rng_seed=st.integers(0, 99))
