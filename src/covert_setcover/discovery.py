@@ -55,23 +55,18 @@ class LayeredGraphOracle(MeteredOracle):
 
 
 def hitting_set_H(
-    oracle: LayeredGraphOracle, u: int, v: int,
-    answer_of: Callable[[int], LayeredAnswer] | None = None,
-) -> tuple[tuple[int, ...], tuple[LayeredAnswer, LayeredAnswer]]:
-    """Vertices whose query certifies the pair {u, v}, and the two endpoints' answers.
+    u: int, v: int, answer_of: Callable[[int], LayeredAnswer]
+) -> tuple[int, ...]:
+    """Vertices whose query certifies the pair {u, v}.
 
-    Returns (H, (ans_u, ans_v)): H is the vertices at different distances
-    from u and v as a strictly increasing tuple (the answer form the round
-    engine's filter bisects), and always holds u and v. ``answer_of(x)``
-    gives x's layered answer and is called for u, then v; None stands for
-    ``oracle.layered_query``, so both are charged. A non-callable
-    ``answer_of``, equal endpoints, or an answer that is not a
-    :class:`.graphs.LayeredAnswer` raise ``ValueError``.
+    H(u, v) is the vertices at different distances from u and v, as a
+    strictly increasing tuple (the answer form the round engine's filter
+    bisects); it always holds u and v. ``answer_of(x)`` gives x's layered
+    answer and is called for u, then v; pass ``oracle.layered_query`` to
+    charge both. A non-callable ``answer_of``, equal endpoints, or an answer
+    that is not a :class:`.graphs.LayeredAnswer` raise ``ValueError``.
     """
-    require_instance("oracle", oracle, LayeredGraphOracle)
-    if answer_of is None:
-        answer_of = oracle.layered_query
-    elif not callable(answer_of):
+    if not callable(answer_of):
         raise ValueError(f"answer_of must be callable, got {type(answer_of).__name__}")
     if u == v:
         raise ValueError(f"pair endpoints must differ, got ({u}, {v})")
@@ -79,7 +74,7 @@ def hitting_set_H(
     require_instance("answer_of(u)", ans_u, LayeredAnswer)
     ans_v = answer_of(v)
     require_instance("answer_of(v)", ans_v, LayeredAnswer)
-    return _differing(ans_u.dist, ans_v.dist), (ans_u, ans_v)
+    return _differing(ans_u.dist, ans_v.dist)
 
 
 def _differing(dist_u: tuple[int, ...], dist_v: tuple[int, ...]) -> tuple[int, ...]:
@@ -141,26 +136,24 @@ def run_network_discovery(
     require_instance("oracle", oracle, LayeredGraphOracle)
     n = oracle.n_vertices
     statuses: dict[Pair, bool] = {}
-    # The pairs not yet in statuses, in lexicographic order. Each update
-    # rebinds it, so the list a round was handed at its boundary stays unchanged.
+    # The engine's live residue: the pairs not yet in statuses, in lexicographic order.
     unresolved: list[Pair] = list(all_pairs(n))
     known: dict[int, LayeredAnswer] = {}
 
     def answer_of(v: int) -> LayeredAnswer:
-        nonlocal unresolved
         answer = known.get(v)
         if answer is None:
             answer = known[v] = oracle.layered_query(v)
             certified = certified_pairs(answer, unresolved)
             statuses.update(certified)
-            unresolved = list(filterfalse(certified.__contains__, unresolved))
+            unresolved[:] = filterfalse(certified.__contains__, unresolved)
         return answer
 
     # x is in H(u, v) exactly when a query at x certifies {u, v}, so no
     # vertex is chosen twice: Q is the engine's pick list as it stands.
     query_set, rounds, _ = sampled_greedy(
-        oracle, lambda: unresolved, lambda pair: hitting_set_H(oracle, *pair, answer_of)[0],
-        answer_of, n_total=n * n, alpha=alpha, rng_seed=rng_seed,
+        oracle, unresolved, lambda pair: hitting_set_H(*pair, answer_of), answer_of,
+        n_total=n * n, alpha=alpha, rng_seed=rng_seed,
     )
     return DiscoveryResult(statuses=statuses, query_set=query_set,
                            ledger=oracle.ledger_snapshot(), queried=list(known),

@@ -155,7 +155,8 @@ def _offline_trial(solve):
 
 def _discover_trial(graph: Graph, config: ExperimentConfig, seed: int, opt):
     result = run_network_discovery(LayeredGraphOracle(graph), alpha=config.alpha, rng_seed=seed)
-    record = {**result.to_json_dict(), "valid": result.edges == graph.edges()}
+    resolved = len(result.statuses) == graph.n * (graph.n - 1) // 2
+    record = {**result.to_json_dict(), "valid": resolved and result.edges == graph.edges()}
     if opt:
         record["opt_size"] = opt
         record["competitive_ratio"] = competitive_ratio(result, opt)

@@ -8,9 +8,10 @@ are fetched. The scale s_i halves per round, so the base case, explicit
 greedy on one round's answers, comes within ceil(log2 n') + 1 rounds.
 
 :func:`sampled_greedy` is the round engine. It sees the instance only
-through callables, so :mod:`.discovery` runs the same rounds with vertex
-pairs as elements and vertices as sets. A probe answer is a strictly
-increasing tuple of ints (the filter bisects answers); no step checks it.
+through its residue and two callables, so :mod:`.discovery` runs the same
+rounds with vertex pairs as elements and vertices as sets. A probe answer
+is a strictly increasing tuple of ints (the filter bisects answers); no
+step checks it.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def base_case_explicit(
 
 def sampled_greedy(
     oracle: MeteredOracle,
-    remaining: Callable[[], Collection[Hashable]],
+    uncovered: Collection[Hashable],
     probe: Probe,
     accept: Accept,
     n_total: int,
@@ -146,29 +147,29 @@ def sampled_greedy(
 ) -> tuple[list[int], list[RoundState], Hashable | None]:
     """The sampled greedy rounds, over any instance behind a metered oracle.
 
-    ``remaining()`` gives the uncovered elements at each round boundary;
-    ``probe`` and ``accept`` are the two charged queries. Round i has scale
-    s_i = min(n_0/2^i, n_i), n_0 being the first residue's size, and
-    threshold alpha*log2(n_total). A round draws, probes and tallies, decides
-    from its tally, then accepts the filter's picks. At s_i <= threshold, or
-    once a round probed its whole, unchanged residue and shortlisted nothing,
-    :func:`base_case_explicit` ends the run; its picks are not accepted.
-    Each round is a ledger phase, traced as a :class:`RoundState` of its
-    counts. ``alpha`` must be a finite positive real and ``rng_seed`` an
-    int. Returns (chosen set indices in order, the round trace, the element
-    in no set, or None).
+    ``uncovered`` is the live residue; ``probe`` and ``accept``, the two
+    charged queries, may shrink it, since a round draws before its first
+    probe. Round i has scale s_i = min(n_0/2^i, n_i), n_0 being the first
+    residue's size, and threshold alpha*log2(n_total). A round draws, probes
+    and tallies, decides from its tally, then accepts the filter's picks. At
+    s_i <= threshold, or once a round probed its whole, unchanged residue and
+    shortlisted nothing, :func:`base_case_explicit` ends the run; its picks
+    are not accepted. Each round is a ledger phase, traced as a
+    :class:`RoundState` of its counts. ``alpha`` must be a finite positive
+    real and ``rng_seed`` an int. Returns (chosen set indices in order, the
+    round trace, the element in no set, or None).
     """
     _require_ints(rng_seed=rng_seed)
     require_run_constants(alpha=alpha)
     rng = random.Random(rng_seed)
     threshold = alpha * math.log2(n_total)
-    n_0 = len(remaining())
+    n_0 = len(uncovered)
     chosen: list[int] = []
     rounds: list[RoundState] = []
     witness = None
 
     i = 0
-    while uncovered := remaining():
+    while uncovered:
         n_i = len(uncovered)
         s_i = min(n_0 / 2**i, n_i)
         base_case = s_i <= threshold
@@ -183,7 +184,7 @@ def sampled_greedy(
             picks, _ = sequential_filter(shortlist, tally, threshold)
             for s in picks:
                 accept(s)
-        elif base_case or len(sample) == n_i == len(remaining()):
+        elif base_case or len(sample) == n_i == len(uncovered):
             base_case, sample = True, []
             try:
                 picks = base_case_explicit(*tally)
@@ -225,11 +226,10 @@ def run_pseudo_greedy(
     uncovered = set(_numbers(oracle.n_elements))  # shared ints: a kept result copies none
 
     def accept(s: int) -> None:
-        # Shrinking mid-round is safe: the round has already drawn its sample.
         uncovered.difference_update(oracle.set_query(s))
 
     chosen, rounds, witness = sampled_greedy(
-        oracle, lambda: uncovered, oracle.hitting_query, accept,
+        oracle, uncovered, oracle.hitting_query, accept,
         n_total=oracle.n_elements + oracle.n_sets, alpha=alpha, rng_seed=rng_seed,
     )
     return CoverResult(

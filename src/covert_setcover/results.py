@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import Hashable
 
 from .oracle import QueryLedger
 from .setsystem import Cover
@@ -23,7 +24,7 @@ class RoundState:
     i: int
     n_i: int
     s_i: float
-    sample: tuple[int, ...]
+    sample: tuple[Hashable, ...]
     shortlist: tuple[int, ...]
     chosen: tuple[int, ...]
     ledger_delta: dict[str, int]

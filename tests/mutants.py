@@ -128,9 +128,10 @@ MUTANTS = (
     ),
     Mutant(
         "full-sample-end-ignores-a-shrunk-residue", "pseudo_greedy",
-        "len(sample) == n_i == len(remaining())",
+        "len(sample) == n_i == len(uncovered)",
         "len(sample) == n_i",
-        ("tests/test_golden_trace.py::test_discovery_er_grid",),
+        (PG + "TestEarlyFinish::test_a_residue_shrunk_by_a_probe_does_not_end_the_run",
+         "tests/test_golden_trace.py::test_discovery_er_grid"),
     ),
     Mutant(
         "base-case-never-lazy", "pseudo_greedy",
@@ -143,6 +144,20 @@ MUTANTS = (
         "        answer = known.get(v)\n",
         "        answer = None\n",
         ("tests/test_discovery.py::TestDiscovery::test_answer_table_changes_only_the_bill",),
+    ),
+    Mutant(
+        "discovery-residue-never-shrinks", "discovery",
+        "            unresolved[:] = filterfalse(certified.__contains__, unresolved)\n",
+        "",
+        ("tests/test_discovery.py::TestDiscovery"
+         "::test_learned_vertex_reads_only_unresolved_pairs",),
+    ),
+    Mutant(
+        "discovery-drops-non-edges", "discovery",
+        "            statuses.update(certified)\n",
+        "            statuses.update((p, e) for p, e in certified.items() if e)\n",
+        ("tests/test_harness.py::TestRunExperiment"
+         "::test_discover_trial_is_valid_only_with_every_pair_resolved",),
     ),
     Mutant(
         "weighted-net-rounds-draws-up", "epsnet",

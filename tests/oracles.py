@@ -396,22 +396,18 @@ def replay_discovery(graph, alpha, rng_seed):
     """
     oracle = LayeredGraphOracle(graph)
     statuses, learned = {}, {}
+    unresolved = list(all_pairs(graph.n))
 
-    def learn(answer):
-        if answer.source not in learned:
-            learned[answer.source] = True
-            pairs = [p for p in all_pairs(graph.n) if p not in statuses]
-            statuses.update(certified_pairs(answer, pairs))
-
-    def probe(pair):
-        hset, answers = hitting_set_H(oracle, *pair)
-        for answer in answers:
-            learn(answer)
-        return hset
+    def ask(x):
+        answer = oracle.layered_query(x)
+        if x not in learned:
+            learned[x] = True
+            statuses.update(certified_pairs(answer, unresolved))
+            unresolved[:] = [p for p in unresolved if p not in statuses]
+        return answer
 
     picks, rounds, _ = sampled_greedy(
-        oracle, lambda: [p for p in all_pairs(graph.n) if p not in statuses], probe,
-        lambda x: learn(oracle.layered_query(x)),
+        oracle, unresolved, lambda pair: hitting_set_H(*pair, ask), ask,
         n_total=graph.n ** 2, alpha=alpha, rng_seed=rng_seed,
     )
     return DiscoveryResult(statuses, picks, oracle.ledger_snapshot(), rounds, list(learned))

@@ -20,6 +20,20 @@ def random_system(rng, max_n=16, max_m=12, coverable=True):
     return build_set_system(sets, n), sets
 
 
+class Draws:
+    """A stand-in for ``st.data()`` in an ``@example``: its draws return ``values`` in order."""
+
+    def __init__(self, *values):
+        self.values = values
+        self._next = iter(values)
+
+    def __repr__(self):
+        return f"Draws{self.values!r}"
+
+    def draw(self, strategy, label=None):
+        return next(self._next)
+
+
 @st.composite
 def families(draw, max_n=24, max_m=8):
     """(n, sets): any family of subsets of 1..n; some elements may have no home set."""

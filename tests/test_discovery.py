@@ -5,7 +5,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covert_setcover import discovery
@@ -115,11 +115,9 @@ class TestLayeredOracle:
 class TestHittingSet:
     def test_g6_pair_2_3(self, g6):
         oracle = LayeredGraphOracle(g6)
-        hset, (ans_u, ans_v) = hitting_set_H(oracle, 2, 3)
-        assert hset == (2, 3, 4, 5, 6)
+        assert hitting_set_H(2, 3, oracle.layered_query) == (2, 3, 4, 5, 6)
         assert oracle.ledger.layered_queries == 2
-        assert (ans_u.source, ans_v.source) == (2, 3)
-        assert certified_pairs(ans_u)[(2, 3)] is False  # the probed pair certifies itself
+        assert certified_pairs(layered_answer(g6, 2))[(2, 3)] is False  # the pair certifies itself
 
     def test_endpoints_always_inside(self):
         rng = random.Random(3)
@@ -127,49 +125,51 @@ class TestHittingSet:
             graph = random_connected_graph(rng, rng.randint(2, 8))
             oracle = LayeredGraphOracle(graph)
             for u, v in all_pairs(graph.n):
-                hset, _ = hitting_set_H(oracle, u, v)
+                hset = hitting_set_H(u, v, oracle.layered_query)
                 assert u in hset and v in hset
 
     def test_complete_graph_pair_is_its_own_hitting_set(self):
         for n in (4, 6):
             oracle = LayeredGraphOracle(gen_graph("complete", n=n))
-            hset, _ = hitting_set_H(oracle, 2, 3)
-            assert hset == (2, 3)
+            assert hitting_set_H(2, 3, oracle.layered_query) == (2, 3)
 
     def test_known_endpoints_are_read_uncharged(self, g6):
         oracle = LayeredGraphOracle(g6)
         table = {v: layered_answer(g6, v) for v in (2, 3, 5)}
-        hset, (ans_u, ans_v) = hitting_set_H(oracle, 3, 5, table.__getitem__)
-        assert (ans_u, ans_v) == (table[3], table[5]) and oracle.ledger.layered_queries == 0
-        assert hitting_set_H(oracle, 5, 3, table.__getitem__)[1] == (table[5], table[3])
-        assert oracle.ledger.layered_queries == 0
-        assert hset == hitting_set_H(oracle, 3, 5)[0]
-        assert oracle.ledger.layered_queries == 2  # the default charges both endpoints
+        asked = []
+
+        def answer_of(x):
+            asked.append(x)
+            return table[x]
+
+        hset = hitting_set_H(3, 5, answer_of)
+        assert asked == [3, 5] and oracle.ledger.layered_queries == 0
+        assert hitting_set_H(5, 3, answer_of) == hset
+        assert asked == [3, 5, 5, 3] and oracle.ledger.layered_queries == 0
+        assert hset == hitting_set_H(3, 5, oracle.layered_query)
+        assert oracle.ledger.layered_queries == 2  # the oracle's own query charges both endpoints
 
     @pytest.mark.parametrize("answer_of", [[], (), set(), {}], ids=["list", "tuple", "set", "dict"])
-    def test_answer_of_must_be_callable(self, g6, answer_of):
-        oracle = LayeredGraphOracle(g6)
+    def test_answer_of_must_be_callable(self, answer_of):
         with pytest.raises(ValueError, match="answer_of must be callable"):
-            hitting_set_H(oracle, 2, 3, answer_of)
-        assert oracle.ledger.layered_queries == 0
+            hitting_set_H(2, 3, answer_of)
 
     def test_answer_of_must_return_a_layered_answer(self, g6):
-        oracle = LayeredGraphOracle(g6)
         with pytest.raises(ValueError, match=r"answer_of\(u\) must be a LayeredAnswer"):
-            hitting_set_H(oracle, 2, 3, lambda v: layered_answer(g6, v).dist)
+            hitting_set_H(2, 3, lambda v: layered_answer(g6, v).dist)
         with pytest.raises(ValueError, match=r"answer_of\(v\) must be a LayeredAnswer"):
-            hitting_set_H(oracle, 2, 3, {2: layered_answer(g6, 2), 3: None}.get)
+            hitting_set_H(2, 3, {2: layered_answer(g6, 2), 3: None}.get)
 
     @pytest.mark.parametrize("vertex", [True, 1.0], ids=["bool", "float"])
     def test_non_int_endpoint_is_refused_uncharged(self, g6, vertex):
         oracle = LayeredGraphOracle(g6)
         with pytest.raises(ValueError, match="not an integer"):
-            hitting_set_H(oracle, vertex, 3)
+            hitting_set_H(vertex, 3, oracle.layered_query)
         assert oracle.ledger.layered_queries == 0
 
     def test_same_vertex_rejected(self, g6):
         with pytest.raises(ValueError):
-            hitting_set_H(LayeredGraphOracle(g6), 2, 2)
+            hitting_set_H(2, 2, LayeredGraphOracle(g6).layered_query)
 
     def test_duality_with_certificates(self):
         # x in H(u, v) exactly when a query at x certifies {u, v}.
@@ -179,7 +179,7 @@ class TestHittingSet:
             oracle = LayeredGraphOracle(graph)
             answers = {x: layered_answer(graph, x) for x in range(1, graph.n + 1)}
             for u, v in all_pairs(graph.n):
-                hset, _ = hitting_set_H(oracle, u, v)
+                hset = hitting_set_H(u, v, oracle.layered_query)
                 for x in range(1, graph.n + 1):
                     certified = (u, v) in certified_pairs(answers[x])
                     assert (x in hset) == certified
@@ -262,6 +262,7 @@ class TestDiscovery:
     @settings(max_examples=60, deadline=None)
     @given(graph=connected_graphs(), alpha=st.sampled_from([1.0, 2.0, 8.0]),
            rng_seed=st.integers(0, 99))
+    @example(graph=Graph.from_edges(3, [(1, 2), (1, 3)]), alpha=1.0, rng_seed=0)
     def test_answer_table_changes_only_the_bill(self, graph, alpha, rng_seed):
         reference = replay_discovery(graph, alpha, rng_seed)
         # Without the table: two queries per probed pair, one per accept.

@@ -156,6 +156,7 @@ class TestNetSampling:
     # Totals one past and one short of the halfway point above the largest float.
     @example(weights=[2**1024 - 2**970, 1], size=50, seed=1)
     @example(weights=[1, 2**1023, 2**1023 - 2**970 - 2], size=50, seed=2)
+    @example(weights=[1, 1], size=1, seed=1)  # the one draw, 0.27, falls in set 1
     def test_matches_random_choices(self, weights, size, seed):
         # The same sets and the same state of the stream as random.choices,
         # and OverflowError exactly where random.choices cannot total the weights.
@@ -200,6 +201,7 @@ class TestFindUncovered:
     @settings(max_examples=150)
     @given(case=coverage_cases())
     @example(case=([], {}, 100))
+    @example(case=([1], {1: (1,)}, 1))
     def test_matches_union_and_scan(self, case):
         candidate, contents, n = case
         assert find_uncovered(rows_of(candidate, contents), n) == naive_find_uncovered(

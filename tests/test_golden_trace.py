@@ -121,7 +121,7 @@ def test_discovery_er_60_benchmark_instance():
 
 def test_discovery_er_grid():
     # sampled_greedy ends the run at a full-sample round that shortlists nothing only if
-    # the round's probes left len(remaining()) as it was. Discovery's side certificates
+    # the round's probes left len(uncovered) as it was. Discovery's side certificates
     # shrink the residue inside a round, so its reports must not change; without that
     # check Q grows on two of these runs (n = 8, alpha 4, seeds 1 and 2).
     reports = []

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covert_setcover import harness
-from covert_setcover.generators import gen_set_system
+from covert_setcover.generators import gen_graph, gen_set_system
 from covert_setcover.harness import (
     ExperimentConfig,
     aggregate_cover_trials,
@@ -111,6 +111,26 @@ class TestRunExperiment:
         for trial in report["trials"]:
             assert trial["valid"]
             assert trial["competitive_ratio"] >= 1.0
+
+    def test_discover_trial_is_valid_only_with_every_pair_resolved(self, monkeypatch):
+        # Dropping the non-edge statuses keeps every edge right, but leaves pairs unresolved.
+        discover = harness.run_network_discovery
+
+        def edges_only(oracle, **kwargs):
+            result = discover(oracle, **kwargs)
+            result.statuses = {p: True for p in result.edges}
+            return result
+
+        config = ExperimentConfig(
+            algorithm="discover", seeds=[0, 1],
+            source={"kind": "generate", "model": "er-connected", "n": 30, "p": 0.2, "seed": 1},
+        )
+        assert run_experiment(config)["aggregates"]["valid_fraction"] == 1.0
+        monkeypatch.setattr(harness, "run_network_discovery", edges_only)
+        report = run_experiment(config)
+        truth = [list(e) for e in gen_graph("er-connected", n=30, p=0.2, seed=1).edges()]
+        assert all(t["edges"] == truth for t in report["trials"])
+        assert report["aggregates"]["valid_fraction"] == 0.0
 
     def test_seeds_required(self):
         with pytest.raises(ValueError, match="seeds"):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covert_setcover.discovery import LayeredGraphOracle, hitting_set_H, run_network_discovery
@@ -37,7 +37,7 @@ from oracles import (
     naive_round_sample,
     rebuilt_base_case,
 )
-from strategies import connected_graphs, coverable_families, families, random_system
+from strategies import Draws, connected_graphs, coverable_families, families, random_system
 
 
 class ConstantDraws:
@@ -204,6 +204,28 @@ class TestEarlyFinish:
         assert [(r.i, r.base_case) for r in result.rounds] == [(0, True)]
         assert result.ledger.phase_counts == {"round-0": {"hitting": 64, "set": 0, "layered": 0}}
 
+    def test_a_residue_shrunk_by_a_probe_does_not_end_the_run(self):
+        # Eight singleton sets, N = 4 and alpha 1: the threshold is 2, so round 0 samples
+        # all 8 elements at p = 1 and shortlists nothing. Its first probe also drops
+        # element 8 from the live residue, as discovery's side certificates do, so the
+        # round is not a full sample of what is left; round 1 samples the 7 left and ends.
+        oracle = CovertOracle(build_set_system([[e] for e in range(1, 9)], 8))
+        uncovered = set(range(1, 9))
+
+        def probe(e):
+            uncovered.discard(8)
+            return oracle.hitting_query(e)
+
+        chosen, rounds, witness = pseudo_greedy.sampled_greedy(
+            oracle, uncovered, probe, oracle.set_query, n_total=4, alpha=1.0, rng_seed=0,
+        )
+        assert [(r.i, r.n_i, len(r.sample), r.shortlist, r.base_case) for r in rounds] == [
+            (0, 8, 8, (), False), (1, 7, 0, (), True)]
+        assert (chosen, witness) == (list(range(1, 8)), None)
+        assert oracle.ledger.phase_counts == {
+            "round-0": {"hitting": 8, "set": 0, "layered": 0},
+            "round-1": {"hitting": 7, "set": 0, "layered": 0}}
+
 
 class TestSequentialFilter:
     @staticmethod
@@ -263,7 +285,7 @@ class TestSequentialFilter:
             uncovered.difference_update(oracle.set_query(s))
 
         chosen, rounds, witness = pseudo_greedy.sampled_greedy(
-            oracle, lambda: uncovered, oracle.hitting_query, accept,
+            oracle, uncovered, oracle.hitting_query, accept,
             n_total=128, alpha=1.0, rng_seed=0,
         )
         assert [(len(r.chosen), len(r.shortlist), r.base_case) for r in rounds] == [
@@ -303,6 +325,8 @@ class TestFilterMatchesEagerReference:
 
     @settings(max_examples=200)
     @given(family=families(max_n=30, max_m=10), threshold=thresholds, data=st.data())
+    # Set 2 holds only claimed samples, and one sample is left after set 1's claim.
+    @example(family=(2, [{1}, {1}, {1, 2}]), threshold=1.0, data=Draws([1, 2]))
     def test_covert_oracle_answers(self, family, threshold, data):
         n, sets = family
         sample = data.draw(st.lists(st.integers(1, n), unique=True))
@@ -311,10 +335,14 @@ class TestFilterMatchesEagerReference:
 
     @settings(max_examples=200)
     @given(graph=connected_graphs(), threshold=thresholds, data=st.data())
+    # The star at 1: H(1, 2) is every vertex, H(2, 3) = (2, 3) and H(3, 4) = (3, 4).
+    @example(graph=Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)]), threshold=1.0,
+             data=Draws([(1, 2), (2, 3), (3, 4)]))
     def test_discovery_hitting_sets(self, graph, threshold, data):
         sample = data.draw(st.lists(st.sampled_from(all_pairs(graph.n)), unique=True))
         oracle = LayeredGraphOracle(graph)
-        self._check(oracle, sample, lambda pair: hitting_set_H(oracle, *pair)[0], threshold)
+        self._check(oracle, sample, lambda pair: hitting_set_H(*pair, oracle.layered_query),
+                    threshold)
 
 
 def round_tally(probe, residue):
@@ -460,6 +488,9 @@ class TestLazyBaseCase:
         corruption=st.none() | st.sampled_from(sorted(CORRUPTIONS)),
         data=st.data(),
     )
+    # Set 3 is picked at 4; then set 1's tally still reads 3, but it holds nothing uncovered.
+    @example(family=(5, [{1, 2, 3}, {1, 2, 5}, {1, 2, 3, 4}]), corruption=None,
+             data=Draws({1, 2, 3, 4, 5}))
     def test_matches_the_whole_rebuild(self, family, corruption, data):
         n, sets = family
         residue = data.draw(st.sets(st.integers(1, n), min_size=1))

@@ -7,7 +7,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covert_setcover.discovery import (
@@ -128,6 +128,7 @@ class TestBuild:
 
     @settings(max_examples=200)
     @given(case=shaped_rows())
+    @example(case=(8, [("list", [8, 1])]))  # set((8, 1)) iterates 8 first
     def test_matches_naive_build(self, case):
         n, rows = case
         built = build_set_system([CONTAINERS[kind](values) for kind, values in rows], n)
@@ -136,6 +137,7 @@ class TestBuild:
 
     @settings(max_examples=200)
     @given(case=shaped_rows(bad_values=(True, False, 2.0, 1.0, "a", 0, -1, 99, None)))
+    @example(case=(1, [("list", ["a"])]))
     def test_bad_elements_match_naive_build(self, case):
         # Either both builds give the same layout, or both raise a ValueError
         # naming the same element: the first bad value in the row's own order,
@@ -394,6 +396,7 @@ class TestGreedy:
 
     @settings(max_examples=60)
     @given(family=coverable_families(max_n=12), theta=st.sampled_from([1.0, 0.5]))
+    @example(family=(2, [{1}, {2}]), theta=1.0)
     def test_harmonic_bound_property(self, family, theta):
         n, sets = family
         cover = greedy_cover(build_set_system(sets, n), theta=theta)
@@ -420,6 +423,8 @@ class TestGreedy:
         ),
         theta=st.sampled_from([1.0, 0.5, 0.25, 1e-9, 0.999999, 0.75, Fraction(2, 3)]),
     )
+    @example(family=(2, [{1}]), theta=1.0)
+    @example(family=(3, [{1, 2}, {1, 2, 3}]), theta=0.5)  # the bar is 2, so set 1 is first
     def test_matches_naive_recount(self, family, theta):
         n, sets = family
         picks, witness = naive_greedy(sets, n, theta)

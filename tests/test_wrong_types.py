@@ -77,7 +77,7 @@ def entry_points(instance_path):
                                               "pairs": [(1, 2), (1, 3), (2, 3)]}),
         "competitive_ratio": (competitive_ratio, {"result": discovered, "opt_size": 1}),
         "greedy_cover": (greedy_cover, {"system": system, "theta": 1.0}),
-        "hitting_set_H": (hitting_set_H, {"oracle": LayeredGraphOracle(graph), "u": 1, "v": 3,
+        "hitting_set_H": (hitting_set_H, {"u": 1, "v": 3,
                                            "answer_of": LayeredGraphOracle(graph).layered_query}),
         "layered_answer": (layered_answer, {"graph": graph, "v": 1}),
         "offline_verification": (offline_verification, {"graph": graph, "mode": "exact"}),
