@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import compress, filterfalse
-from operator import ne
 from typing import Callable
 
 from .errors import MAX_INSTANCE_ENTRIES, require_count, require_instance, require_size
@@ -63,8 +63,9 @@ def hitting_set_H(
     strictly increasing tuple (the answer form the round engine's filter
     bisects); it always holds u and v. ``answer_of(x)`` gives x's layered
     answer and is called for u, then v; pass ``oracle.layered_query`` to
-    charge both. A non-callable ``answer_of``, equal endpoints, or an answer
-    that is not a :class:`.graphs.LayeredAnswer` raise ``ValueError``.
+    charge both. A non-callable ``answer_of``, equal endpoints, an answer
+    that is not a :class:`.graphs.LayeredAnswer`, or two answers of different
+    vertex counts raise ``ValueError``.
     """
     if not callable(answer_of):
         raise ValueError(f"answer_of must be callable, got {type(answer_of).__name__}")
@@ -74,12 +75,28 @@ def hitting_set_H(
     require_instance("answer_of(u)", ans_u, LayeredAnswer)
     ans_v = answer_of(v)
     require_instance("answer_of(v)", ans_v, LayeredAnswer)
-    return _differing(ans_u.dist, ans_v.dist)
+    if len(ans_u.dist) != len(ans_v.dist):
+        raise ValueError(f"answers of different graphs: answer_of(u) has "
+                         f"{len(ans_u.dist)} levels and answer_of(v) has {len(ans_v.dist)}")
+    return _differing(ans_u, ans_v)
 
 
-def _differing(dist_u: tuple[int, ...], dist_v: tuple[int, ...]) -> tuple[int, ...]:
-    """H(u, v) from two distance tuples, in :func:`.setsystem._numbers`' shared vertex ints."""
-    return tuple(compress(_numbers(len(dist_u)), map(ne, dist_u, dist_v)))
+@lru_cache(maxsize=4)
+def _low_bytes(n: int) -> int:
+    """The mask of the low byte of each of n 16-bit lanes."""
+    return int.from_bytes(b"\x00\xff" * n, "big")
+
+
+def _differing(ans_u: LayeredAnswer, ans_v: LayeredAnswer) -> tuple[int, ...]:
+    """H(u, v) from two answers of one graph, in :func:`.setsystem._numbers`' shared vertex ints.
+
+    A 16-bit lane of the packed levels' XOR is nonzero where the levels differ;
+    folding its high byte onto its low byte leaves one flag byte per vertex.
+    """
+    n = len(ans_u.dist)
+    x = ans_u._packed ^ ans_v._packed
+    flags = ((x | x >> 8) & _low_bytes(n)).to_bytes(2 * n, "big")[1::2]
+    return tuple(compress(_numbers(n), flags))
 
 
 @dataclass
@@ -181,11 +198,12 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
         )
     if n < 2:
         return [], 0
-    dists = [layered_answer(graph, v).dist for v in range(1, n + 1)]
-    entries = (n * n * (n - 1) - sum(c * (c - 1) for d in dists for c in Counter(d).values())) // 2
+    answers = [layered_answer(graph, v) for v in range(1, n + 1)]
+    entries = (n * n * (n - 1)
+               - sum(c * (c - 1) for a in answers for c in Counter(a.dist).values())) // 2
     require_size(f"the number of verification entries of {n} vertices", entries,
                  MAX_INSTANCE_ENTRIES)
-    rows = [_differing(dists[u - 1], dists[v - 1]) for u, v in all_pairs(n)]
+    rows = [_differing(answers[u - 1], answers[v - 1]) for u, v in all_pairs(n)]
     system = build_set_system(rows, n).transposed()
     cover = brute_force_min_cover(system) if mode == "exact" else greedy_cover(system, theta=1.0)
     vertices = list(cover.set_indices)

@@ -9,12 +9,13 @@ always a non-edge, and pairs on the same level stay unresolved.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, compress
-from operator import itemgetter, ne
+from functools import cached_property, lru_cache
+from itertools import chain
 
 from .errors import require_count, require_document, require_index, require_instance, require_size
 
@@ -114,6 +115,21 @@ class LayeredAnswer:
     dist: tuple[int, ...]
     shortest_path_edges: frozenset[Pair]
 
+    @cached_property
+    def _packed(self) -> int:
+        """``dist`` as one int of two big-endian bytes per vertex, read off ``dist`` at first use.
+
+        Levels stay below 2^16 under the 1448-vertex cap; one outside [0, 2^16)
+        raises ``ValueError``. Equality, hash and repr ignore the packing.
+        """
+        try:
+            lanes = array("H", self.dist)
+        except (TypeError, OverflowError):
+            raise ValueError("a layered answer's levels must be ints in [0, 65535]") from None
+        if sys.byteorder == "little":
+            lanes.byteswap()
+        return int.from_bytes(lanes.tobytes(), "big")
+
 
 def layered_answer(graph: Graph, v: int) -> LayeredAnswer:
     """The layered answer at ``v`` (offline; nothing is metered here).
@@ -168,9 +184,8 @@ def certified_pairs(answer: LayeredAnswer, pairs: Sequence[Pair] | None = None) 
         # level[0] is padding and a negative index reads from the end, so neither raises.
         if min(chain.from_iterable(pairs), default=1) < 1:
             raise IndexError
-        u_levels = map(level.__getitem__, map(itemgetter(0), pairs))
-        w_levels = map(level.__getitem__, map(itemgetter(1), pairs))
-        resolved = list(compress(pairs, map(ne, u_levels, w_levels)))
+        resolved = [p for p in pairs if level[p[0]] != level[p[1]]]
     except (TypeError, IndexError):
         raise ValueError("pairs must hold vertex pairs of the answer's graph") from None
-    return dict(zip(resolved, map(answer.shortest_path_edges.__contains__, resolved)))
+    edges = answer.shortest_path_edges
+    return {p: p in edges for p in resolved}

@@ -160,6 +160,19 @@ MUTANTS = (
          "::test_discover_trial_is_valid_only_with_every_pair_resolved",),
     ),
     Mutant(
+        "packed-lanes-drop-the-high-byte", "discovery",
+        "(x | x >> 8)",
+        "x",
+        ("tests/test_discovery.py::TestHittingSet::test_matches_the_distance_rule",),
+    ),
+    Mutant(
+        "differing-reads-the-high-bytes", "discovery",
+        "[1::2]",
+        "[0::2]",
+        ("tests/test_discovery.py::TestHittingSet::test_g6_pair_2_3",
+         "tests/test_discovery.py::TestHittingSet::test_matches_the_distance_rule"),
+    ),
+    Mutant(
         "weighted-net-rounds-draws-up", "epsnet",
         "keys = map(math.floor,",
         "keys = map(math.ceil,",

@@ -21,13 +21,14 @@ from covert_setcover.graphs import Graph, all_pairs, certified_pairs, layered_an
 from covert_setcover.setsystem import brute_force_min_cover, build_set_system
 
 from oracles import (
+    bfs_levels,
     certified_by_query,
     exhaustive_min_cover,
     naive_greedy,
     replay_discovery,
     true_pair_statuses,
 )
-from strategies import connected_graphs
+from strategies import Draws, connected_graphs
 from test_graphs import G6_EDGES, random_connected_graph
 
 
@@ -170,6 +171,22 @@ class TestHittingSet:
     def test_same_vertex_rejected(self, g6):
         with pytest.raises(ValueError):
             hitting_set_H(2, 2, LayeredGraphOracle(g6).layered_query)
+
+    def test_answers_of_different_graphs_are_refused(self):
+        # Zipped level by level, the two answers would give H of the shorter one.
+        path4, path6 = gen_graph("path", n=4), gen_graph("path", n=6)
+        with pytest.raises(ValueError, match="has 4 levels and answer_of\\(v\\) has 6"):
+            hitting_set_H(1, 2, lambda x: layered_answer(path4 if x == 1 else path6, x))
+
+    @settings(max_examples=60)
+    @given(graph=connected_graphs(), data=st.data())
+    # Levels 0 and 256 differ only in their high byte: H is every vertex but 129.
+    @example(graph=gen_graph("path", n=300), data=Draws((1, 257)))
+    def test_matches_the_distance_rule(self, graph, data):
+        u, v = data.draw(st.sampled_from(all_pairs(graph.n)))
+        d_u, d_v = (bfs_levels(graph.n, graph.edges(), x) for x in (u, v))
+        expected = tuple(x for x in range(1, graph.n + 1) if d_u[x] != d_v[x])
+        assert hitting_set_H(u, v, lambda x: layered_answer(graph, x)) == expected
 
     def test_duality_with_certificates(self):
         # x in H(u, v) exactly when a query at x certifies {u, v}.

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from covert_setcover.generators import gen_graph
 from covert_setcover.graphs import (
     Graph,
+    LayeredAnswer,
     all_pairs,
     certified_pairs,
     graph_from_json_dict,
@@ -116,6 +117,19 @@ class TestLayeredAnswer:
         with pytest.raises(ValueError, match="is not an integer"):
             layered_answer(g6, v)
 
+    def test_a_hand_built_answer_is_the_computed_one(self):
+        # The packed levels are cached on the answer but are no field of it.
+        computed = layered_answer(gen_graph("er-connected", n=12, p=0.3, seed=2), 5)
+        built = LayeredAnswer(5, computed.dist, computed.shortest_path_edges)
+
+        def alike():
+            return (built == computed and hash(built) == hash(computed)
+                    and repr(built) == repr(computed))
+
+        assert alike()
+        assert built._packed == computed._packed
+        assert alike()
+
     def test_levels_match_reference_bfs(self):
         rng = random.Random(13)
         for _ in range(20):
@@ -147,8 +161,10 @@ class TestCertifiedPairs:
 
     @pytest.mark.parametrize(
         "pairs",
-        [[(0, 2)], [(-1, 1)], [(2, 0)], [(1, 2), (3, -3)], [(1, 4)], [(1, "2")], [3]],
-        ids=["zero", "negative", "zero-second", "negative-later", "above-n", "str", "int"],
+        [[(0, 2)], [(-1, 1)], [(2, 0)], [(1, 2), (3, -3)], [(1, 4)], [(1, "2")], [3], [(1,)],
+         [{1, 2}]],
+        ids=["zero", "negative", "zero-second", "negative-later", "above-n", "str", "int",
+             "one-vertex", "set"],
     )
     def test_a_pair_outside_the_graph_is_rejected(self, pairs):
         # Path 1-2-3 answered at vertex 1: vertex 0 would read the padding level and
