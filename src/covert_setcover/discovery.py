@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import compress, filterfalse
+from itertools import filterfalse
 from typing import Callable
 
 from .errors import MAX_INSTANCE_ENTRIES, require_count, require_instance, require_size
@@ -24,7 +23,7 @@ from .oracle import MeteredOracle, QueryLedger
 # rounds; perfbench/tracing.py wraps it under this name.
 from .pseudo_greedy import DEFAULT_ALPHA, draw_round_sample, sampled_greedy  # noqa: F401
 from .results import RoundState
-from .setsystem import _numbers, brute_force_min_cover, build_set_system, greedy_cover
+from .setsystem import brute_force_min_cover, build_set_system, greedy_cover
 from .graphs import Graph, LayeredAnswer, Pair, all_pairs, certified_pairs, layered_answer
 
 EXACT_VERIFICATION_VERTEX_CAP = 12
@@ -78,25 +77,7 @@ def hitting_set_H(
     if len(ans_u.dist) != len(ans_v.dist):
         raise ValueError(f"answers of different graphs: answer_of(u) has "
                          f"{len(ans_u.dist)} levels and answer_of(v) has {len(ans_v.dist)}")
-    return _differing(ans_u, ans_v)
-
-
-@lru_cache(maxsize=4)
-def _low_bytes(n: int) -> int:
-    """The mask of the low byte of each of n 16-bit lanes."""
-    return int.from_bytes(b"\x00\xff" * n, "big")
-
-
-def _differing(ans_u: LayeredAnswer, ans_v: LayeredAnswer) -> tuple[int, ...]:
-    """H(u, v) from two answers of one graph, in :func:`.setsystem._numbers`' shared vertex ints.
-
-    A 16-bit lane of the packed levels' XOR is nonzero where the levels differ;
-    folding its high byte onto its low byte leaves one flag byte per vertex.
-    """
-    n = len(ans_u.dist)
-    x = ans_u._packed ^ ans_v._packed
-    flags = ((x | x >> 8) & _low_bytes(n)).to_bytes(2 * n, "big")[1::2]
-    return tuple(compress(_numbers(n), flags))
+    return ans_u.differing(ans_v)
 
 
 @dataclass
@@ -184,7 +165,8 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
     over ``all_pairs(n)``, ``transposed()`` into one set per vertex as in
     :func:`.pseudo_greedy.base_case_explicit`. Their entry count, the sum
     over v of C(n, 2) less C(size, 2) per level of v, is refused above
-    ``MAX_INSTANCE_ENTRIES`` before a row is built. Exact mode enumerates
+    ``MAX_INSTANCE_ENTRIES`` before a row is built, and more than
+    ``MAX_INSTANCE_SIZE`` pairs before the first BFS. Exact mode enumerates
     vertex subsets and requires n <= 12; greedy mode runs the classic greedy
     cover. Nothing here touches a ledger. Returns (vertex list, its size).
     """
@@ -196,6 +178,7 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
         raise ValueError(
             f"exact verification capped at n <= {EXACT_VERIFICATION_VERTEX_CAP}, got {n}"
         )
+    require_size(f"the number of vertex pairs of {n} vertices", n * (n - 1) // 2)
     if n < 2:
         return [], 0
     answers = [layered_answer(graph, v) for v in range(1, n + 1)]
@@ -203,7 +186,7 @@ def offline_verification(graph: Graph, mode: str = "exact") -> tuple[list[int], 
                - sum(c * (c - 1) for a in answers for c in Counter(a.dist).values())) // 2
     require_size(f"the number of verification entries of {n} vertices", entries,
                  MAX_INSTANCE_ENTRIES)
-    rows = [_differing(answers[u - 1], answers[v - 1]) for u, v in all_pairs(n)]
+    rows = [answers[u - 1].differing(answers[v - 1]) for u, v in all_pairs(n)]
     system = build_set_system(rows, n).transposed()
     cover = brute_force_min_cover(system) if mode == "exact" else greedy_cover(system, theta=1.0)
     vertices = list(cover.set_indices)

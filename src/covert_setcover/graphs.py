@@ -15,9 +15,10 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, compress
 
 from .errors import require_count, require_document, require_index, require_instance, require_size
+from .setsystem import _numbers
 
 Pair = tuple[int, int]
 
@@ -129,6 +130,23 @@ class LayeredAnswer:
         if sys.byteorder == "little":
             lanes.byteswap()
         return int.from_bytes(lanes.tobytes(), "big")
+
+    def differing(self, other: LayeredAnswer) -> tuple[int, ...]:
+        """H(u, v) with ``other``, of one graph, in :func:`.setsystem._numbers`' shared vertex ints.
+
+        A 16-bit lane of the packed levels' XOR is nonzero where the levels differ;
+        folding its high byte onto its low byte leaves one flag byte per vertex.
+        """
+        n = len(self.dist)
+        x = self._packed ^ other._packed
+        flags = ((x | x >> 8) & _low_bytes(n)).to_bytes(2 * n, "big")[1::2]
+        return tuple(compress(_numbers(n), flags))
+
+
+@lru_cache(maxsize=4)
+def _low_bytes(n: int) -> int:
+    """The mask of the low byte of each of n 16-bit lanes."""
+    return int.from_bytes(b"\x00\xff" * n, "big")
 
 
 def layered_answer(graph: Graph, v: int) -> LayeredAnswer:

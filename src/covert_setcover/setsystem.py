@@ -26,6 +26,7 @@ from .errors import (
     require_count,
     require_document,
     require_instance,
+    require_size,
     require_theta,
 )
 
@@ -62,10 +63,11 @@ class SetSystem:
 def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSystem:
     """Validate and build a :class:`SetSystem`, including the inverse index.
 
-    Raises ``ValueError`` if the family is empty or not a sequence, a set is
-    not iterable, ``universe_size`` is not an integer in [1, ``MAX_INSTANCE_SIZE``],
-    or a row lists a value other than an ``int`` in ``[1, universe_size]`` (a float
-    or a bool is not an element); the first such value in the row's order is named.
+    Raises ``ValueError`` if the family is empty, not a sequence or longer than
+    ``MAX_INSTANCE_SIZE``, a set is not iterable, ``universe_size`` is not an
+    integer in [1, ``MAX_INSTANCE_SIZE``], or a row lists a value other than an
+    ``int`` in ``[1, universe_size]`` (a float or a bool is not an element); the
+    first such value in the row's order is named.
 
     A tuple row that is already a strictly increasing run of in-range ints is
     stored as the same object, so a caller that passes tuples is not copied.
@@ -77,6 +79,7 @@ def build_set_system(sets: Sequence[Iterable[int]], universe_size: int) -> SetSy
         n_rows = len(sets)
     except TypeError:
         raise ValueError(f"the set family must be a sequence, got {sets!r}") from None
+    require_size("the number of sets", n_rows)
     if n_rows == 0:
         raise ValueError("empty set family")
     rows = []

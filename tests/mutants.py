@@ -160,13 +160,20 @@ MUTANTS = (
          "::test_discover_trial_is_valid_only_with_every_pair_resolved",),
     ),
     Mutant(
-        "packed-lanes-drop-the-high-byte", "discovery",
+        "verification-pair-cap-after-the-bfs", "discovery",
+        '    require_size(f"the number of vertex pairs of {n} vertices", n * (n - 1) // 2)\n',
+        "",
+        ("tests/test_discovery.py::TestOfflineVerification"
+         "::test_too_many_pairs_are_refused_before_any_bfs",),
+    ),
+    Mutant(
+        "packed-lanes-drop-the-high-byte", "graphs",
         "(x | x >> 8)",
         "x",
         ("tests/test_discovery.py::TestHittingSet::test_matches_the_distance_rule",),
     ),
     Mutant(
-        "differing-reads-the-high-bytes", "discovery",
+        "differing-reads-the-high-bytes", "graphs",
         "[1::2]",
         "[0::2]",
         ("tests/test_discovery.py::TestHittingSet::test_g6_pair_2_3",
@@ -241,6 +248,12 @@ MUTANTS = (
         "                raise ValueError(\"element_to_sets is not the inverse of sets\")\n",
         "",
         ("tests/test_setsystem.py::TestGreedy::test_wrong_inverse_index_raises_instead_of_looping",),
+    ),
+    Mutant(
+        "build-admits-any-number-of-sets", "setsystem",
+        '    require_size("the number of sets", n_rows)\n',
+        "",
+        (SS + "TestBuild::test_too_many_sets_are_refused",),
     ),
     Mutant(
         "phase-bill-aliases-the-ledger", "oracle",

@@ -428,6 +428,15 @@ class TestOfflineVerification:
         with pytest.raises(ValueError, match=re.escape(message)):
             offline_verification(gen_graph("path", n=820), mode=mode)
 
+    def test_too_many_pairs_are_refused_before_any_bfs(self, monkeypatch):
+        # C(1449, 2) is past 2^20; the entry cap would refuse it only after 1449 BFS.
+        def bfs(graph, v):
+            raise AssertionError("a BFS ran before the pair cap was checked")
+
+        monkeypatch.setattr(discovery, "layered_answer", bfs)
+        with pytest.raises(ValueError, match="vertex pairs of 1449 vertices is 1049076; at most"):
+            offline_verification(gen_graph("path", n=1449), mode="greedy")
+
     def test_exact_cap(self):
         with pytest.raises(ValueError, match="cap"):
             offline_verification(gen_graph("path", n=13), mode="exact")

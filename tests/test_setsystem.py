@@ -214,6 +214,11 @@ class TestBuild:
         with pytest.raises(ValueError, match=f"universe_size is {size}; at most"):
             build_set_system([[1]], size)
 
+    def test_too_many_sets_are_refused(self):
+        # gen_set_system refuses m past the cap; a built family is capped the same way.
+        with pytest.raises(ValueError, match=f"number of sets is {MAX_INSTANCE_SIZE + 1}; at most"):
+            build_set_system([()] * (MAX_INSTANCE_SIZE + 1), 1)
+
     @pytest.mark.parametrize("element", [True, 1.0], ids=["bool", "float"])
     def test_non_integer_element_rejected(self, element):
         with pytest.raises(ValueError, match="outside"):
