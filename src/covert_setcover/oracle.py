@@ -24,7 +24,8 @@ KINDS = ("hitting", "set", "layered")
 class QueryLedger:
     """Query counts by phase, then by kind in ``KINDS`` order; every total is a sum.
 
-    A phase enters ``phase_counts``, the one stored table, at its first charged query.
+    A phase enters ``phase_counts``, the one stored table, at its first charged query,
+    through :meth:`record`; an oracle counts the rest of the phase into the dict it returns.
     """
 
     phase_counts: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -49,13 +50,19 @@ class QueryLedger:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def record(self, kind: str, phase: str) -> None:
+    def record(self, kind: str, phase: str) -> dict[str, int]:
+        """Count one query of ``kind`` in ``phase``, entering the phase if it is new.
+
+        Returns the phase's stored counts, not a copy. An unknown kind raises
+        ``ValueError`` and changes nothing.
+        """
         if kind not in KINDS:
             raise ValueError(f"unknown query kind {kind!r}")
         per_phase = self.phase_counts.get(phase)
         if per_phase is None:
             per_phase = self.phase_counts[phase] = dict.fromkeys(KINDS, 0)
         per_phase[kind] += 1
+        return per_phase
 
     def phase(self, label: str) -> dict[str, int]:
         """A copy of one phase's counts; every kind is 0 for a phase that charged nothing."""
@@ -81,8 +88,11 @@ class MeteredOracle:
     no log line. ``log_stream``, when given, receives one JSON line per
     charged query: {"kind": ..., "arg": id, "answer": [...], "phase": label}.
     A run's bill is its oracle's whole ledger, so each run takes a fresh oracle.
-    A hidden instance that is not a ``hidden_type`` raises ``ValueError``, as
-    does a log stream with no ``write``.
+    The current phase's ledger entry is cached from its first charged query,
+    which enters it, until the next :meth:`mark_phase`, which drops it; a
+    phase that charges nothing never enters the ledger. A hidden instance
+    that is not a ``hidden_type`` raises ``ValueError``, as does a log stream
+    with no ``write``.
     """
 
     hidden_type: type = object
@@ -95,23 +105,36 @@ class MeteredOracle:
         self._hidden = hidden
         self.ledger = QueryLedger()
         self._phase = "init"
+        self._counts: dict[str, int] = {}  # the cached entry of _phase, empty until it charges
         self._log = log_stream
 
     def mark_phase(self, label: str) -> None:
         """Attribute subsequent query counts to ``label``, which must be a str.
 
         Any other label raises ``ValueError``: it would key the ledger's
-        per-phase counts and be written to the log.
+        per-phase counts and be written to the log. The cached counts of the
+        previous phase are dropped.
         """
         require_instance("phase label", label, str)
         self._phase = label
+        self._counts = {}
 
     def ledger_snapshot(self) -> QueryLedger:
         return self.ledger.snapshot()
 
     def _charge(self, kind: str, arg: int, answer: Sequence[int]) -> None:
-        """Count one query of ``kind`` and log it under the same kind."""
-        self.ledger.record(kind, self._phase)
+        """Count one query of ``kind`` and log it under the same kind.
+
+        Every charged query passes through here: the first since :meth:`mark_phase`
+        through :meth:`QueryLedger.record`, whose dict is cached, each later one as
+        one increment of it. An unknown kind is never in the dict, so it reaches
+        ``record`` and its ``ValueError``.
+        """
+        counts = self._counts
+        if kind in counts:
+            counts[kind] += 1
+        else:
+            self._counts = self.ledger.record(kind, self._phase)
         if self._log is not None:
             self._log.write(
                 json.dumps({"kind": kind, "arg": arg, "answer": list(answer), "phase": self._phase})
@@ -144,14 +167,18 @@ class CovertOracle(MeteredOracle):
 
     def hitting_query(self, e: int) -> tuple[int, ...]:
         """All set indices containing element ``e``. Charges one hitting query."""
-        require_index("element", e, self._hidden.universe_size)
-        answer = self._hidden.element_to_sets[e - 1]
+        hidden = self._hidden
+        if type(e) is not int or not 1 <= e <= hidden.universe_size:
+            require_index("element", e, hidden.universe_size)
+        answer = hidden.element_to_sets[e - 1]
         self._charge("hitting", e, answer)
         return answer
 
     def set_query(self, s: int) -> tuple[int, ...]:
         """All elements of set ``s``. Charges one set query."""
-        require_index("set index", s, len(self._hidden.sets))
-        answer = self._hidden.sets[s - 1]
+        sets = self._hidden.sets
+        if type(s) is not int or not 1 <= s <= len(sets):
+            require_index("set index", s, len(sets))
+        answer = sets[s - 1]
         self._charge("set", s, answer)
         return answer

@@ -67,10 +67,18 @@ def shortlist_sets(
     answers in order and the Counter of hits per set (for a sample with no
     repeats, the sampled elements each set holds). The filter or the base
     case reuses the tally, so no element is charged twice in a round.
+
+    An answer holds a set at most once, so no count exceeds ``len(sample)``:
+    a ``threshold`` above it, such as the base case's ``inf``, shortlists
+    nothing without a scan. Otherwise each int count is compared with the
+    int ``ceil(threshold)``, which keeps the same sets as the real threshold.
     """
     answers = [probe(e) for e in sample]
     counts = Counter(chain.from_iterable(answers))
-    shortlist = sorted(s for s, count in counts.items() if count >= threshold)
+    if threshold > len(sample):
+        return [], (sample, answers, counts)
+    bar = math.ceil(threshold)
+    shortlist = sorted(s for s, count in counts.items() if count >= bar)
     return shortlist, (sample, answers, counts)
 
 

@@ -130,6 +130,8 @@ def from_json_dict(doc: dict) -> SetSystem:
     """Parse the interchange form; a malformed or oversized document raises ValueError."""
     require_document(doc, "set system", ("universe_size", "sets"))
     sets = doc["sets"]
+    if isinstance(sets, list):
+        require_size("the number of sets", len(sets))  # before any row is read
     well_formed = isinstance(sets, list) and all(
         isinstance(members, list) and all(type(e) is int for e in members) for members in sets
     )

@@ -256,6 +256,21 @@ MUTANTS = (
         (SS + "TestBuild::test_too_many_sets_are_refused",),
     ),
     Mutant(
+        "shortlist-skips-at-the-sample-size", "pseudo_greedy",
+        "    if threshold > len(sample):\n",
+        "    if threshold >= len(sample):\n",
+        (PG + "TestShortlist::test_no_scan_past_the_sample_size",
+         PG + "TestShortlist::test_matches_naive_tally"),
+    ),
+    Mutant(
+        "marked-phase-keeps-the-old-counts", "oracle",
+        "        self._phase = label\n        self._counts = {}\n",
+        "        self._phase = label\n",
+        ("tests/test_oracle.py::TestLedger::test_phases_sum_to_total",
+         "tests/test_oracle.py::TestLedger::test_returning_to_a_label_counts_into_its_entry",
+         "tests/test_oracle.py::TestLedger::test_a_marked_phase_enters_only_at_its_first_charge"),
+    ),
+    Mutant(
         "phase-bill-aliases-the-ledger", "oracle",
         "return dict(self.phase_counts.get(label) or dict.fromkeys(KINDS, 0))",
         "return self.phase_counts.get(label) or dict.fromkeys(KINDS, 0)",

@@ -191,6 +191,48 @@ class TestLedger:
             ledger.record("bogus", "init")
         assert ledger.phase_counts == {}
 
+    def test_record_returns_the_live_phase_counts(self):
+        ledger = QueryLedger()
+        live = ledger.record("set", "round-0")
+        assert live is ledger.phase_counts["round-0"]
+        assert live == {"hitting": 0, "set": 1, "layered": 0}
+
+    def test_a_marked_phase_enters_only_at_its_first_charge(self, small_oracle):
+        ledger = small_oracle.ledger
+        small_oracle.hitting_query(1)
+        init = {"init": {"hitting": 1, "set": 0, "layered": 0}}
+        small_oracle.mark_phase("round-0")
+        with pytest.raises(ValueError):
+            small_oracle.hitting_query(4)
+        small_oracle.mark_phase("round-1")
+        assert ledger.phase_counts == init
+        small_oracle.set_query(1)
+        with pytest.raises(ValueError):
+            small_oracle.set_query(3)
+        assert ledger.phase_counts == {**init, "round-1": {"hitting": 0, "set": 1, "layered": 0}}
+
+    def test_returning_to_a_label_counts_into_its_entry(self, small_oracle):
+        for label, query in [("a", "hitting_query"), ("b", "set_query"), ("a", "hitting_query"),
+                             ("a", "set_query"), ("b", "hitting_query")]:
+            small_oracle.mark_phase(label)
+            getattr(small_oracle, query)(1)
+        assert small_oracle.ledger.phase_counts == {
+            "a": {"hitting": 2, "set": 1, "layered": 0},
+            "b": {"hitting": 1, "set": 1, "layered": 0},
+        }
+
+    @pytest.mark.parametrize("charged_before", [0, 1], ids=["phase-start", "mid-phase"])
+    def test_unknown_kind_charged_raises_and_changes_nothing(self, charged_before):
+        stream = io.StringIO()
+        oracle = CovertOracle(build_set_system([[1, 2], [2, 3]], 3), log_stream=stream)
+        for _ in range(charged_before):
+            oracle.hitting_query(1)
+        before, log = oracle.ledger_snapshot(), stream.getvalue()
+        with pytest.raises(ValueError, match="unknown query kind 'bogus'"):
+            oracle._charge("bogus", 1, ())
+        assert oracle.ledger == before
+        assert stream.getvalue() == log
+
 
 class TestQueryLog:
     def test_log_lines(self):

@@ -128,13 +128,17 @@ class TestShortlist:
             caught += hits >= threshold
         assert caught == trials
 
-    @settings(max_examples=100)
-    @given(family=families(max_n=30, max_m=10), alpha=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    # Whole thresholds can equal a count or the sample size, and inf is the base case's cut:
+    # the int bar and the skip past len(sample) keep the sets the real threshold keeps.
+    @settings(max_examples=150)
+    @given(family=families(max_n=30, max_m=10),
+           threshold=st.integers(0, 13).map(float) | st.floats(-1.0, 13.0) | st.just(math.inf),
            data=st.data())
-    def test_matches_naive_tally(self, family, alpha, data):
+    @example(family=(2, [{1, 2}, {2}]), threshold=2.0, data=Draws([1, 2]))
+    @example(family=(2, [{1, 2}, {2}]), threshold=1.5, data=Draws([1, 2]))
+    def test_matches_naive_tally(self, family, threshold, data):
         n, sets = family
         sample = data.draw(st.lists(st.integers(1, n), unique=True))
-        n_total = n + len(sets)
         oracle = CovertOracle(build_set_system(sets, n))
         probed = []
 
@@ -142,7 +146,6 @@ class TestShortlist:
             probed.append(e)
             return oracle.hitting_query(e)
 
-        threshold = alpha * math.log2(n_total)
         shortlist, (tallied, answers, counts) = shortlist_sets(sample, probe, threshold)
         naive: dict[int, set] = {}
         for e in sample:
@@ -156,6 +159,19 @@ class TestShortlist:
                            for e in sample]
         assert probed == sample
         assert oracle.ledger.hitting_queries == len(sample)
+
+    def test_no_scan_past_the_sample_size(self):
+        # Set 1 is in every answer, so its count is len(sample), the most any set can have.
+        system = build_set_system([[1, 2, 3], [2], [3]], 3)
+        answers = [(1,), (1, 2), (1, 3)]
+        counts = Counter({1: 3, 2: 1, 3: 1})
+        for threshold in (3.5, 4.0, math.inf):
+            oracle = CovertOracle(system)
+            shortlist, tally = shortlist_sets([1, 2, 3], oracle.hitting_query, threshold)
+            assert (shortlist, tally) == ([], ([1, 2, 3], answers, counts))
+            assert oracle.ledger.hitting_queries == 3
+        shortlist, _ = shortlist_sets([1, 2, 3], CovertOracle(system).hitting_query, 3.0)
+        assert shortlist == [1]
 
 
 class TestEarlyFinish:

@@ -219,7 +219,20 @@ class TestBuild:
         with pytest.raises(ValueError, match=f"number of sets is {MAX_INSTANCE_SIZE + 1}; at most"):
             build_set_system([()] * (MAX_INSTANCE_SIZE + 1), 1)
 
-    @pytest.mark.parametrize("element", [True, 1.0], ids=["bool", "float"])
+    def test_json_with_too_many_sets_is_refused_before_any_row_is_read(self):
+        class Rows(list):
+            read = False
+
+            def __iter__(self):
+                Rows.read = True
+                return super().__iter__()
+
+        doc = {"universe_size": 1, "sets": Rows([[1]] * (MAX_INSTANCE_SIZE + 1))}
+        with pytest.raises(ValueError, match=f"number of sets is {MAX_INSTANCE_SIZE + 1}; at most"):
+            from_json_dict(doc)
+        assert not Rows.read
+
+    @pytest.mark.parametrize("element",[True, 1.0], ids=["bool", "float"])
     def test_non_integer_element_rejected(self, element):
         with pytest.raises(ValueError, match="outside"):
             build_set_system([[element, 2]], 2)
