@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import filterfalse
+from itertools import compress, filterfalse
+from operator import not_
 from typing import Callable
 
 from .errors import MAX_INSTANCE_ENTRIES, require_count, require_instance, require_size
@@ -99,11 +100,11 @@ class DiscoveryResult:
 
     @property
     def edges(self) -> list[Pair]:
-        return sorted(p for p, is_edge in self.statuses.items() if is_edge)
+        return sorted(compress(self.statuses, self.statuses.values()))
 
     @property
     def non_edges(self) -> list[Pair]:
-        return sorted(p for p, is_edge in self.statuses.items() if not is_edge)
+        return sorted(compress(self.statuses, map(not_, self.statuses.values())))
 
     def to_json_dict(self) -> dict:
         """The report; every pair of ``all_pairs(n)`` not in its edges is a non-edge."""

@@ -117,36 +117,35 @@ class LayeredAnswer:
     shortest_path_edges: frozenset[Pair]
 
     @cached_property
-    def _packed(self) -> int:
-        """``dist`` as one int of two big-endian bytes per vertex, read off ``dist`` at first use.
+    def _planes(self) -> tuple[int, int]:
+        """``dist``'s low bytes and its high bytes, one byte per vertex each, as two ints.
 
-        Levels stay below 2^16 under the 1448-vertex cap; one outside [0, 2^16)
-        raises ``ValueError``. Equality, hash and repr ignore the packing.
+        Read off one ``array("H")`` of ``dist`` at first use. Levels stay below
+        2^16 under the 1448-vertex cap; one outside [0, 2^16) raises
+        ``ValueError``. Equality, hash and repr ignore the planes.
         """
         try:
-            lanes = array("H", self.dist)
+            levels = array("H", self.dist)
         except (TypeError, OverflowError):
             raise ValueError("a layered answer's levels must be ints in [0, 65535]") from None
-        if sys.byteorder == "little":
-            lanes.byteswap()
-        return int.from_bytes(lanes.tobytes(), "big")
+        if sys.byteorder == "big":
+            levels.byteswap()
+        data = levels.tobytes()  # little-endian: each level's low byte, then its high byte
+        return int.from_bytes(data[::2], "big"), int.from_bytes(data[1::2], "big")
 
     def differing(self, other: LayeredAnswer) -> tuple[int, ...]:
         """H(u, v) with ``other``, of one graph, in :func:`.setsystem._numbers`' shared vertex ints.
 
-        A 16-bit lane of the packed levels' XOR is nonzero where the levels differ;
-        folding its high byte onto its low byte leaves one flag byte per vertex.
+        A byte of the low planes' XOR, ORed with the high planes' XOR where
+        those differ, is nonzero exactly where the two levels differ.
         """
         n = len(self.dist)
-        x = self._packed ^ other._packed
-        flags = ((x | x >> 8) & _low_bytes(n)).to_bytes(2 * n, "big")[1::2]
-        return tuple(compress(_numbers(n), flags))
-
-
-@lru_cache(maxsize=4)
-def _low_bytes(n: int) -> int:
-    """The mask of the low byte of each of n 16-bit lanes."""
-    return int.from_bytes(b"\x00\xff" * n, "big")
+        low, high = self._planes
+        other_low, other_high = other._planes
+        flags = low ^ other_low
+        if high != other_high:
+            flags |= high ^ other_high
+        return tuple(compress(_numbers(n), flags.to_bytes(n, "big")))
 
 
 def layered_answer(graph: Graph, v: int) -> LayeredAnswer:

@@ -167,17 +167,27 @@ MUTANTS = (
          "::test_too_many_pairs_are_refused_before_any_bfs",),
     ),
     Mutant(
-        "packed-lanes-drop-the-high-byte", "graphs",
-        "(x | x >> 8)",
-        "x",
-        ("tests/test_discovery.py::TestHittingSet::test_matches_the_distance_rule",),
+        "differing-drops-the-high-planes", "graphs",
+        "        if high != other_high:\n            flags |= high ^ other_high\n",
+        "",
+        ("tests/test_discovery.py::TestHittingSet::test_matches_the_distance_rule",
+         "tests/test_graphs.py::TestDiffering::test_matches_the_level_rule"),
     ),
     Mutant(
-        "differing-reads-the-high-bytes", "graphs",
-        "[1::2]",
-        "[0::2]",
-        ("tests/test_discovery.py::TestHittingSet::test_g6_pair_2_3",
-         "tests/test_discovery.py::TestHittingSet::test_matches_the_distance_rule"),
+        "planes-read-the-low-bytes-twice", "graphs",
+        "int.from_bytes(data[1::2], \"big\")",
+        "int.from_bytes(data[::2], \"big\")",
+        ("tests/test_discovery.py::TestHittingSet::test_matches_the_distance_rule",
+         "tests/test_graphs.py::TestDiffering::test_matches_the_level_rule"),
+    ),
+    Mutant(
+        "planes-let-bad-levels-through", "graphs",
+        "        try:\n            levels = array(\"H\", self.dist)\n"
+        "        except (TypeError, OverflowError):\n"
+        "            raise ValueError(\"a layered answer's levels must be ints in [0, 65535]\")"
+        " from None\n",
+        "        levels = array(\"H\", self.dist)\n",
+        ("tests/test_graphs.py::TestDiffering::test_levels_outside_the_range_are_refused",),
     ),
     Mutant(
         "weighted-net-rounds-draws-up", "epsnet",

@@ -373,16 +373,6 @@ class TestOfflineVerification:
         sets = reference_vertex_sets(g6)
         assert set().union(*(sets[v - 1] for v in vertices)) == set(range(1, 16))
 
-    def test_complete_graphs_need_all_but_one(self):
-        for n in range(4, 9):
-            _, size = offline_verification(gen_graph("complete", n=n), mode="exact")
-            assert size == n - 1
-
-    def test_paths_need_one_endpoint(self):
-        for n in range(4, 11):
-            vertices, size = offline_verification(gen_graph("path", n=n), mode="exact")
-            assert size == 1
-
     def test_greedy_mode_certifies_everything(self):
         rng = random.Random(71)
         for _ in range(10):
@@ -401,6 +391,21 @@ class TestOfflineVerification:
             expected = exhaustive_min_cover(sets, len(all_pairs(graph.n)))
             _, size = offline_verification(graph, mode="exact")
             assert size == len(expected)
+
+    def test_closed_form_optima(self):
+        # Offline verification is the metric dimension: 1 on paths, 2 on cycles and on
+        # grids of at least 2 x 2, n - 2 on stars, n - 1 on complete graphs (Harary and
+        # Melter 1976; Khuller, Raghavachari and Rosenfeld 1996 for grids).
+        closed_forms = {"path": lambda n: 1, "cycle": lambda n: 2,
+                        "star": lambda n: n - 2, "complete": lambda n: n - 1}
+        for model, optimum in closed_forms.items():
+            for n in range(3, 13):
+                _, size = offline_verification(gen_graph(model, n=n), mode="exact")
+                assert size == optimum(n), (model, n)
+        for rows, cols in itertools.product(range(2, 7), repeat=2):
+            if rows * cols <= 12:
+                graph = gen_graph("grid", rows=rows, cols=cols)
+                assert offline_verification(graph, mode="exact")[1] == 2, (rows, cols)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=connected_graphs())

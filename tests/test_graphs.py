@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covert_setcover.generators import gen_graph
@@ -118,7 +118,7 @@ class TestLayeredAnswer:
             layered_answer(g6, v)
 
     def test_a_hand_built_answer_is_the_computed_one(self):
-        # The packed levels are cached on the answer but are no field of it.
+        # The level planes are cached on the answer but are no field of it.
         computed = layered_answer(gen_graph("er-connected", n=12, p=0.3, seed=2), 5)
         built = LayeredAnswer(5, computed.dist, computed.shortest_path_edges)
 
@@ -127,7 +127,7 @@ class TestLayeredAnswer:
                     and repr(built) == repr(computed))
 
         assert alike()
-        assert built._packed == computed._packed
+        assert built._planes == computed._planes
         assert alike()
 
     def test_levels_match_reference_bfs(self):
@@ -138,6 +138,37 @@ class TestLayeredAnswer:
             expected = bfs_levels(graph.n, graph.edges(), v)
             answer = layered_answer(graph, v)
             assert {x: answer.dist[x - 1] for x in range(1, graph.n + 1)} == expected
+
+
+@st.composite
+def level_pairs(draw):
+    """Two equal-length level tuples with every level in [0, 65535]."""
+    n = draw(st.integers(0, 40))
+    levels = st.lists(st.integers(0, 65535), min_size=n, max_size=n).map(tuple)
+    return draw(levels), draw(levels)
+
+
+class TestDiffering:
+    @settings(max_examples=150)
+    @given(levels=level_pairs())
+    @example(levels=((0, 255, 7), (0, 511, 7)))  # equal low bytes: only the high planes differ
+    @example(levels=((256, 3), (257, 3)))  # equal high bytes
+    @example(levels=((65535, 0, 65535), (0, 65535, 65535)))
+    def test_matches_the_level_rule(self, levels):
+        a, b = levels
+        expected = tuple(x for x in range(1, len(a) + 1) if a[x - 1] != b[x - 1])
+        built = [LayeredAnswer(1, dist, frozenset()) for dist in levels]
+        assert built[0].differing(built[1]) == expected
+        assert built[1].differing(built[0]) == expected
+
+    @pytest.mark.parametrize("level", [-1, 65536, 1.5])
+    def test_levels_outside_the_range_are_refused(self, level):
+        bad = LayeredAnswer(1, (0, level), frozenset())
+        good = LayeredAnswer(1, (0, 1), frozenset())
+        with pytest.raises(ValueError, match=r"levels must be ints in \[0, 65535\]"):
+            good.differing(bad)
+        with pytest.raises(ValueError, match=r"levels must be ints in \[0, 65535\]"):
+            bad.differing(good)
 
 
 class TestCertifiedPairs:
