@@ -392,12 +392,23 @@ class TestOfflineVerification:
             _, size = offline_verification(graph, mode="exact")
             assert size == len(expected)
 
+    def test_complete_graphs_need_all_but_one(self):
+        for n in range(3, 13):
+            _, size = offline_verification(gen_graph("complete", n=n), mode="exact")
+            assert size == n - 1
+
+    def test_paths_need_one_endpoint(self):
+        for n in range(3, 13):
+            vertices, size = offline_verification(gen_graph("path", n=n), mode="exact")
+            assert size == 1
+            assert vertices[0] in (1, n)
+
     def test_closed_form_optima(self):
         # Offline verification is the metric dimension: 1 on paths, 2 on cycles and on
         # grids of at least 2 x 2, n - 2 on stars, n - 1 on complete graphs (Harary and
-        # Melter 1976; Khuller, Raghavachari and Rosenfeld 1996 for grids).
-        closed_forms = {"path": lambda n: 1, "cycle": lambda n: 2,
-                        "star": lambda n: n - 2, "complete": lambda n: n - 1}
+        # Melter 1976; Khuller, Raghavachari and Rosenfeld 1996 for grids). Paths and
+        # complete graphs have tests of their own above.
+        closed_forms = {"cycle": lambda n: 2, "star": lambda n: n - 2}
         for model, optimum in closed_forms.items():
             for n in range(3, 13):
                 _, size = offline_verification(gen_graph(model, n=n), mode="exact")
