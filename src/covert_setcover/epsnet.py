@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate, repeat, starmap
-from operator import mul
-from typing import Sequence
+from operator import mul, or_
+from typing import Iterable
 
 from .errors import (
     UncoverableInstanceError, _require, _require_ints, require_instance, require_run_constants,
@@ -29,8 +30,6 @@ DEFAULT_ALPHA_NET = 2.0
 # The fixed constants of the candidate size and the per-guess iteration budget.
 NET_SIZE_CONST = 4.0
 ITER_CAP_CONST = 4.0
-# The first window of find_uncovered; a typical missed element lies below it.
-_FIRST_WINDOW = 64
 # The most draws the first guess's candidate may take; alpha_net beyond it is rejected.
 MAX_NET_DRAWS = 2**24
 
@@ -53,29 +52,15 @@ def sample_weighted_net(weights: list[int], size: int, rng: random.Random) -> tu
     return tuple(sorted(set(map(bisect_right, repeat(cum), keys, repeat(1), repeat(len(weights))))))
 
 
-def find_uncovered(rows: Sequence[Sequence[int]], universe_size: int) -> int | None:
-    """Smallest element no row holds, or None if the rows cover 1..universe_size.
+def find_uncovered(masks: Iterable[int], universe_size: int) -> int | None:
+    """Smallest element no mask holds, or None if the masks cover 1..universe_size.
 
-    ``rows`` are the candidate's sets as the oracle answered them: each row
-    strictly increasing with elements in 1..universe_size. The test reads only a
-    growing prefix of each row: it unions the rows' elements in the window
-    (lo, hi], starting from (0, 64], and returns the window's first gap if
-    fewer than hi - lo elements are covered; otherwise the window moves to
-    (hi, 4 * hi], capped at ``universe_size``. Each element is unioned at
-    most once, and None comes only after the whole range is covered.
+    ``masks`` are the candidate's sets as :meth:`CovertOracle.set_bits` answers
+    them: bit e is set for each element e. The test ORs them, and the lowest set
+    bit of the complement within bits 1..universe_size is the gap.
     """
-    starts = [0] * len(rows)
-    lo, hi = 0, min(_FIRST_WINDOW, universe_size)
-    while lo < hi:
-        covered: set[int] = set()
-        for i, row in enumerate(rows):
-            start = starts[i]
-            starts[i] = end = bisect_right(row, hi, start)
-            covered.update(row[start:end])
-        if len(covered) < hi - lo:
-            return next(e for e in range(lo + 1, hi + 1) if e not in covered)
-        lo, hi = hi, min(4 * hi, universe_size)
-    return None
+    gaps = ~reduce(or_, masks, 0) & ((1 << (universe_size + 1)) - 2)
+    return (gaps & -gaps).bit_length() - 1 if gaps else None
 
 
 def reweight_on_miss(weights: list[int], x: int, oracle: CovertOracle) -> tuple[int, ...]:
@@ -148,7 +133,7 @@ def run_weighted_epsilon_net(
             except OverflowError:  # the weights' sum outgrew a float: no draw can be made
                 iterations = iteration - 1
                 break
-            missed = find_uncovered([oracle.set_query(s) for s in candidate], n_prime)
+            missed = find_uncovered([oracle.set_bits(s) for s in candidate], n_prime)
             if missed is None:
                 iterations, cover = iteration, Cover(set_indices=candidate)
                 break

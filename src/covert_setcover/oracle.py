@@ -146,11 +146,12 @@ class CovertOracle(MeteredOracle):
     """Answers hitting-set and set-content queries about a hidden set system.
 
     Algorithms should treat the hidden system as unreachable except through
-    :meth:`hitting_query` and :meth:`set_query`; tests audit that covert
-    runs only ever use set indices that appeared in some logged answer.
-    Queries are logged with kind "hitting" or "set". An answer is the hidden
-    system's stored increasing tuple itself, returned with no sort or copy;
-    the round engine of :mod:`.pseudo_greedy` relies on that and checks none.
+    :meth:`hitting_query`, :meth:`set_query` and :meth:`set_bits`; tests audit
+    that covert runs only ever use set indices that appeared in some logged
+    answer. Queries are logged with kind "hitting" or "set". An answer is the
+    hidden system's stored increasing tuple itself, returned with no sort or
+    copy; the round engine of :mod:`.pseudo_greedy` relies on that and checks
+    none.
     """
 
     hidden_type = SetSystem
@@ -182,3 +183,8 @@ class CovertOracle(MeteredOracle):
         answer = sets[s - 1]
         self._charge("set", s, answer)
         return answer
+
+    def set_bits(self, s: int) -> int:
+        """Set ``s`` as :meth:`SetSystem.bits` packs it, after a :meth:`set_query` of it."""
+        self.set_query(s)
+        return self._hidden.bits(s)

@@ -12,7 +12,7 @@ order of the sets is the canonical order used for every tie-break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations, compress, count, islice, repeat
 from math import ceil
@@ -45,15 +45,33 @@ class SetSystem:
     tuple as its answer and a system can be shared read-only between
     concurrent trials. Only :func:`build_set_system` and :meth:`transposed` make one,
     and the round engine relies on that for every probe answer it reads.
+    The one mutable part is ``_bits``, the cache of :meth:`bits`: it is filled
+    idempotently (a set always packs to the same int), and equality, hashing
+    and repr ignore it.
     """
 
     universe_size: int
     sets: tuple[tuple[int, ...], ...]
     element_to_sets: tuple[tuple[int, ...], ...]
+    _bits: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_sets(self) -> int:
         return len(self.sets)
+
+    def bits(self, s: int) -> int:
+        """Set ``s`` as one int with bit e set for each member e, packed once and kept.
+
+        Every oracle over the system hands out the same int, and the cache holds at
+        most n * m / 8 bytes. ``s`` is not checked: :meth:`CovertOracle.set_bits` does.
+        """
+        packed = self._bits.get(s)
+        if packed is None:
+            flags = bytearray((self.universe_size >> 3) + 1)
+            for e in self.sets[s - 1]:
+                flags[e >> 3] |= 1 << (e & 7)
+            packed = self._bits[s] = int.from_bytes(flags, "little")
+        return packed
 
     def transposed(self) -> "SetSystem":
         """The dual system: element e's home sets become set e, over the set indices."""
@@ -267,8 +285,8 @@ def brute_force_min_cover(system: SetSystem) -> Cover:
     for e, containing in enumerate(system.element_to_sets, start=1):
         if not containing:
             raise UncoverableInstanceError(e)
-    masks = [_mask(members) for members in system.sets]
-    universe_mask = (1 << system.universe_size) - 1
+    masks = [system.bits(s) for s in range(1, m + 1)]
+    universe_mask = (1 << (system.universe_size + 1)) - 2
     if reduce(or_, masks, 0) != universe_mask:
         raise ValueError("element_to_sets is not the inverse of sets")
     for size in range(1, m):
@@ -280,9 +298,3 @@ def brute_force_min_cover(system: SetSystem) -> Cover:
                 return Cover.from_indices(system, combo)
     return Cover.from_indices(system, tuple(range(1, m + 1)))  # the whole family covers
 
-
-def _mask(members: Iterable[int]) -> int:
-    mk = 0
-    for e in members:
-        mk |= 1 << (e - 1)
-    return mk

@@ -196,24 +196,12 @@ MUTANTS = (
         ("tests/test_epsnet.py::TestNetSampling::test_matches_random_choices",),
     ),
     Mutant(
-        "window-bisects-left", "epsnet",  # bisect_left, for a row of ints
-        "bisect_right(row, hi, start)",
-        "bisect_right(row, hi - 1, start)",
-        (EN + "TestFindUncovered::test_gap_at_window_edges",
+        "gap-mask-drops-element-n", "epsnet",
+        "(1 << (universe_size + 1)) - 2",
+        "(1 << universe_size) - 2",
+        (EN + "TestFindUncovered::test_smallest_missing",
+         EN + "TestFindUncovered::test_gap_at_window_edges",
          EN + "TestFindUncovered::test_matches_union_and_scan"),
-    ),
-    Mutant(
-        "window-end-uncapped", "epsnet",
-        "lo, hi = hi, min(4 * hi, universe_size)",
-        "lo, hi = hi, 4 * hi",
-        (EN + "TestFindUncovered::test_gap_at_window_edges",
-         EN + "TestFindUncovered::test_matches_union_and_scan"),
-    ),
-    Mutant(
-        "first-window-wide", "epsnet",
-        "_FIRST_WINDOW = 64\n",
-        "_FIRST_WINDOW = 1024\n",
-        (EN + "TestFindUncovered::test_reads_stop_at_the_gap_window",),
     ),
     Mutant(
         "reweight-never-doubles", "epsnet",
@@ -260,6 +248,14 @@ MUTANTS = (
         ("tests/test_setsystem.py::TestGreedy::test_wrong_inverse_index_raises_instead_of_looping",),
     ),
     Mutant(
+        "packer-drops-a-bit", "setsystem",
+        "flags[e >> 3] |= 1 << (e & 7)",
+        "flags[e >> 3] |= 1 << (e & 6)",
+        (SS + "TestBits::test_matches_the_sum_of_powers",
+         "tests/test_oracle.py::TestSetBits::test_charges_and_logs_one_set_query",
+         EN + "TestRun::test_single_universe_set"),
+    ),
+    Mutant(
         "build-admits-any-number-of-sets", "setsystem",
         '    require_size("the number of sets", n_rows)\n',
         "",
@@ -279,6 +275,14 @@ MUTANTS = (
         ("tests/test_oracle.py::TestLedger::test_phases_sum_to_total",
          "tests/test_oracle.py::TestLedger::test_returning_to_a_label_counts_into_its_entry",
          "tests/test_oracle.py::TestLedger::test_a_marked_phase_enters_only_at_its_first_charge"),
+    ),
+    Mutant(
+        "set-bits-skips-its-set-query", "oracle",
+        "        self.set_query(s)\n        return self._hidden.bits(s)\n",
+        "        return self._hidden.bits(s)\n",
+        ("tests/test_oracle.py::TestSetBits::test_charges_and_logs_one_set_query",
+         "tests/test_oracle.py::TestStoredAnswers::test_planted_512_query_log",
+         EN + "TestRun::test_charges_candidate_contents_every_iteration"),
     ),
     Mutant(
         "phase-bill-aliases-the-ledger", "oracle",

@@ -240,8 +240,8 @@ def naive_round_sample(uncovered, s_i, alpha, n_total, rng):
 def naive_find_uncovered(candidate, contents, n):
     """Smallest element of 1..n that no candidate row holds, by union and scan.
 
-    Reads every row whole, the rule ``find_uncovered`` must follow with
-    less reading. Returns None when the rows cover 1..n.
+    Reads every row as a set of ints, the rule ``find_uncovered`` must follow
+    over the rows packed as bitmasks. Returns None when the rows cover 1..n.
     """
     covered = set()
     for s in candidate:

@@ -1,8 +1,6 @@
 import math
 import random
 import re
-from bisect import bisect_right
-from collections.abc import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,12 +37,12 @@ def rows_missing(n, missing, n_rows, rng):
 
 @st.composite
 def coverage_cases(draw):
-    """(candidate, contents, n): increasing rows over 1..n, often missing a window edge.
+    """(candidate, contents, n): increasing rows over 1..n, often missing an edge element.
 
     The candidate may repeat sets, leave some out or be empty.
     """
     n = draw(st.sampled_from([1, 63, 64, 65, 256, 257, 1100]) | st.integers(1, 1100))
-    # Both sides of find_uncovered's window edges 64 and 256, and the ends of 1..n.
+    # Both sides of bits 64 and 256 of the packed sets, and the ends of 1..n.
     edges = [e for e in (1, 64, 65, 256, 257, n) if e <= n]
     missing = draw(st.sets(st.sampled_from(edges) | st.integers(1, n), max_size=3))
     n_rows = draw(st.integers(1, 5))
@@ -53,24 +51,6 @@ def coverage_cases(draw):
     if draw(st.booleans()):
         candidate += sorted(contents)
     return candidate, contents, n
-
-
-class ReadRecorder(Sequence):
-    """An increasing row that records every index read, by item or by slice."""
-
-    def __init__(self, items):
-        self.items = tuple(items)
-        self.read = set()
-
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            self.read.update(range(len(self.items))[i])
-        else:
-            self.read.add(range(len(self.items))[i])
-        return self.items[i]
 
 
 class TestWeights:
@@ -171,21 +151,22 @@ class TestNetSampling:
         assert outcomes[0] == outcomes[1]
 
 
-def rows_of(candidate, contents):
-    """The candidate's rows in candidate order, as the epsnet loop hands them over."""
-    return [contents[s] for s in candidate]
+def masks_of(candidate, contents):
+    """The candidate's sets in candidate order, packed as ``CovertOracle.set_bits`` packs them."""
+    return [sum(1 << e for e in contents[s]) for s in candidate]
 
 
 class TestFindUncovered:
     def test_none_when_covering(self):
-        assert find_uncovered([(1, 2), (3,)], 3) is None
+        assert find_uncovered([0b110, 0b1000], 3) is None
 
     def test_smallest_missing(self):
-        assert find_uncovered([(1, 2)], 3) == 3
+        assert find_uncovered([0b110], 3) == 3
 
     def test_empty_candidate(self):
         assert find_uncovered([], 3) == 1
 
+    # Gaps on both sides of bits 64, 256 and 1024, at 1 and at n, and no gap.
     @pytest.mark.parametrize(
         "n, gap",
         [(1, 1), (1, None), (40, 1), (40, 40), (63, None), (64, 64), (64, None), (65, 64),
@@ -195,30 +176,19 @@ class TestFindUncovered:
     def test_gap_at_window_edges(self, n, gap):
         contents = rows_missing(n, {gap}, 3, random.Random(n))
         candidate = [2, 1, 3, 1]
-        assert find_uncovered(rows_of(candidate, contents), n) == gap
+        assert find_uncovered(masks_of(candidate, contents), n) == gap
         assert naive_find_uncovered(candidate, contents, n) == gap
 
     @settings(max_examples=150)
     @given(case=coverage_cases())
     @example(case=([], {}, 100))
     @example(case=([1], {1: (1,)}, 1))
+    @example(case=([1, 1], {1: (1, 2)}, 3))  # the gap is element n
     def test_matches_union_and_scan(self, case):
         candidate, contents, n = case
-        assert find_uncovered(rows_of(candidate, contents), n) == naive_find_uncovered(
+        assert find_uncovered(masks_of(candidate, contents), n) == naive_find_uncovered(
             candidate, contents, n
         )
-
-    @pytest.mark.parametrize("gap, window_end, passes", [(10, 64, 1), (64, 64, 1),
-                                                          (65, 256, 2), (256, 256, 2)])
-    def test_reads_stop_at_the_gap_window(self, gap, window_end, passes):
-        # Past the window that holds the gap, a row may be read only by the
-        # binary search's probes, one search per window passed.
-        rows = rows_missing(4096, {gap}, 5, random.Random(gap))
-        recorders = [ReadRecorder(row) for row in rows.values()]
-        assert find_uncovered(recorders, 4096) == gap
-        for row in recorders:
-            beyond = {i for i in row.read if i >= bisect_right(row.items, window_end)}
-            assert len(beyond) <= passes * len(row).bit_length()
 
 
 class TestRun:

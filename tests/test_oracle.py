@@ -128,6 +128,41 @@ class TestStoredAnswers:
         assert digest == "e8ba2ceb0e33a7f96841f1bbb11464f4f26458fc11088d7816192af24494a30e"
 
 
+class TestSetBits:
+    """``set_bits`` is a set query answered by the hidden system's packing of the set."""
+
+    def test_charges_and_logs_one_set_query(self):
+        system = build_set_system([[1, 2], [2, 3]], 3)
+        logs = io.StringIO(), io.StringIO()
+        by_tuple, by_bits = (CovertOracle(system, log_stream=log) for log in logs)
+        for oracle in (by_tuple, by_bits):
+            oracle.mark_phase("probe")
+        assert by_tuple.set_query(2) == (2, 3)
+        assert by_bits.set_bits(2) == 0b1100
+        assert by_bits.ledger == by_tuple.ledger
+        assert by_bits.ledger.counts == {"hitting": 0, "set": 1, "layered": 0}
+        assert logs[1].getvalue() == logs[0].getvalue() != ""
+
+    @pytest.mark.parametrize("arg", [0, 3, True, 2.0, "1", None])
+    def test_bad_index_is_refused_before_any_charge_or_packing(self, arg):
+        system = build_set_system([[1, 2], [2, 3]], 3)
+        stream = io.StringIO()
+        oracle = CovertOracle(system, log_stream=stream)
+        with pytest.raises(ValueError) as info:
+            oracle.set_bits(arg)
+        assert str(info.value) == f"set index {arg!r} outside [1, 2] or is not an integer"
+        assert oracle.ledger == QueryLedger()
+        assert stream.getvalue() == ""
+        assert system._bits == {}
+
+    def test_oracles_over_one_system_share_each_packed_set(self):
+        # Past bit 256 every packed set is a fresh int object unless it is shared.
+        system, _ = gen_set_system("planted-cover", n=512, m=64, seed=1, k=4)
+        first, second = CovertOracle(system), CovertOracle(system)
+        for s in range(1, system.n_sets + 1):
+            assert first.set_bits(s) is second.set_bits(s) is system.bits(s)
+
+
 class TestLedger:
     def test_fresh_counts_zero(self, small_oracle):
         snap = small_oracle.ledger_snapshot()

@@ -273,6 +273,32 @@ class TestBuild:
         assert from_json_dict(to_json_dict(system)) == system
 
 
+class TestBits:
+    @settings(max_examples=150)
+    @given(family=families(max_n=70))
+    @example(family=(9, [set(), {1, 9}, {7, 8}]))  # an empty set, element n, both sides of bit 8
+    def test_matches_the_sum_of_powers(self, family):
+        n, rows = family
+        system = build_set_system(rows, n)
+        for packed in (system, system.transposed()):
+            for s, row in enumerate(packed.sets, start=1):
+                assert packed.bits(s) == sum(1 << e for e in row)
+                assert packed.bits(s) is packed.bits(s)  # packed once, then kept
+
+    def test_packing_leaves_equality_and_hash_alone(self):
+        a, b = (build_set_system([[1, 2], [], [3]], 3) for _ in range(2))
+
+        def alike():
+            return a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+        assert alike()
+        a.bits(1), a.bits(3)
+        assert alike()  # only a has packed
+        b.bits(2)
+        assert alike()  # both have, different sets
+        assert a._bits.keys() == {1, 3} and b._bits.keys() == {2}
+
+
 SMALL = build_set_system([[1, 2], [2]], 2)
 PATH_3 = Graph.from_edges(3, [(1, 2), (2, 3)])
 REPORT = DiscoveryResult(statuses={}, query_set=[], ledger=QueryLedger())

@@ -95,6 +95,9 @@ def entry_points(instance_path):
         "CovertOracle.set_query": (
             _with_oracle(CovertOracle, CovertOracle.set_query),
             {"hidden": system, "log_stream": None, "arg": 1}),
+        "CovertOracle.set_bits": (
+            _with_oracle(CovertOracle, CovertOracle.set_bits),
+            {"hidden": system, "log_stream": None, "arg": 1}),
         "MeteredOracle.mark_phase": (
             _with_oracle(CovertOracle, lambda oracle, label: (oracle.mark_phase(label),
                                                               oracle.hitting_query(2))),
